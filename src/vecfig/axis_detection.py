@@ -90,6 +90,30 @@ def _corner(v: SegmentGlyph, h: SegmentGlyph) -> tuple[Point, Point, Point, floa
     return best
 
 
+# The corner gap is computed in floating point, so a gap the gate accepts
+# can exceed corner_gap_tol by a rounding error; the cell search reaches
+# this fraction of a cell further so that it never misses such a pair.
+_CELL_SLACK = 1e-6
+# Grid coordinates are clamped to keep huge or infinite endpoints in an
+# integer cell; clamping only merges cells far beyond any real canvas.
+_CELL_LIMIT = 2.0 ** 62
+
+
+def _grid_coord(value: float, tol: float) -> float:
+    return max(-_CELL_LIMIT, min(_CELL_LIMIT, value / tol))
+
+
+def _cell(p: Point, tol: float) -> tuple[int, int]:
+    return (math.floor(_grid_coord(p.x, tol)), math.floor(_grid_coord(p.y, tol)))
+
+
+def _reach(value: float, tol: float) -> range:
+    """Cells holding every coordinate within ``tol`` of ``value``."""
+    q = _grid_coord(value, tol)
+    return range(math.floor(q - 1.0 - _CELL_SLACK),
+                 math.floor(q + 1.0 + _CELL_SLACK) + 1)
+
+
 def detect_plot_box(doc: FigureDocument,
                     cfg: PipelineConfig = DEFAULT_CONFIG) -> PlotBox:
     """Pick the (vertical, horizontal) axis pair with the highest score.
@@ -97,6 +121,13 @@ def detect_plot_box(doc: FigureDocument,
     Score favours long segments that meet at a corner; ties break toward
     the lower-left-most corner, then toward greater total length.  Raises
     NoAxesFound when no qualifying pair exists.
+
+    Pairs are found through an endpoint grid with cells ``corner_gap_tol``
+    wide: a vertical is scored only against the horizontals with an
+    endpoint in the block of cells around one of its own endpoints, which
+    holds every endpoint within ``corner_gap_tol``.  The cost is O(V + H)
+    plus the pairs that share a block, not O(V * H), and the result is the
+    one the full V x H comparison gives.
     """
     verticals = [s for s in doc.segments
                  if s.length >= cfg.min_axis_length
@@ -106,10 +137,25 @@ def detect_plot_box(doc: FigureDocument,
                    and _angle_from_horizontal(s) <= cfg.axis_angle_tol_deg]
     canvas = doc.canvas
     norm = max(canvas.width * canvas.height, 1e-12)
+    tol = cfg.corner_gap_tol
+
+    grid: dict[tuple[int, int], list[int]] = {}
+    for i, h in enumerate(horizontals):
+        for p in (h.p1, h.p2):
+            grid.setdefault(_cell(p, tol), []).append(i)
 
     candidates = []
     for v in verticals:
-        for h in horizontals:
+        near: set[int] = set()
+        for p in (v.p1, v.p2):
+            rows = _reach(p.y, tol)
+            for cx in _reach(p.x, tol):
+                for cy in rows:
+                    near.update(grid.get((cx, cy), ()))
+        # original order keeps the candidate list, and so the stable sort's
+        # pick among exact ties, the same as the full comparison's
+        for i in sorted(near):
+            h = horizontals[i]
             corner, v_far, h_far, gap = _corner(v, h)
             if gap > cfg.corner_gap_tol:
                 continue

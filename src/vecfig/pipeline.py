@@ -233,6 +233,11 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
         report.y_reversed = ycal.reversed
         report.x_residual = xcal.rms_residual
         report.y_residual = ycal.rms_residual
+        # a line through two pairs has zero residual, so the gate that
+        # rejects log axes cannot have fired on such an axis
+        for cal in (xcal, ycal):
+            if cal.n_ticks == 2:
+                report.warnings.append(f"linearity_unverified: {cal.side.value}")
 
         if point_extraction.detect_raster_body(doc, detected.box, config):
             report.status = Status.RASTER_BODY

@@ -130,7 +130,6 @@ class CircleGlyph:
     id: str
     center: Point
     radius: float
-    stroke_style: str = ""
 
 
 @dataclass(frozen=True)
@@ -534,7 +533,6 @@ class _Parser:
             id=self._gen_id(elem, "circle"),
             center=t.apply_xy(cx, cy),
             radius=math.sqrt(s1 * s2),
-            stroke_style=elem.get("style", "") or elem.get("stroke", ""),
         ))
 
     def _handle_line(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:

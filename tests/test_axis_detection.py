@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import svg_bytes
+from vecfig import axis_detection
 from vecfig.axis_detection import (AxisSide, PlotBox, TickLabel, TickMark,
                                    calibrate_axis, detect_plot_box, detect_ticks,
                                    match_ticks_to_labels, parse_numeric_label)
-from vecfig.config import DEFAULT_CONFIG
+from vecfig.config import DEFAULT_CONFIG, PipelineConfig
 from vecfig.errors import (CollocatedTicks, InsufficientMatches, NoAxesFound,
                            NonlinearScale, TooFewTicks)
 from vecfig.svg_model import (FigureDocument, Point, Rect, SegmentGlyph, TextRun,
@@ -58,6 +59,181 @@ def brute_force_best_pair(doc, cfg=DEFAULT_CONFIG):
             if best is None or key > best[0]:
                 best = (key, v, h)
     return None if best is None else (best[1], best[2])
+
+
+def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
+    """Reference: the full V x H pairing that detect_plot_box replaces."""
+    def from_vert(s):
+        return math.degrees(math.atan2(abs(s.p2.x - s.p1.x), abs(s.p2.y - s.p1.y)))
+
+    def from_horiz(s):
+        return math.degrees(math.atan2(abs(s.p2.y - s.p1.y), abs(s.p2.x - s.p1.x)))
+
+    def corner_of(v, h):
+        best = None
+        for ve, v_far in ((v.p1, v.p2), (v.p2, v.p1)):
+            for he, h_far in ((h.p1, h.p2), (h.p2, h.p1)):
+                gap = ve.distance_to(he)
+                if best is None or gap < best[3]:
+                    mid = Point((ve.x + he.x) / 2.0, (ve.y + he.y) / 2.0)
+                    best = (mid, v_far, h_far, gap)
+        return best
+
+    verticals = [s for s in doc.segments if s.length >= cfg.min_axis_length
+                 and from_vert(s) <= cfg.axis_angle_tol_deg]
+    horizontals = [s for s in doc.segments if s.length >= cfg.min_axis_length
+                   and from_horiz(s) <= cfg.axis_angle_tol_deg]
+    norm = max(doc.canvas.width * doc.canvas.height, 1e-12)
+    candidates = []
+    for v in verticals:
+        for h in horizontals:
+            corner, v_far, h_far, gap = corner_of(v, h)
+            if gap > cfg.corner_gap_tol:
+                continue
+            if v_far.y > corner.y or h_far.x < corner.x:
+                continue
+            proximity = 1.0 - gap / (cfg.corner_gap_tol + 1e-12)
+            score = min(1.0, v.length * h.length / norm) * max(proximity, 1e-6)
+            interior = Rect(min(corner.x, h_far.x), min(corner.y, v_far.y),
+                            max(corner.x, h_far.x), max(corner.y, v_far.y))
+            candidates.append((score, corner, v, h, interior))
+    if not candidates:
+        raise NoAxesFound("no qualifying vertical/horizontal axis pair")
+    candidates.sort(key=lambda c: (-c[0], -c[1].y, c[1].x,
+                                   -(c[2].length + c[3].length),
+                                   c[2].id, c[3].id))
+    score, _, v, h, interior = candidates[0]
+    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score)
+
+
+def box_outcome(detect, doc, cfg):
+    """The chosen axes (compared as whole segments), interior and score."""
+    try:
+        box = detect(doc, cfg)
+    except NoAxesFound:
+        return None
+    return (box.left_axis, box.bottom_axis, box.interior, box.score)
+
+
+def random_axis_segments(rng: random.Random, tol: float) -> list[SegmentGlyph]:
+    """Axis-like segments whose near ends crowd a few cells of the tol grid.
+
+    Ends sit on anchors (negative ones included) shifted by 0, +-tol,
+    +-tol +- 1e-9 or a random fraction of tol; directions go both ways and
+    some tilts fall outside the angle tolerance.
+    """
+    anchors = [(rng.randint(-4, 4) * tol, rng.randint(-4, 4) * tol)
+               for _ in range(rng.randint(1, 3))]
+    shifts = (0.0, tol, -tol, tol + 1e-9, tol - 1e-9, -tol + 1e-9, -tol - 1e-9)
+
+    def shift():
+        return rng.choice(shifts) if rng.random() < 0.6 else rng.uniform(-1.5, 1.5) * tol
+
+    out = []
+    for i in range(rng.randint(1, 12)):
+        ax, ay = rng.choice(anchors)
+        x, y = ax + shift(), ay + shift()
+        length = rng.uniform(5.0, 60.0 + 8 * tol)
+        sign = rng.choice((-1.0, 1.0))
+        tilt = rng.uniform(-0.05, 0.05) * length
+        if rng.random() < 0.5:
+            out.append(seg(f"s{i}", x, y, x + tilt, y + sign * length))
+        else:
+            out.append(seg(f"s{i}", x, y, x + sign * length, y + tilt))
+    return out
+
+
+def gridded_segments(n: int, spacing: float, offset: float) -> list[SegmentGlyph]:
+    """Axes meeting at (50, 400) plus n full-length gridlines each way.
+
+    Gridlines start ``offset`` past the far side of the opposite axis and
+    are ``spacing`` apart, so several can share one cell.
+    """
+    x0, y0, x1, y1 = 50.0, 50.0, 500.0, 400.0
+    out = [seg("v", x0, y1, x0, y0), seg("h", x0, y1, x1, y1)]
+    for i in range(1, n + 1):
+        out.append(seg(f"gv{i}", x0 + i * spacing, y1 + offset, x0 + i * spacing, y0))
+        out.append(seg(f"gh{i}", x0 - offset, y1 - i * spacing, x1, y1 - i * spacing))
+    return out
+
+
+class TestPlotBoxGridPairing:
+    """The endpoint grid must give what the full V x H pairing gives."""
+
+    @pytest.mark.parametrize("tol", [0.05, 3.0, 50.0, 7.3])
+    def test_matches_quadratic_on_random_layouts(self, tol):
+        rng = random.Random(f"plot-box:{tol}")
+        cfg = PipelineConfig(corner_gap_tol=tol)
+        n_found = 0
+        for _ in range(500):
+            doc = doc_with(random_axis_segments(rng, tol),
+                           canvas=Rect(-10 * tol, -10 * tol, 600, 450))
+            want = box_outcome(quadratic_plot_box, doc, cfg)
+            assert box_outcome(detect_plot_box, doc, cfg) == want
+            n_found += want is not None
+        assert n_found > 50  # the layouts do produce axis pairs
+
+    @pytest.mark.parametrize("tol", [0.05, 3.0, 50.0])
+    @pytest.mark.parametrize("spacing_frac", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("offset_frac", [0.0, 1.0, 1.0 + 1e-9, -1.0 + 1e-9])
+    def test_matches_quadratic_on_gridlines(self, tol, spacing_frac, offset_frac):
+        cfg = PipelineConfig(corner_gap_tol=tol)
+        segments = gridded_segments(40, spacing_frac * tol, offset_frac * tol)
+        for order in (segments, segments[::-1]):
+            doc = doc_with(order)
+            assert box_outcome(detect_plot_box, doc, cfg) == \
+                box_outcome(quadratic_plot_box, doc, cfg)
+
+    def test_exact_tie_keeps_list_order(self):
+        # same id, same geometry up to direction: only list order decides
+        h_fwd = seg("h", 50, 400, 500, 400)
+        h_rev = seg("h", 500, 400, 50, 400)
+        for segments in ([seg("v", 50, 400, 50, 50), h_fwd, h_rev],
+                         [h_rev, seg("v", 50, 400, 50, 50), h_fwd]):
+            doc = doc_with(segments)
+            box = detect_plot_box(doc)
+            assert box.bottom_axis is quadratic_plot_box(doc).bottom_axis
+
+    @pytest.mark.parametrize("vx,hx", [(-1e-17, 3.0),
+                                       (-3.000000000000001, -6.000000000000001)])
+    def test_gap_rounded_down_to_tol(self, vx, hx):
+        # the computed gap rounds to exactly tol, so the gate accepts the
+        # pair; yet the ends sit two cells apart (first case), or one cell
+        # apart with vx / 3 - 1 rounding up onto the cell boundary (second)
+        v = seg("v", vx, 0, vx, -100)
+        h = seg("h", hx, 0, hx + 100, 0)
+        assert v.p1.distance_to(h.p1) == 3.0
+        doc = doc_with([v, h])
+        box = detect_plot_box(doc)
+        assert (box.left_axis, box.bottom_axis) == (v, h)
+        assert box_outcome(detect_plot_box, doc, DEFAULT_CONFIG) == \
+            box_outcome(quadratic_plot_box, doc, DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PipelineConfig(corner_gap_tol=1e-300)])
+    def test_infinite_and_huge_ends(self, cfg):
+        # ends whose grid coordinate overflows still pair with each other
+        segments = [seg("v", 50, 400, 50, -math.inf), seg("h", 50, 400, 500, 400),
+                    seg("far", 1e300, 400, 2e300, 400), seg("vfar", 1e300, 400, 1e300, 0)]
+        for doc, left in ((doc_with(segments), "v"), (doc_with(segments[1:]), "vfar")):
+            assert box_outcome(detect_plot_box, doc, cfg) == \
+                box_outcome(quadratic_plot_box, doc, cfg)
+            assert detect_plot_box(doc, cfg).left_axis.id == left
+
+    def test_corner_calls_linear_in_gridlines(self, monkeypatch):
+        calls = 0
+        real_corner = axis_detection._corner
+
+        def counting_corner(v, h):
+            nonlocal calls
+            calls += 1
+            return real_corner(v, h)
+
+        monkeypatch.setattr(axis_detection, "_corner", counting_corner)
+        n = 500  # full-length gridlines each way, strictly inside the box
+        box = detect_plot_box(doc_with(gridded_segments(n, 350.0 / (n + 1), 0.0)))
+        assert (box.left_axis.id, box.bottom_axis.id) == ("v", "h")
+        # the full pairing makes (n + 1) ** 2 = 251001 calls here
+        assert calls <= 2 * (2 * n + 2)
 
 
 class TestDetectPlotBox:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import svg_bytes
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
@@ -193,6 +194,31 @@ class TestExtractFigure:
             for a, b in zip(base_points, points):
                 assert b.x == pytest.approx(a.x, rel=1e-6, abs=1e-6)
                 assert b.y == pytest.approx(a.y, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("x_labels,status,warned", [
+        ((("1", 50), ("100", 500)), Status.OK, True),
+        ((("1", 50), ("10", 275), ("100", 500)), Status.NONLINEAR_SCALE, False),
+    ])
+    def test_two_tick_axis_flagged_unverified(self, tmp_path, x_labels, status, warned):
+        # a log x axis: labelled only at its ends it fits a line exactly,
+        # with its middle decade the residual gate rejects it
+        body = ('<line x1="50" y1="400" x2="50" y2="50"/>'
+                '<line x1="50" y1="400" x2="500" y2="400"/>'
+                + "".join(f'<line x1="{x}" y1="400" x2="{x}" y2="405"/>'
+                          f'<text x="{x - 2}" y="412" font-size="8">{text}</text>'
+                          for text, x in x_labels)
+                + "".join(f'<line x1="45" y1="{y}" x2="50" y2="{y}"/>'
+                          f'<text x="30" y="{y + 3}" font-size="8">{v}</text>'
+                          for v, y in ((0, 400), (1, 225), (2, 50)))
+                + '<circle cx="100" cy="300" r="3"/><circle cx="300" cy="150" r="3"/>')
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg_bytes(body))
+        points, _, report = extract_figure(path)
+        assert report.status is status
+        assert ("linearity_unverified: x_axis" in report.warnings) is warned
+        assert "linearity_unverified: y_axis" not in report.warnings
+        if warned:
+            assert len(points) == 2
 
     def test_annotated_svg_conservatism(self, tmp_path):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
