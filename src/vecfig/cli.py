@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tolerance", type=float,
                         default=evaluate_mod.DEFAULT_TOLERANCE,
                         help="fraction of axis span")
-
-    sub.add_parser("pdf2svg", help="not provided; use an external converter")
     return parser
 
 
@@ -82,10 +80,6 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.subcommand == "pdf2svg":
-            print("pdf2svg is delegated to an external converter; "
-                  "this tool consumes per-figure SVG files.", file=sys.stderr)
-            return 1
         if args.subcommand == "make-project":
             project = pipeline.make_project(args.project, args.fileFilter,
                                             args.makeProject)

@@ -1,8 +1,10 @@
-"""Pipeline configuration: every numeric tolerance in one place.
+"""Pipeline configuration: the detection tolerances and output settings.
 
-All detection and calibration heuristics read their thresholds from a
-:class:`PipelineConfig`, so a single flat key=value file can override any
-of them for a batch run.
+Axis detection, calibration and marker selection read their thresholds
+from a :class:`PipelineConfig`, so a single flat key=value file can
+override any of them for a batch run.  The SVG parser's own tolerances
+(curve flattening, ellipse roundness, canvas overflow, glyph-run joining)
+are module constants in :mod:`vecfig.svg_model`, not config keys.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class PipelineConfig:
     # data glyph selection
     radius_cluster_tol: float = 0.10    # relative radius spread within a cluster
     raster_overlap_frac: float = 0.5    # interior fraction covered -> raster body
-    # evaluation
-    eval_tolerance: float = 0.005       # fraction of axis span
-    # synthetic generation
-    seed: int = 0
     # execution
     jobs: int = 1
     # outputs

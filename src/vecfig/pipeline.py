@@ -10,38 +10,23 @@ CSV, an annotated SVG and a JSON report next to each source figure.
 from __future__ import annotations
 
 import concurrent.futures
+import html
 import json
 import re
 import shutil
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import axis_detection, point_extraction, svg_model
-from .axis_detection import AxisCalibration, AxisSide, PlotBox, TickLabel, TickMark
+from .axis_detection import AxisSide, PlotBox, TickLabel, TickMark
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .errors import (BadFilter, CollocatedTicks, DestinationCollision,
-                     InsufficientMatches, IoFailure, NoAxesFound, NoDataGlyphs,
-                     NonlinearScale, TemplateGroupOutOfRange, TooFewTicks,
-                     VecfigError)
+from .errors import (BadFilter, DestinationCollision, IoFailure, Status,
+                     TemplateGroupOutOfRange, VecfigError)
 from .point_extraction import DataPoint
-
-ET.register_namespace("", svg_model.SVG_NS)
-ET.register_namespace("xlink", svg_model.XLINK_NS)
+from .svg_model import IDENTITY, AffineTransform, CircleGlyph
 
 FIGURE_DIR_RE = re.compile(r"^figure(\d+)$")
 DEFAULT_FIGURE_FILTER = r"^.*figures/figure(\d+)/figure(_\d+)?\.svg$"
-
-
-class Status(Enum):
-    OK = "ok"
-    NO_AXES = "no_axes"
-    NONLINEAR_SCALE = "nonlinear_scale"
-    TOO_FEW_TICKS = "too_few_ticks"
-    RASTER_BODY = "raster_body"
-    NO_DATA_GLYPHS = "no_data_glyphs"
-    PARSE_ERROR = "parse_error"
 
 
 @dataclass(frozen=True)
@@ -71,27 +56,14 @@ class ExtractionReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "tree_id": self.tree_id,
-            "figure_index": self.figure_index,
-            "status": self.status.value,
-            "n_points": self.n_points,
-            "x_reversed": self.x_reversed,
-            "y_reversed": self.y_reversed,
-            "x_residual": self.x_residual,
-            "y_residual": self.y_residual,
-            "warnings": self.warnings,
-        }
+        payload = {**asdict(self), "status": self.status.value}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExtractionReport":
         raw = json.loads(text)
-        return cls(tree_id=raw["tree_id"], figure_index=raw["figure_index"],
-                   status=Status(raw["status"]), n_points=raw["n_points"],
-                   x_reversed=raw["x_reversed"], y_reversed=raw["y_reversed"],
-                   x_residual=raw["x_residual"], y_residual=raw["y_residual"],
-                   warnings=list(raw["warnings"]))
+        values = {f.name: raw[f.name] for f in fields(cls)}
+        return cls(**{**values, "status": Status(raw["status"])})
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +166,12 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
 
 @dataclass
 class _Detected:
+    """What the overlay draws; every coordinate is in device space."""
+    root_transform: AffineTransform = IDENTITY
     box: PlotBox | None = None
     ticks: list[TickMark] = field(default_factory=list)
     labels: list[tuple[TickMark, TickLabel]] = field(default_factory=list)
-    points_glyph_ids: set[str] = field(default_factory=set)
+    markers: list[CircleGlyph] = field(default_factory=list)
 
 
 def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG,
@@ -216,6 +190,7 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
     try:
         doc = svg_model.parse_svg(svg_bytes)
         report.warnings.extend(doc.warnings)
+        detected.root_transform = doc.root_transform
 
         detected.box = axis_detection.detect_plot_box(doc, config)
         ticks = axis_detection.detect_ticks(doc, detected.box, config)
@@ -244,70 +219,65 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
         else:
             cluster = point_extraction.select_data_glyphs(doc, detected.box, config)
             points = point_extraction.map_to_data(cluster, xcal, ycal)
-            detected.points_glyph_ids = {c.id for c in cluster.members}
+            detected.markers = cluster.members
             report.status = Status.OK
             report.n_points = len(points)
-    except NoAxesFound as exc:
-        report.status = Status.NO_AXES
-        report.warnings.append(str(exc))
-    except NonlinearScale as exc:
-        report.status = Status.NONLINEAR_SCALE
-        report.warnings.append(str(exc))
-    except (TooFewTicks, InsufficientMatches, CollocatedTicks) as exc:
-        report.status = Status.TOO_FEW_TICKS
-        report.warnings.append(str(exc))
-    except NoDataGlyphs as exc:
-        report.status = Status.NO_DATA_GLYPHS
-        report.warnings.append(str(exc))
     except VecfigError as exc:
-        report.status = Status.PARSE_ERROR
+        report.status = exc.status
         report.warnings.append(str(exc))
 
-    annotated = _annotate_svg(svg_bytes, detected, config, report)
+    annotated = _annotate_svg(svg_bytes, detected, config)
     return points, annotated, report
 
 
-def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig,
-                  report: ExtractionReport) -> bytes:
-    """Overlay detected structure on the original SVG, primitives untouched."""
-    try:
-        root = ET.fromstring(svg_bytes)
-    except ET.ParseError:
-        return svg_bytes
-    ns = f"{{{svg_model.SVG_NS}}}"
-    overlay = ET.SubElement(root, f"{ns}g", {"id": "vecfig-overlay",
-                                             "fill": "none"})
+# the root's end tag; the last match, since nested <svg> elements close earlier
+_ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
+
+
+def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) -> bytes:
+    """Splice an overlay of the detected structure into the source bytes.
+
+    One ``<g id="vecfig-overlay">`` goes just before the root's end tag, so
+    every source byte is kept.  Its coordinates are device coordinates: the
+    group undoes the root's own transform, which its children would
+    otherwise inherit a second time.  The source comes back unchanged when
+    no plot box was found, or when it has no root end tag to splice before
+    (a self-closing root, an encoding that is not ASCII-compatible).
+    """
     box = detected.box
-    if box is not None:
-        ET.SubElement(overlay, f"{ns}rect", {
-            "x": _num(box.interior.x0), "y": _num(box.interior.y0),
-            "width": _num(box.interior.width), "height": _num(box.interior.height),
-            "stroke": cfg.overlay_box_color, "stroke-width": "1",
-            "stroke-dasharray": "4 2"})
-        for tick in detected.ticks:
-            if tick.side is AxisSide.X_AXIS:
-                x, y = tick.position, box.interior.y1
-            else:
-                x, y = box.interior.x0, tick.position
-            ET.SubElement(overlay, f"{ns}circle", {
-                "cx": _num(x), "cy": _num(y), "r": "2",
-                "stroke": cfg.overlay_tick_color, "stroke-width": "0.8"})
-        for _, label in detected.labels:
-            ET.SubElement(overlay, f"{ns}circle", {
-                "cx": _num(label.anchor.x), "cy": _num(label.anchor.y), "r": "3",
-                "stroke": cfg.overlay_label_color, "stroke-width": "0.8"})
-    if report.status is Status.OK:
-        # the selected markers are re-marked by id lookup in the source tree
-        ids = detected.points_glyph_ids
-        for elem in root.iter():
-            if elem.get("id") in ids:
-                cx, cy = elem.get("cx"), elem.get("cy")
-                r = elem.get("r") or elem.get("rx")
-                if cx and cy and r:
-                    ET.SubElement(overlay, f"{ns}circle", {
-                        "cx": cx, "cy": cy, "r": _num(float(r) + 1.5),
-                        "stroke": cfg.overlay_glyph_color, "stroke-width": "0.8"})
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    ends = [m.start() for m in _ROOT_END_RE.finditer(svg_bytes)]
+    if box is None or not ends:
+        return svg_bytes
+    box_color, tick_color, label_color, glyph_color = (
+        html.escape(c) for c in (cfg.overlay_box_color, cfg.overlay_tick_color,
+                                 cfg.overlay_label_color, cfg.overlay_glyph_color))
+
+    def ring(x: float, y: float, r: float, color: str) -> str:
+        return (f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{_num(r)}" '
+                f'stroke="{color}" stroke-width="0.8"/>')
+
+    inner = box.interior
+    transform = ""
+    if detected.root_transform != IDENTITY:
+        inverse = astuple(detected.root_transform.inverse())
+        transform = f' transform="matrix({",".join(map(_num, inverse))})"'
+    parts = [f'<g xmlns="{svg_model.SVG_NS}" id="vecfig-overlay" fill="none"{transform}>',
+             f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
+             f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
+             f'stroke="{box_color}" stroke-width="1" stroke-dasharray="4 2"/>']
+    for tick in detected.ticks:
+        if tick.side is AxisSide.X_AXIS:
+            parts.append(ring(tick.position, inner.y1, 2, tick_color))
+        else:
+            parts.append(ring(inner.x0, tick.position, 2, tick_color))
+    for _, label in detected.labels:
+        parts.append(ring(label.anchor.x, label.anchor.y, 3, label_color))
+    for c in detected.markers:
+        parts.append(ring(c.center.x, c.center.y, c.radius + 1.5, glyph_color))
+    parts.append("</g>")
+    overlay = "".join(parts).encode("ascii", "xmlcharrefreplace")
+    i = ends[-1]
+    return svg_bytes[:i] + overlay + svg_bytes[i:]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ class AffineTransform:
     def determinant(self) -> float:
         return self.a * self.d - self.b * self.c
 
+    def inverse(self) -> "AffineTransform":
+        det = self.determinant
+        return AffineTransform(a=self.d / det, b=-self.b / det,
+                               c=-self.c / det, d=self.a / det,
+                               e=(self.c * self.f - self.d * self.e) / det,
+                               f=(self.b * self.e - self.a * self.f) / det)
+
     def singular_values(self) -> tuple[float, float]:
         """Singular values of the linear part, largest first."""
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -164,6 +171,8 @@ class FigureDocument:
     rasters: list[RasterGlyph] = field(default_factory=list)
     texts: list[TextRun] = field(default_factory=list)
     canvas: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1.0, 1.0))
+    # the root element's own transform, already applied to every primitive
+    root_transform: AffineTransform = IDENTITY
     warnings: list[str] = field(default_factory=list)
 
 
@@ -652,6 +661,17 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     return Rect(0.0, 0.0, 1.0, 1.0)
 
 
+# device-space bounds of each primitive kind, in the order warnings report them
+_BOUNDS = {
+    "circles": lambda c: Rect(c.center.x - c.radius, c.center.y - c.radius,
+                              c.center.x + c.radius, c.center.y + c.radius),
+    "segments": lambda s: Rect(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
+                               max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)),
+    "rasters": lambda r: r.bounds,
+    "texts": lambda t: Rect(t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y),
+}
+
+
 def _within_overflow(bounds: Rect, canvas: Rect) -> bool:
     cx = (canvas.x0 + canvas.x1) / 2.0
     cy = (canvas.y0 + canvas.y1) / 2.0
@@ -662,38 +682,12 @@ def _within_overflow(bounds: Rect, canvas: Rect) -> bool:
 
 
 def _drop_out_of_canvas(doc: FigureDocument) -> None:
-    def keep_circle(c: CircleGlyph) -> bool:
-        b = Rect(c.center.x - c.radius, c.center.y - c.radius,
-                 c.center.x + c.radius, c.center.y + c.radius)
-        return _within_overflow(b, doc.canvas)
-
-    def keep_segment(s: SegmentGlyph) -> bool:
-        b = Rect(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
-                 max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y))
-        return _within_overflow(b, doc.canvas)
-
-    for name, keep in (("circles", keep_circle), ("segments", keep_segment)):
-        kept, dropped = [], 0
-        for item in getattr(doc, name):
-            if keep(item):
-                kept.append(item)
-            else:
-                dropped += 1
-        if dropped:
+    for name, bounds in _BOUNDS.items():
+        items = getattr(doc, name)
+        kept = [item for item in items if _within_overflow(bounds(item), doc.canvas)]
+        if len(kept) != len(items):
             setattr(doc, name, kept)
-            doc.warnings.append(f"{dropped} far-out-of-canvas {name} discarded")
-    kept_r = [r for r in doc.rasters if _within_overflow(r.bounds, doc.canvas)]
-    if len(kept_r) != len(doc.rasters):
-        doc.warnings.append(
-            f"{len(doc.rasters) - len(kept_r)} far-out-of-canvas rasters discarded")
-        doc.rasters = kept_r
-    kept_t = [t for t in doc.texts
-              if _within_overflow(Rect(t.anchor.x, t.anchor.y,
-                                       t.anchor.x, t.anchor.y), doc.canvas)]
-    if len(kept_t) != len(doc.texts):
-        doc.warnings.append(
-            f"{len(doc.texts) - len(kept_t)} far-out-of-canvas texts discarded")
-        doc.texts = kept_t
+            doc.warnings.append(f"{len(items) - len(kept)} far-out-of-canvas {name} discarded")
 
 
 def parse_svg(data: bytes) -> FigureDocument:
@@ -715,6 +709,7 @@ def parse_svg(data: bytes) -> FigureDocument:
     root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
     parser.walk(root, root_t, DEFAULT_FONT_SIZE)
     doc = parser.doc
+    doc.root_transform = root_t
     doc.canvas = _canvas_rect(root, doc)
     _drop_out_of_canvas(doc)
     doc.texts = compose_text_runs(doc.texts)

@@ -15,11 +15,6 @@ def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 1
 
 
-def test_pdf2svg_delegated(capsys):
-    assert run(["pdf2svg"]) == 1
-    assert "external converter" in capsys.readouterr().err
-
-
 def test_missing_required_flag(capsys):
     assert run(["extract", "--project", "p"]) == 1
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from conftest import svg_bytes
+from vecfig.axis_detection import detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
@@ -171,7 +173,19 @@ class TestExtractFigure:
         points, annotated, report = extract_figure(path)
         assert report.status is Status.NO_AXES
         assert points == []
-        assert annotated  # best-effort annotated SVG still produced
+        assert annotated == path.read_bytes()  # no plot box, nothing to draw
+
+    @pytest.mark.parametrize("drop,status,warning", [
+        (rb'<text [^>]* y="416"[^>]*>[^<]*</text>', Status.TOO_FEW_TICKS,
+         "x_axis: only 1 tick-label pair(s)"),
+        (rb"<circle [^>]*>", Status.NO_DATA_GLYPHS, "figure contains no circles"),
+    ])
+    def test_stage_error_status(self, tmp_path, drop, status, warning):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(re.sub(drop, b"", svg))
+        points, _, report = extract_figure(path)
+        assert (points, report.status, report.warnings[-1]) == ([], status, warning)
 
     def test_global_transform_invariance(self, tmp_path):
         spec = SyntheticSpec(n_points=8, seed=21)
@@ -234,6 +248,94 @@ class TestExtractFigure:
         orig_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in original.segments}
         new_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in redone.segments}
         assert orig_segs <= new_segs
+
+
+class TestAnnotatedSvg:
+    """The overlay is spliced into the source bytes, in device coordinates."""
+
+    @staticmethod
+    def _extract(tmp_path, svg: bytes):
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg)
+        return extract_figure(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda svg: re.sub(rb' id="pt\d+"', b"", svg),
+        lambda svg: re.sub(rb"(<circle [^>]*>)",
+                           rb'<g transform="matrix(0.98,0,0,0.98,8,-2)">\1</g>', svg),
+        lambda svg: svg.replace(
+            b"viewBox=", b'transform="translate(10,5) scale(1.2)" viewBox=', 1),
+    ], ids=["markers_without_id", "markers_in_transformed_group", "root_transform"])
+    def test_overlay_drawn_in_device_space(self, tmp_path, edit):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=11))
+        source = edit(svg)
+        points, annotated, report = self._extract(tmp_path, source)
+        assert report.status is Status.OK and points
+        before, after = parse_svg(source), parse_svg(annotated)
+        # the overlay closes the root, so its primitives are parsed last
+        rings = after.circles[len(before.circles):]
+        centers = {c.id: c.center for c in before.circles}
+        for p in points:
+            center = centers[p.source_id]
+            assert any(ring.center.distance_to(center) < 1e-6
+                       and ring.radius == pytest.approx(p.device_radius + 1.5, abs=1e-6)
+                       for ring in rings)
+        inner = detect_plot_box(before, DEFAULT_CONFIG).interior
+        corners = [(inner.x0, inner.y0), (inner.x1, inner.y0),
+                   (inner.x1, inner.y1), (inner.x0, inner.y1)]
+        box_sides = [((s.p1.x, s.p1.y), (s.p2.x, s.p2.y))
+                     for s in after.segments[len(before.segments):]]
+        want = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+        assert len(box_sides) == 4
+        for got, exp in zip(box_sides, want):
+            assert [*got[0], *got[1]] == pytest.approx([*exp[0], *exp[1]], abs=1e-6)
+
+    def test_source_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        fromstring = ET.fromstring
+
+        def counting(data, *args, **kwargs):
+            calls.append(len(data))
+            return fromstring(data, *args, **kwargs)
+
+        monkeypatch.setattr(ET, "fromstring", counting)
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
+        _, _, report = self._extract(tmp_path, svg)
+        assert report.status is Status.OK
+        assert calls == [len(svg)]
+
+    @pytest.mark.parametrize("style", list(AxisStyle))
+    def test_overlay_spliced_before_root_end_tag(self, tmp_path, style):
+        svg, _ = generate_scatter_svg(
+            SyntheticSpec(n_points=5, seed=4, axis_style=style))
+        _, annotated, _ = self._extract(tmp_path, svg)
+        i = svg.rindex(b"</svg>")
+        overlay = annotated[i:i + len(annotated) - len(svg)]
+        assert annotated == svg[:i] + overlay + svg[i:]
+        assert re.fullmatch(rb'<g xmlns="http://www.w3.org/2000/svg" '
+                            rb'id="vecfig-overlay" fill="none"><rect [^<>]*/>'
+                            rb"(<circle [^<>]*/>)+</g>", overlay)
+
+    def test_prefixed_root_with_nested_svg(self, tmp_path):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=4))
+        source = (svg.replace(b"<svg ", b'<s:svg xmlns:s="http://www.w3.org/2000/svg" ', 1)
+                  .replace(b"</svg>", b"<svg></svg></s:svg>"))
+        _, annotated, report = self._extract(tmp_path, source)
+        assert report.status is Status.OK
+        i = source.rindex(b"</s:svg>")
+        overlay = annotated[i:-len(b"</s:svg>")]
+        assert annotated == source[:i] + overlay + source[i:]
+        assert overlay.startswith(b'<g xmlns="http://www.w3.org/2000/svg" id="vecfig-overlay"')
+        assert (len(parse_svg(annotated).circles)
+                == len(parse_svg(source).circles) + overlay.count(b"<circle "))
+
+    def test_source_without_ascii_end_tag_unchanged(self, tmp_path):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
+        source = (svg.decode("utf-8")
+                  .replace('encoding="UTF-8"', 'encoding="UTF-16"').encode("utf-16"))
+        points, annotated, report = self._extract(tmp_path, source)
+        assert report.status is Status.OK and len(points) == 5
+        assert annotated == source
 
 
 class TestRunProject:

@@ -249,6 +249,16 @@ class TestTransformParsing:
         t = parse_transform("translate(10,0) scale(2)")
         assert t.apply(Point(1, 1)) == Point(12, 2)
 
+    @pytest.mark.parametrize("text", ["translate(10,5) scale(1.2)",
+                                      "rotate(30, 4, -7) skewX(12)",
+                                      "matrix(0.5, -2, 3, 1, -40, 25)"])
+    def test_inverse_undoes_transform(self, text):
+        t = parse_transform(text)
+        for composed in (t.then(t.inverse()), t.inverse().then(t)):
+            for p in (Point(0, 0), Point(13.5, -8), Point(-250, 400)):
+                q = composed.apply(p)
+                assert (q.x, q.y) == pytest.approx((p.x, p.y), abs=1e-9)
+
 
 class TestInvariants:
     @given(st.floats(0.2, 4.0), st.floats(0.2, 4.0),
