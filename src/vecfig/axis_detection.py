@@ -255,6 +255,35 @@ def parse_numeric_label(run: TextRun) -> TickLabel | None:
 # ---------------------------------------------------------------------------
 # tick-label matching
 
+class _LabelSide:
+    """Where one axis's labels sit: outside the box, within a window of it."""
+
+    def __init__(self, ticks: list[TickMark], box: PlotBox, side: AxisSide,
+                 cfg: PipelineConfig) -> None:
+        self.ticks = [t for t in ticks if t.side is side]
+        self.side = side
+        self.reach = (cfg.label_window_tick_factor
+                      * median(t.length for t in self.ticks)) if self.ticks else 0.0
+        self.glyph_factor = cfg.label_window_glyph_factor
+        # x labels hang below the bottom edge, y labels left of the left edge
+        self.axis_coord = box.interior.y1 if side is AxisSide.X_AXIS else box.interior.x0
+
+    def along(self, label: TickLabel) -> float:
+        return label.anchor.x if self.side is AxisSide.X_AXIS else label.anchor.y
+
+    def admits(self, label: TickLabel) -> bool:
+        if self.side is AxisSide.X_AXIS:
+            offset = label.anchor.y - self.axis_coord
+        else:
+            offset = self.axis_coord - label.anchor.x
+        return 0 < offset <= self.reach + self.glyph_factor * label.glyph_height
+
+    def tick_gap(self, label: TickLabel) -> float:
+        """Along-axis distance from the label to this axis's nearest tick."""
+        along = self.along(label)
+        return min(abs(along - t.position) for t in self.ticks)
+
+
 def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
                           box: PlotBox, side: AxisSide,
                           cfg: PipelineConfig = DEFAULT_CONFIG,
@@ -262,30 +291,23 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
     """Greedy injective nearest matching of ticks to outside-edge labels.
 
     Candidate labels sit on the axis's label side (below for x, left of
-    the box for y) within a perpendicular window; matches farther along
-    the axis than half the median inter-tick spacing are dropped.  Raises
+    the box for y) within a perpendicular window; a label inside both
+    axes' windows (near the corner) belongs to the axis whose nearest tick
+    it is closer to along that axis.  Matches farther along the axis than
+    half the median inter-tick spacing are dropped.  Raises
     InsufficientMatches when fewer than two pairs survive.
     """
-    axis_ticks = [t for t in ticks if t.side is side]
+    own = _LabelSide(ticks, box, side, cfg)
+    axis_ticks = own.ticks
     if len(axis_ticks) < 2:
         raise InsufficientMatches(f"{side.value}: fewer than 2 ticks")
-    med_len = median(t.length for t in axis_ticks)
-
-    if side is AxisSide.X_AXIS:
-        axis_coord = box.interior.y1  # bottom edge
-        outside = lambda l: l.anchor.y > axis_coord
-        perp = lambda l: abs(l.anchor.y - axis_coord)
-        along = lambda l: l.anchor.x
-    else:
-        axis_coord = box.interior.x0  # left edge
-        outside = lambda l: l.anchor.x < axis_coord
-        perp = lambda l: abs(l.anchor.x - axis_coord)
-        along = lambda l: l.anchor.y
-
+    other = _LabelSide(ticks, box, AxisSide.Y_AXIS if side is AxisSide.X_AXIS
+                       else AxisSide.X_AXIS, cfg)
+    along = own.along
     candidates = [
         l for l in labels
-        if outside(l) and perp(l) <= (cfg.label_window_tick_factor * med_len
-                                      + cfg.label_window_glyph_factor * l.glyph_height)
+        if own.admits(l) and not (other.ticks and other.admits(l)
+                                  and other.tick_gap(l) < own.tick_gap(l))
     ]
 
     positions = sorted(t.position for t in axis_ticks)

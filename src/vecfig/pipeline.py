@@ -252,9 +252,11 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) ->
         html.escape(c) for c in (cfg.overlay_box_color, cfg.overlay_tick_color,
                                  cfg.overlay_label_color, cfg.overlay_glyph_color))
 
+    def ring_tail(r: float, color: str) -> str:
+        return f' r="{_num(r)}" stroke="{color}" stroke-width="0.8"/>'
+
     def ring(x: float, y: float, r: float, color: str) -> str:
-        return (f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{_num(r)}" '
-                f'stroke="{color}" stroke-width="0.8"/>')
+        return f'<circle cx="{_num(x)}" cy="{_num(y)}"{ring_tail(r, color)}'
 
     inner = box.interior
     transform = ""
@@ -272,8 +274,13 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) ->
             parts.append(ring(inner.x0, tick.position, 2, tick_color))
     for _, label in detected.labels:
         parts.append(ring(label.anchor.x, label.anchor.y, 3, label_color))
+    # markers mostly share a few radii: format each ring's tail once
+    tails: dict[float, str] = {}
     for c in detected.markers:
-        parts.append(ring(c.center.x, c.center.y, c.radius + 1.5, glyph_color))
+        tail = tails.get(c.radius)
+        if tail is None:
+            tail = tails[c.radius] = ring_tail(c.radius + 1.5, glyph_color)
+        parts.append(f'<circle cx="{_num(c.center.x)}" cy="{_num(c.center.y)}"{tail}')
     parts.append("</g>")
     overlay = "".join(parts).encode("ascii", "xmlcharrefreplace")
     i = ends[-1]
@@ -285,7 +292,12 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) ->
 
 def _num(value: float) -> str:
     """Shortest decimal form round-tripping the 9-significant-digit value."""
-    target = float(f"{value:.9g}")
+    text = f"{value:.9g}"
+    # with a fraction and no exponent, the 9-digit text is already the
+    # shortest form: no shorter decimal is the same double
+    if "." in text and "e" not in text:
+        return text
+    target = float(text)
     if target == int(target) and abs(target) < 1e16:
         return str(int(target))
     return repr(target)

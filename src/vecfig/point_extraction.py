@@ -44,7 +44,9 @@ def select_data_glyphs(doc: FigureDocument, box: PlotBox,
         raise NoDataGlyphs("figure contains no circles")
     med_radius = median(c.radius for c in doc.circles)
     interior = box.interior.expanded(med_radius)
-    inside = [c for c in doc.circles if interior.contains(c.center)]
+    x0, y0, x1, y1 = interior.x0, interior.y0, interior.x1, interior.y1
+    inside = [c for c in doc.circles
+              if x0 <= c.center.x <= x1 and y0 <= c.center.y <= y1]
     if not inside:
         raise NoDataGlyphs("no circle center inside the plot interior")
 
@@ -71,10 +73,11 @@ def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
     """
     ordered = sorted(cluster.members,
                      key=lambda c: (c.center.x, c.center.y, c.id))
-    return [DataPoint(x=xcal.to_data(c.center.x),
-                      y=ycal.to_data(c.center.y),
-                      device_radius=c.radius,
-                      source_id=c.id)
+    # AxisCalibration.to_data, inlined: intercept + slope * coordinate
+    x_slope, x_intercept = xcal.slope, xcal.intercept
+    y_slope, y_intercept = ycal.slope, ycal.intercept
+    return [DataPoint(x_intercept + x_slope * c.center.x,
+                      y_intercept + y_slope * c.center.y, c.radius, c.id)
             for c in ordered]
 
 

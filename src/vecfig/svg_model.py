@@ -84,15 +84,15 @@ class AffineTransform:
                                e=(self.c * self.f - self.d * self.e) / det,
                                f=(self.b * self.e - self.a * self.f) / det)
 
-    def singular_values(self) -> tuple[float, float]:
-        """Singular values of the linear part, largest first."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        s = a * a + b * b + c * c + d * d
-        det = a * d - b * c
-        root = math.sqrt(max(0.0, s * s - 4.0 * det * det))
-        s1 = math.sqrt(max(0.0, (s + root) / 2.0))
-        s2 = math.sqrt(max(0.0, (s - root) / 2.0))
-        return s1, s2
+
+def _singular_values(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """Singular values of the 2x2 matrix [[a, c], [b, d]], largest first."""
+    s = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    root = math.sqrt(max(0.0, s * s - 4.0 * det * det))
+    s1 = math.sqrt(max(0.0, (s + root) / 2.0))
+    s2 = math.sqrt(max(0.0, (s - root) / 2.0))
+    return s1, s2
 
 
 IDENTITY = AffineTransform()
@@ -118,9 +118,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def contains(self, p: Point) -> bool:
-        return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
 
     def expanded(self, margin: float) -> "Rect":
         return Rect(self.x0 - margin, self.y0 - margin,
@@ -462,28 +459,46 @@ def _local_name(tag: str) -> str:
 
 
 def _parse_length(text: str | None) -> float | None:
+    """The first number in ``text`` (units and junk ignored), or None."""
     if text is None:
         return None
+    # a plain number is the common case; float() also reads "1_0", "inf"
+    # and "nan", where the number search reads something else
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if value - value == 0.0 and "_" not in text:
+            return value
     m = _NUM_RE.search(text)
     return float(m.group(0)) if m else None
 
 
-_FONT_SIZE_RE = re.compile(r"font-size\s*:\s*([\d.]+)")
+_FONT_SIZE_RE = re.compile(r"font-size\s*:([^;]*)")
 
 
 def _font_size(elem: ET.Element, inherited: float) -> float:
     fs = _parse_length(elem.get("font-size"))
     if fs is None:
-        style = elem.get("style", "")
-        m = _FONT_SIZE_RE.search(style)
-        fs = float(m.group(1)) if m else None
+        m = _FONT_SIZE_RE.search(elem.get("style", ""))
+        fs = _parse_length(m.group(1)) if m else None
     return fs if fs is not None else inherited
+
+
+# elements that draw nothing themselves and are not descended into
+_NON_RENDERING = ("defs", "title", "desc", "metadata", "clipPath", "marker",
+                  "symbol", "pattern", "linearGradient", "radialGradient",
+                  "filter", "mask", "script")
 
 
 class _Parser:
     def __init__(self) -> None:
         self.doc = FigureDocument()
         self._counter = 0
+        # (transform, rx, ry) of the last circle or ellipse, and its semi-axes
+        self._shape: tuple[AffineTransform | None, float, float] = (None, 0.0, 0.0)
+        self._semi_axes = (0.0, 0.0)
 
     def _gen_id(self, elem: ET.Element, kind: str) -> str:
         eid = elem.get("id")
@@ -493,37 +508,35 @@ class _Parser:
         return f"{kind}-{self._counter}"
 
     def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float) -> None:
+        """Hand each child its composed transform and the inherited font size."""
+        handlers = self._HANDLERS
         for child in elem:
             tag = _local_name(child.tag)
             t_attr = child.get("transform")
             t = transform.then(parse_transform(t_attr)) if t_attr else transform
-            fs = _font_size(child, font_size)
-            handler = getattr(self, f"_handle_{tag}", None)
+            handler = handlers.get(tag)
             if handler is not None:
-                handler(child, t, fs)
-            elif tag in ("g", "svg", "a", "switch"):
-                self.walk(child, t, fs)
-            elif tag in ("defs", "title", "desc", "metadata", "clipPath", "marker",
-                         "symbol", "pattern", "linearGradient", "radialGradient",
-                         "filter", "mask", "script"):
-                pass  # non-rendering containers
+                handler(self, child, t, font_size)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> skipped")
 
     # --- element handlers -------------------------------------------------
 
+    def _handle_container(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
+        self.walk(elem, t, _font_size(elem, fs))
+
     def _handle_circle(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        cx = _parse_length(elem.get("cx")) or 0.0
-        cy = _parse_length(elem.get("cy")) or 0.0
-        r = _parse_length(elem.get("r")) or 0.0
-        self._add_rounded(elem, t, cx, cy, r, r)
+        get = elem.get
+        r = _parse_length(get("r")) or 0.0
+        self._add_rounded(elem, t, _parse_length(get("cx")) or 0.0,
+                          _parse_length(get("cy")) or 0.0, r, r)
 
     def _handle_ellipse(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        cx = _parse_length(elem.get("cx")) or 0.0
-        cy = _parse_length(elem.get("cy")) or 0.0
-        rx = _parse_length(elem.get("rx")) or 0.0
-        ry = _parse_length(elem.get("ry")) or 0.0
-        self._add_rounded(elem, t, cx, cy, rx, ry)
+        get = elem.get
+        self._add_rounded(elem, t, _parse_length(get("cx")) or 0.0,
+                          _parse_length(get("cy")) or 0.0,
+                          _parse_length(get("rx")) or 0.0,
+                          _parse_length(get("ry")) or 0.0)
 
     def _add_rounded(self, elem: ET.Element, t: AffineTransform,
                      cx: float, cy: float, rx: float, ry: float) -> None:
@@ -531,9 +544,14 @@ class _Parser:
             self.doc.warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
             return
         # image of the ellipse under the linear part; semi-axes are the
-        # singular values of L * diag(rx, ry)
-        scaled = AffineTransform(a=t.a * rx, b=t.b * rx, c=t.c * ry, d=t.d * ry)
-        s1, s2 = scaled.singular_values()
+        # singular values of L * diag(rx, ry).  Markers in a row mostly share
+        # the transform and the radii, so the solve is redone only when one
+        # of them changes.
+        shape_t, shape_rx, shape_ry = self._shape
+        if t is not shape_t or rx != shape_rx or ry != shape_ry:
+            self._shape = (t, rx, ry)
+            self._semi_axes = _singular_values(t.a * rx, t.b * rx, t.c * ry, t.d * ry)
+        s1, s2 = self._semi_axes
         if s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
             self.doc.warnings.append(
                 f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
@@ -595,7 +613,7 @@ class _Parser:
             Rect(min(xs), min(ys), max(xs), max(ys))))
 
     def _handle_text(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        self._collect_text(elem, t, fs, inherited_anchor=None)
+        self._collect_text(elem, t, _font_size(elem, fs), inherited_anchor=None)
 
     def _handle_use(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         self.doc.warnings.append("<use> indirection not supported, skipped")
@@ -626,6 +644,19 @@ class _Parser:
                 self._collect_text(child, ct, _font_size(child, fs), anchor)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
+
+    def _skip(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
+        pass
+
+    # plain functions, not bound methods: a table of bound methods on the
+    # instance would keep each parser, and its document, in a reference cycle
+    _HANDLERS = {
+        "circle": _handle_circle, "ellipse": _handle_ellipse, "line": _handle_line,
+        "path": _handle_path, "rect": _handle_rect, "image": _handle_image,
+        "text": _handle_text, "use": _handle_use, "style": _handle_style,
+        "g": _handle_container, "svg": _handle_container, "a": _handle_container,
+        "switch": _handle_container, **dict.fromkeys(_NON_RENDERING, _skip),
+    }
 
 
 def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
@@ -661,30 +692,32 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     return Rect(0.0, 0.0, 1.0, 1.0)
 
 
-# device-space bounds of each primitive kind, in the order warnings report them
-_BOUNDS = {
-    "circles": lambda c: Rect(c.center.x - c.radius, c.center.y - c.radius,
-                              c.center.x + c.radius, c.center.y + c.radius),
-    "segments": lambda s: Rect(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
-                               max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)),
-    "rasters": lambda r: r.bounds,
-    "texts": lambda t: Rect(t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y),
-}
-
-
-def _within_overflow(bounds: Rect, canvas: Rect) -> bool:
+def _drop_out_of_canvas(doc: FigureDocument) -> None:
+    canvas = doc.canvas
     cx = (canvas.x0 + canvas.x1) / 2.0
     cy = (canvas.y0 + canvas.y1) / 2.0
     half_w = canvas.width * CANVAS_OVERFLOW_FACTOR / 2.0
     half_h = canvas.height * CANVAS_OVERFLOW_FACTOR / 2.0
-    return (cx - half_w <= bounds.x0 and bounds.x1 <= cx + half_w
-            and cy - half_h <= bounds.y0 and bounds.y1 <= cy + half_h)
+    x_lo, x_hi, y_lo, y_hi = cx - half_w, cx + half_w, cy - half_h, cy + half_h
 
+    def fits(x0: float, y0: float, x1: float, y1: float) -> bool:
+        return x_lo <= x0 and x1 <= x_hi and y_lo <= y0 and y1 <= y_hi
 
-def _drop_out_of_canvas(doc: FigureDocument) -> None:
-    for name, bounds in _BOUNDS.items():
+    def circle_fits(c: CircleGlyph) -> bool:
+        x, y, r = c.center.x, c.center.y, c.radius
+        return x_lo <= x - r and x + r <= x_hi and y_lo <= y - r and y + r <= y_hi
+
+    # one test per primitive kind, in the order warnings report them
+    tests = {
+        "circles": circle_fits,
+        "segments": lambda s: fits(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
+                                   max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)),
+        "rasters": lambda r: fits(r.bounds.x0, r.bounds.y0, r.bounds.x1, r.bounds.y1),
+        "texts": lambda t: fits(t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y),
+    }
+    for name, test in tests.items():
         items = getattr(doc, name)
-        kept = [item for item in items if _within_overflow(bounds(item), doc.canvas)]
+        kept = [item for item in items if test(item)]
         if len(kept) != len(items):
             setattr(doc, name, kept)
             doc.warnings.append(f"{len(items) - len(kept)} far-out-of-canvas {name} discarded")

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from vecfig.svg_model import FigureDocument
+
+# CI runs the property tests on a fixed example sequence (HYPOTHESIS_PROFILE=ci),
+# so a run fails only on a change; local runs draw fresh examples
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def svg_bytes(body: str, width: float = 600, height: float = 450) -> bytes:

@@ -7,15 +7,18 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import svg_bytes
-from vecfig.axis_detection import detect_plot_box
+from vecfig import axis_detection
+from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
-                             enumerate_figures, extract_figure, make_project,
-                             read_csv_points, run_project, scan_project,
-                             write_csv)
+                             _num, enumerate_figures, extract_figure,
+                             make_project, read_csv_points, run_project,
+                             scan_project, write_csv)
 from vecfig.point_extraction import DataPoint
 from vecfig.svg_model import parse_svg
 from vecfig.synth import (AxisStyle, SyntheticSpec, build_synthetic_project,
@@ -133,6 +136,28 @@ class TestWriteCsv:
                 assert len(digits) <= 9
 
 
+def old_num(value: float) -> str:
+    """Oracle: the 9-significant-digit value through float, int and repr."""
+    target = float(f"{value:.9g}")
+    if target == int(target) and abs(target) < 1e16:
+        return str(int(target))
+    return repr(target)
+
+
+class TestNumFormat:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=2000, deadline=None)
+    def test_equals_round_trip_formula(self, value):
+        assert _num(value) == old_num(value)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 1e-5, 1.5e-5, 0.0001234, 123456789.0,
+        999999999.5, 1e9 - 0.5, 1e9 + 1, 1234567891.0, 1e16, 1e16 - 2, -1e16, 1e17,
+        9999999995.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_edge_values(self, value):
+        assert _num(value) == old_num(value)
+
+
 class TestExtractFigure:
     def test_synthetic_round_trip(self, tmp_path):
         spec = SyntheticSpec(n_points=7, seed=42)
@@ -176,8 +201,9 @@ class TestExtractFigure:
         assert annotated == path.read_bytes()  # no plot box, nothing to draw
 
     @pytest.mark.parametrize("drop,status,warning", [
+        # no x labels: the y axis's bottom label near the corner is not one
         (rb'<text [^>]* y="416"[^>]*>[^<]*</text>', Status.TOO_FEW_TICKS,
-         "x_axis: only 1 tick-label pair(s)"),
+         "x_axis: only 0 tick-label pair(s)"),
         (rb"<circle [^>]*>", Status.NO_DATA_GLYPHS, "figure contains no circles"),
     ])
     def test_stage_error_status(self, tmp_path, drop, status, warning):
@@ -233,6 +259,42 @@ class TestExtractFigure:
         assert "linearity_unverified: y_axis" not in report.warnings
         if warned:
             assert len(points) == 2
+
+    @staticmethod
+    def _x_pairs(svg: bytes) -> list:
+        doc = parse_svg(svg)
+        box = detect_plot_box(doc, DEFAULT_CONFIG)
+        ticks = axis_detection.detect_ticks(doc, box)
+        labels = [lab for run in doc.texts
+                  if (lab := axis_detection.parse_numeric_label(run))]
+        return axis_detection.match_ticks_to_labels(ticks, labels, box, AxisSide.X_AXIS)
+
+    def test_unlabelled_x_tick_leaves_y_label_alone(self, tmp_path):
+        # the y axis's bottom label "0" sits 3 below the x axis and 30 left
+        # of the first x tick, whose own label "5" is gone: it is 3 from its
+        # y tick, so it belongs to the y axis
+        svg, truth = generate_scatter_svg(
+            SyntheticSpec(seed=3, x_range=(5, 15), n_ticks_x=5))
+        source = re.sub(rb'<text [^>]* y="416"[^>]*>5</text>', b"", svg)
+        assert len(source) < len(svg)
+        assert [l.value for _, l in self._x_pairs(source)] == [7.5, 10, 12.5, 15]
+        path = tmp_path / "figure.svg"
+        path.write_bytes(source)
+        points, _, report = extract_figure(path)
+        assert report.status is Status.OK
+        assert sorted(p.x for p in points) == pytest.approx(
+            sorted(x for x, _ in truth), abs=0.005 * 10)
+
+    @pytest.mark.parametrize("old,new", [
+        (b'font-size="10"', b'style="font-size: 10.0.1"'),  # tick labels read 10
+        (b"<circle ", b'<circle style="font-size: 1.2.3" '),
+    ], ids=["text", "circle"])
+    def test_malformed_inline_font_size(self, tmp_path, old, new):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg.replace(old, new))
+        points, _, report = extract_figure(path)
+        assert report.status is Status.OK and len(points) == 5
 
     def test_annotated_svg_conservatism(self, tmp_path):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecfig.axis_detection import AxisCalibration, AxisSide, PlotBox
 from vecfig.errors import NoDataGlyphs
-from vecfig.point_extraction import (detect_raster_body, map_to_data,
-                                     select_data_glyphs)
+from vecfig.point_extraction import (RadiusCluster, detect_raster_body,
+                                     map_to_data, select_data_glyphs)
 from vecfig.svg_model import (CircleGlyph, FigureDocument, Point, RasterGlyph,
                               Rect, SegmentGlyph)
 
@@ -162,3 +165,45 @@ class TestDetectRasterBody:
         half = Rect(50, 50, 275, 400)  # exactly 50%
         doc = FigureDocument(rasters=[RasterGlyph("img", half)])
         assert detect_raster_body(doc, BOX)
+
+
+def selection_oracle(doc, box, xcal, ycal):
+    """Oracle: the in-box test through Rect.expanded and a contains check,
+    and the mapping through AxisCalibration.to_data, as before."""
+    interior = box.interior.expanded(median(c.radius for c in doc.circles))
+    inside = [c for c in doc.circles
+              if interior.x0 <= c.center.x <= interior.x1
+              and interior.y0 <= c.center.y <= interior.y1]
+    return inside, [(xcal.to_data(c.center.x), ycal.to_data(c.center.y))
+                    for c in inside]
+
+
+class TestSelectionOracle:
+    @given(st.lists(st.tuples(st.sampled_from([44.0, 45.0, 47.0, 48.0, 50.0, 400.0,
+                                               403.0, 405.0, 500.0, 502.0, 503.0]),
+                              st.floats(-100, 700)),
+                    min_size=1, max_size=30),
+           st.sampled_from([2.0, 3.0, 5.0]),
+           st.floats(-10, 10), st.floats(-1e3, 1e3), st.floats(-10, 10),
+           st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_in_box_and_mapping_match_helpers(self, specs, r, xs, xi, ys, yi):
+        # centres on and around the expanded box's edges (50 - r, 400 + r,
+        # 500 + r), where <= and < differ; one radius, so one cluster
+        circles = [circle(f"c{i}", a, b, r) if i % 2 else circle(f"c{i}", b, a, r)
+                   for i, (a, b) in enumerate(specs)]
+        doc = FigureDocument(circles=circles)
+        xcal, ycal = cal(AxisSide.X_AXIS, xs, xi), cal(AxisSide.Y_AXIS, ys, yi)
+        inside, mapped = selection_oracle(doc, BOX, xcal, ycal)
+        if not inside:
+            with pytest.raises(NoDataGlyphs):
+                select_data_glyphs(doc, BOX)
+            return
+        cluster = select_data_glyphs(doc, BOX)
+        assert sorted(c.id for c in cluster.members) == sorted(c.id for c in inside)
+        full = RadiusCluster(0.0, inside)
+        want = dict(zip((c.id for c in inside), mapped))
+        got = map_to_data(full, xcal, ycal)
+        assert [p.source_id for p in got] == [c.id for c in sorted(
+            inside, key=lambda c: (c.center.x, c.center.y, c.id))]
+        assert {p.source_id: (p.x, p.y) for p in got} == want

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import gc
 import math
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import serialize_model, svg_bytes
+from vecfig import svg_model
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax
-from vecfig.svg_model import (AffineTransform, Point, TextRun, compose_text_runs,
-                              flatten_path, parse_svg, parse_transform)
+from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
+                              CircleGlyph, FigureDocument, Point, RasterGlyph,
+                              Rect, SegmentGlyph, TextRun, _parse_length,
+                              compose_text_runs, flatten_path, parse_svg,
+                              parse_transform)
+from vecfig.synth import SyntheticSpec, generate_scatter_svg
 
 
 class TestParseCircle:
@@ -304,3 +312,246 @@ class TestInvariants:
         doc = parse_svg(svg_bytes(body))
         n_supported_inputs = 5
         assert len(doc.circles) + len(doc.segments) + len(doc.warnings) == n_supported_inputs
+
+
+# ---------------------------------------------------------------------------
+# the per-marker parse path against the versions it replaced
+
+_NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def regex_parse_length(text):
+    """Oracle: the first number the number pattern finds, as before."""
+    if text is None:
+        return None
+    m = _NUM_RE.search(text)
+    return float(m.group(0)) if m else None
+
+
+def rounded_oracle(t, cx, cy, rx, ry, warnings):
+    """Oracle: a circle or ellipse through a per-marker scaled matrix."""
+    if rx <= 0 or ry <= 0:
+        warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+        return None
+    a, b, c, d = t.a * rx, t.b * rx, t.c * ry, t.d * ry
+    s = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    root = math.sqrt(max(0.0, s * s - 4.0 * det * det))
+    s1 = math.sqrt(max(0.0, (s + root) / 2.0))
+    s2 = math.sqrt(max(0.0, (s - root) / 2.0))
+    if s1 <= 0 or (s1 - s2) / s1 > 0.05:
+        warnings.append(f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
+        return None
+    return t.apply_xy(cx, cy), math.sqrt(s1 * s2)
+
+
+def canvas_filter_oracle(doc):
+    """Oracle: the overflow test on a Rect per primitive, as before."""
+    canvas = doc.canvas
+    cx, cy = (canvas.x0 + canvas.x1) / 2.0, (canvas.y0 + canvas.y1) / 2.0
+    half_w = canvas.width * CANVAS_OVERFLOW_FACTOR / 2.0
+    half_h = canvas.height * CANVAS_OVERFLOW_FACTOR / 2.0
+
+    def within(b: Rect) -> bool:
+        return (cx - half_w <= b.x0 and b.x1 <= cx + half_w
+                and cy - half_h <= b.y0 and b.y1 <= cy + half_h)
+    return {
+        "circles": [c for c in doc.circles if within(Rect(
+            c.center.x - c.radius, c.center.y - c.radius,
+            c.center.x + c.radius, c.center.y + c.radius))],
+        "segments": [s for s in doc.segments if within(Rect(
+            min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
+            max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)))],
+        "rasters": [r for r in doc.rasters if within(r.bounds)],
+        "texts": [t for t in doc.texts if within(Rect(
+            t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y))],
+    }
+
+
+_LENGTH_PIECES = st.sampled_from(
+    ["0", "1", "7", "42", "-", "+", ".", "e", "E", "_", " ", "\t", "px", "%",
+     "inf", "nan", "Infinity", "1e999", "-1e999", "1e-400", "١", "٢", "５",
+     " ", "x", ","])
+_TRANSFORM_STEPS = st.one_of(
+    st.tuples(st.just("rotate"), st.floats(-360, 360)),
+    st.tuples(st.just("scale"), st.floats(0.05, 20), st.floats(0.05, 20)),
+    st.tuples(st.just("skewX"), st.floats(-30, 30)),
+    st.tuples(st.just("skewY"), st.floats(-30, 30)),
+    st.tuples(st.just("translate"), st.floats(-100, 100), st.floats(-100, 100)),
+)
+
+
+def _transform_text(steps) -> str:
+    return " ".join(f"{name}({' '.join(repr(v) for v in args)})"
+                    for name, *args in steps)
+
+
+class TestMarkerPathOracles:
+    @given(st.one_of(st.lists(_LENGTH_PIECES, max_size=8).map("".join), st.text()))
+    @settings(max_examples=500, deadline=None)
+    def test_parse_length_equals_number_search(self, text):
+        assert _parse_length(text) == regex_parse_length(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "inf", "-inf", "nan", "Infinity",
+                                      "1e999", "١٢.٥", "  3.5px", "+.5e-3", "1.2.3",
+                                      "", "px", None])
+    def test_parse_length_edge_cases(self, text):
+        assert _parse_length(text) == regex_parse_length(text)
+
+    @given(st.lists(st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.floats(-300, 300), st.floats(-300, 300),
+                              st.floats(0.1, 20), st.floats(0.1, 20),
+                              st.booleans(), st.lists(_TRANSFORM_STEPS, max_size=2)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_circles_match_per_marker_solve(self, groups, markers):
+        """Nested rotate/scale/skew groups, markers with and without their own transform."""
+        body = "".join(f'<g transform="{_transform_text(g)}">' for g in groups)
+        outer = IDENTITY
+        for g in groups:
+            outer = outer.then(parse_transform(_transform_text(g)))
+        want_warnings: list[str] = []
+        want = {}
+        for i, (cx, cy, rx, ry, is_circle, own) in enumerate(markers):
+            own_attr = f' transform="{_transform_text(own)}"' if own else ""
+            t = outer.then(parse_transform(_transform_text(own))) if own else outer
+            if is_circle:
+                body += f'<circle id="m{i}"{own_attr} cx="{cx!r}" cy="{cy!r}" r="{rx!r}"/>'
+                ry = rx
+            else:
+                body += (f'<ellipse id="m{i}"{own_attr} cx="{cx!r}" cy="{cy!r}" '
+                         f'rx="{rx!r}" ry="{ry!r}"/>')
+            got = rounded_oracle(t, cx, cy, rx, ry, want_warnings)
+            if got is not None:
+                want[f"m{i}"] = got
+        body += "</g>" * len(groups)
+        doc = parse_svg(svg_bytes(body, 1e6, 1e6))
+        assert {c.id: (c.center, c.radius) for c in doc.circles} == want
+        assert doc.warnings == want_warnings
+
+    @pytest.mark.parametrize("element,warning", [
+        ('<circle cx="1" cy="1" r="0"/>', "degenerate circle/ellipse skipped (r=0.0,0.0)"),
+        ('<circle cx="1" cy="1" r="-2"/>', "degenerate circle/ellipse skipped (r=-2.0,-2.0)"),
+        ('<ellipse cx="1" cy="1" rx="3"/>', "degenerate circle/ellipse skipped (r=3.0,0.0)"),
+        ('<ellipse cx="10" cy="10" rx="4" ry="2"/>',
+         "non-circular ellipse skipped (semi-axes 4, 2)"),
+        ('<g transform="scale(3,1)"><circle cx="5" cy="5" r="2"/></g>',
+         "non-circular ellipse skipped (semi-axes 6, 2)"),
+        ('<circle transform="skewX(35)" cx="5" cy="5" r="2"/>',
+         "non-circular ellipse skipped (semi-axes 2.82, 1.42)"),
+    ])
+    def test_degenerate_and_eccentric_warnings(self, element, warning):
+        # the same marker twice: the second reuses the first one's solve
+        doc = parse_svg(svg_bytes(element * 2))
+        assert not doc.circles
+        assert doc.warnings == [warning, warning]
+
+    def test_one_solve_per_transform(self, monkeypatch):
+        calls = []
+        solve = svg_model._singular_values
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(svg_model, "_singular_values", counting)
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        doc = parse_svg(svg)
+        assert len(doc.circles) == 20_000
+        assert len(calls) == 1
+        # markers under three transformed groups: one solve per group
+        calls.clear()
+        body = "".join(f'<g transform="rotate({k * 20}) scale({k})">'
+                       + '<circle cx="5" cy="5" r="2"/>' * 50 + "</g>"
+                       for k in (1, 2, 3))
+        assert len(parse_svg(svg_bytes(body)).circles) == 150
+        assert len(calls) == 3
+
+    @given(st.lists(st.tuples(st.sampled_from(["circles", "segments", "rasters", "texts"]),
+                              st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                              st.floats(0, 3000)), max_size=20),
+           st.floats(-500, 500), st.floats(-500, 500),
+           st.floats(1, 500), st.floats(1, 500))
+    @settings(max_examples=300, deadline=None)
+    def test_canvas_filter_matches_rect_overflow(self, items, x0, y0, width, height):
+        doc = FigureDocument(canvas=Rect(x0, y0, x0 + width, y0 + height))
+        for i, (kind, x, y, size) in enumerate(items):
+            if kind == "circles":
+                doc.circles.append(CircleGlyph(f"c{i}", Point(x, y), size))
+            elif kind == "segments":
+                doc.segments.append(SegmentGlyph(f"s{i}", Point(x, y),
+                                                 Point(x + size, y - size)))
+            elif kind == "rasters":
+                doc.rasters.append(RasterGlyph(f"r{i}", Rect(x, y, x + size, y + size)))
+            else:
+                doc.texts.append(TextRun(f"t{i}", Point(x, y), "1", size))
+        want = canvas_filter_oracle(doc)
+        want_warnings = [f"{len(getattr(doc, name)) - len(kept)} far-out-of-canvas "
+                         f"{name} discarded"
+                         for name, kept in want.items()
+                         if len(kept) != len(getattr(doc, name))]
+        svg_model._drop_out_of_canvas(doc)
+        assert {name: getattr(doc, name) for name in want} == want
+        assert doc.warnings == want_warnings
+
+
+    @pytest.mark.parametrize("kind", ["circles", "segments", "rasters", "texts"])
+    @pytest.mark.parametrize("edge", [-450.0, 550.0])
+    @pytest.mark.parametrize("beyond", [0.0, 1e-9])
+    def test_canvas_filter_edges(self, kind, edge, beyond):
+        # canvas 0..100: the overflow window is -450..550 on both axes
+        x = edge + (beyond if edge > 0 else -beyond)
+        doc = FigureDocument(canvas=Rect(0.0, 0.0, 100.0, 100.0))
+        if kind == "circles":
+            doc.circles.append(CircleGlyph("c", Point(x - 2 if edge > 0 else x + 2, 50), 2.0))
+        elif kind == "segments":
+            doc.segments.append(SegmentGlyph("s", Point(x, 50), Point(50, x)))
+        elif kind == "rasters":
+            doc.rasters.append(RasterGlyph("r", Rect(min(x, 50), 50, max(x, 50), 60)))
+        else:
+            doc.texts.append(TextRun("t", Point(50, x), "1", 8.0))
+        want = canvas_filter_oracle(doc)
+        svg_model._drop_out_of_canvas(doc)
+        assert len(getattr(doc, kind)) == len(want[kind]) == (beyond == 0.0)
+
+
+    def test_parse_leaves_no_reference_cycle(self):
+        # a cycle through the parser would keep every document alive until
+        # a full garbage collection, which raised peak memory
+        gc.disable()
+        try:
+            doc = parse_svg(svg_bytes('<g><circle cx="5" cy="5" r="2"/></g>'))
+            ref = weakref.ref(doc)
+            del doc
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestFontSize:
+    @pytest.mark.parametrize("style,height", [
+        ("font-size: 1.2.3", 1.2), ("font-size:7px", 7.0), ("font-size: large", 10.0),
+        ("fill: red; font-size: .", 10.0), ("font-size: 14; fill: blue", 14.0),
+    ])
+    def test_inline_style_font_size(self, style, height):
+        doc = parse_svg(svg_bytes(f'<text x="5" y="5" style="{style}">0.5</text>'))
+        assert doc.texts[0].glyph_height == height
+
+    def test_read_only_for_containers_and_text(self, monkeypatch):
+        calls = []
+        font_size = svg_model._font_size
+
+        def counting(elem, inherited):
+            calls.append(svg_model._local_name(elem.tag))
+            return font_size(elem, inherited)
+
+        monkeypatch.setattr(svg_model, "_font_size", counting)
+        parse_svg(svg_bytes('<g><circle cx="5" cy="5" r="2"/><line x1="0" y1="0" x2="9" y2="0"/>'
+                            '<text x="1" y="1">a<tspan>b</tspan></text></g>'
+                            '<circle cx="7" cy="5" r="2"/>'))
+        assert calls == ["g", "text", "tspan"]
+
+    def test_malformed_style_on_marker_ignored(self):
+        doc = parse_svg(svg_bytes('<circle cx="5" cy="5" r="2" style="font-size: 1.2.3"/>'))
+        assert len(doc.circles) == 1
