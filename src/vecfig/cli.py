@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import evaluate as evaluate_mod
 from . import pipeline, synth
-from .config import DEFAULT_CONFIG, PipelineConfig, load_config
+from .config import DEFAULT_CONFIG, load_config
 from .errors import VecfigError
 from .pipeline import DEFAULT_FIGURE_FILTER, Status
 from .synth import AxisStyle, SyntheticSpec
@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="regex selecting figure SVGs; group 1 is the index")
     p_ext.add_argument("--outputDir", required=True)
     p_ext.add_argument("--config", help="flat key=value tolerance overrides")
-    p_ext.add_argument("--jobs", type=int, default=None,
-                       help="parallel figure workers (default sequential)")
 
     p_gen = sub.add_parser("generate",
                            help="write synthetic figures with ground truth")
@@ -58,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=evaluate_mod.DEFAULT_TOLERANCE,
                         help="fraction of axis span")
     return parser
-
-
-def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    if args.jobs is not None:
-        cfg = PipelineConfig(**{**cfg.__dict__, "jobs": args.jobs})
-    return cfg
 
 
 def run(argv: list[str]) -> int:
@@ -101,7 +92,11 @@ def run(argv: list[str]) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
+    try:
+        cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
+    except ValueError as exc:  # a key or value the config file may not hold
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     project = pipeline.scan_project(args.project)
     reports = pipeline.run_project(project, args.fileFilter, cfg, args.outputDir)
     for r in reports:

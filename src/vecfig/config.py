@@ -1,15 +1,18 @@
-"""Pipeline configuration: the detection tolerances and output settings.
+"""Pipeline configuration: the detection tolerances.
 
 Axis detection, calibration and marker selection read their thresholds
 from a :class:`PipelineConfig`, so a single flat key=value file can
-override any of them for a batch run.  The SVG parser's own tolerances
-(curve flattening, ellipse roundness, canvas overflow, glyph-run joining)
-are module constants in :mod:`vecfig.svg_model`, not config keys.
+override any of them for a batch run.  Every key is a finite, positive
+float.  The SVG parser's own tolerances (curve flattening, ellipse
+roundness, canvas overflow, glyph-run joining) are module constants in
+:mod:`vecfig.svg_model`, and the output formats (CSV columns, overlay
+colours) are fixed in :mod:`vecfig.pipeline`; neither is a config key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -32,27 +35,19 @@ class PipelineConfig:
     # data glyph selection
     radius_cluster_tol: float = 0.10    # relative radius spread within a cluster
     raster_overlap_frac: float = 0.5    # interior fraction covered -> raster body
-    # execution
-    jobs: int = 1
-    # outputs
-    csv_columns: tuple[str, ...] = ("x", "y", "device_radius")
-    overlay_box_color: str = "#d62728"
-    overlay_tick_color: str = "#2ca02c"
-    overlay_label_color: str = "#1f77b4"
-    overlay_glyph_color: str = "#ff7f0e"
 
     def __post_init__(self) -> None:
+        # a nan or infinite tolerance would switch its gate off, not loosen it
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, float) and v <= 0:
-                raise ValueError(f"config value {f.name} must be > 0, got {v!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"config value {f.name} must be finite and > 0, "
+                                 f"got {v!r}")
 
 
 DEFAULT_CONFIG = PipelineConfig()
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -61,7 +56,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     Lines starting with ``#`` and blank lines are ignored.  Unknown keys
     raise ValueError so that typos do not silently fall back to defaults.
     """
-    overrides: dict[str, object] = {}
+    overrides: dict[str, float] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -70,16 +65,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        ftype = str(_FIELD_TYPES[key])
-        if ftype == "int":
-            overrides[key] = int(raw)
-        elif ftype == "float":
-            overrides[key] = float(raw)
-        elif ftype.startswith("tuple"):
-            overrides[key] = tuple(part.strip() for part in raw.split(",") if part.strip())
-        else:
-            overrides[key] = raw
-    return PipelineConfig(**overrides)  # type: ignore[arg-type]
+        overrides[key] = float(raw)
+    return PipelineConfig(**overrides)

@@ -9,8 +9,6 @@ CSV, an annotated SVG and a JSON report next to each source figure.
 
 from __future__ import annotations
 
-import concurrent.futures
-import html
 import json
 import re
 import shutil
@@ -25,7 +23,6 @@ from .errors import (BadFilter, DestinationCollision, IoFailure, Status,
 from .point_extraction import DataPoint
 from .svg_model import IDENTITY, AffineTransform, CircleGlyph
 
-FIGURE_DIR_RE = re.compile(r"^figure(\d+)$")
 DEFAULT_FIGURE_FILTER = r"^.*figures/figure(\d+)/figure(_\d+)?\.svg$"
 
 
@@ -34,7 +31,6 @@ class CTree:
     id: str
     root: Path
     fulltext: Path | None
-    figures: list[tuple[int, Path]]  # (figure index, svg path)
 
 
 @dataclass(frozen=True)
@@ -75,20 +71,8 @@ def scan_project(root: str | Path) -> CorpusProject:
     trees = []
     for tree_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         fulltext = tree_dir / "fulltext.pdf"
-        figures: list[tuple[int, Path]] = []
-        figures_dir = tree_dir / "figures"
-        if figures_dir.is_dir():
-            for fig_dir in sorted(figures_dir.iterdir()):
-                m = FIGURE_DIR_RE.match(fig_dir.name)
-                if not (m and fig_dir.is_dir()):
-                    continue
-                for svg in sorted(fig_dir.glob("figure*.svg")):
-                    if re.fullmatch(r"figure(_\d+)?\.svg", svg.name):
-                        figures.append((int(m.group(1)), svg))
-        figures.sort()
         trees.append(CTree(id=tree_dir.name, root=tree_dir,
-                           fulltext=fulltext if fulltext.is_file() else None,
-                           figures=figures))
+                           fulltext=fulltext if fulltext.is_file() else None))
     return CorpusProject(root=root, trees=trees)
 
 
@@ -136,7 +120,7 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
 
 def enumerate_figures(project: CorpusProject, figure_filter: str,
                       ) -> list[tuple[CTree, int, Path]]:
-    """All figure SVGs matching the filter, ordered by (tree id, index).
+    """Every SVG under a tree whose path matches the filter, by (tree id, index, path).
 
     The filter's first capture group must be the numeric figure index.
     """
@@ -145,17 +129,9 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
         raise BadFilter("figure filter needs a capture group for the index")
     out: list[tuple[CTree, int, Path]] = []
     for tree in project.trees:
-        seen: set[Path] = set()
-        for _, svg in tree.figures:
+        for svg in tree.root.rglob("*.svg"):
             m = pattern.match(svg.as_posix())
-            if m and svg not in seen:
-                seen.add(svg)
-                out.append((tree, int(m.group(1)), svg))
-        # also honour filter matches outside the canonical layout
-        for svg in sorted(tree.root.rglob("*.svg")):
-            m = pattern.match(svg.as_posix())
-            if m and svg not in seen:
-                seen.add(svg)
+            if m:
                 out.append((tree, int(m.group(1)), svg))
     out.sort(key=lambda item: (item[0].id, item[1], item[2].as_posix()))
     return out
@@ -226,7 +202,7 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
         report.status = exc.status
         report.warnings.append(str(exc))
 
-    annotated = _annotate_svg(svg_bytes, detected, config)
+    annotated = _annotate_svg(svg_bytes, detected)
     return points, annotated, report
 
 
@@ -234,23 +210,21 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
 _ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
 
 
-def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) -> bytes:
+def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     """Splice an overlay of the detected structure into the source bytes.
 
     One ``<g id="vecfig-overlay">`` goes just before the root's end tag, so
-    every source byte is kept.  Its coordinates are device coordinates: the
-    group undoes the root's own transform, which its children would
-    otherwise inherit a second time.  The source comes back unchanged when
-    no plot box was found, or when it has no root end tag to splice before
-    (a self-closing root, an encoding that is not ASCII-compatible).
+    every source byte is kept.  It draws the plot box dashed red, ticks
+    green, labels blue and markers orange, in device coordinates: the group
+    undoes the root's own transform, which its children would otherwise
+    inherit a second time.  The source comes back unchanged when no plot
+    box was found, or when it has no root end tag to splice before (a
+    self-closing root, an encoding that is not ASCII-compatible).
     """
     box = detected.box
     ends = [m.start() for m in _ROOT_END_RE.finditer(svg_bytes)]
     if box is None or not ends:
         return svg_bytes
-    box_color, tick_color, label_color, glyph_color = (
-        html.escape(c) for c in (cfg.overlay_box_color, cfg.overlay_tick_color,
-                                 cfg.overlay_label_color, cfg.overlay_glyph_color))
 
     def ring_tail(r: float, color: str) -> str:
         return f' r="{_num(r)}" stroke="{color}" stroke-width="0.8"/>'
@@ -266,23 +240,23 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected, cfg: PipelineConfig) ->
     parts = [f'<g xmlns="{svg_model.SVG_NS}" id="vecfig-overlay" fill="none"{transform}>',
              f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
              f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
-             f'stroke="{box_color}" stroke-width="1" stroke-dasharray="4 2"/>']
+             f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>']
     for tick in detected.ticks:
         if tick.side is AxisSide.X_AXIS:
-            parts.append(ring(tick.position, inner.y1, 2, tick_color))
+            parts.append(ring(tick.position, inner.y1, 2, "#2ca02c"))
         else:
-            parts.append(ring(inner.x0, tick.position, 2, tick_color))
+            parts.append(ring(inner.x0, tick.position, 2, "#2ca02c"))
     for _, label in detected.labels:
-        parts.append(ring(label.anchor.x, label.anchor.y, 3, label_color))
+        parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
     # markers mostly share a few radii: format each ring's tail once
     tails: dict[float, str] = {}
     for c in detected.markers:
         tail = tails.get(c.radius)
         if tail is None:
-            tail = tails[c.radius] = ring_tail(c.radius + 1.5, glyph_color)
+            tail = tails[c.radius] = ring_tail(c.radius + 1.5, "#ff7f0e")
         parts.append(f'<circle cx="{_num(c.center.x)}" cy="{_num(c.center.y)}"{tail}')
     parts.append("</g>")
-    overlay = "".join(parts).encode("ascii", "xmlcharrefreplace")
+    overlay = "".join(parts).encode("ascii")
     i = ends[-1]
     return svg_bytes[:i] + overlay + svg_bytes[i:]
 
@@ -303,13 +277,11 @@ def _num(value: float) -> str:
     return repr(target)
 
 
-def write_csv(points: list[DataPoint], destination: str | Path,
-              columns: tuple[str, ...] = DEFAULT_CONFIG.csv_columns) -> None:
-    """Write the point list as UTF-8 CSV with LF endings."""
-    lines = [",".join(columns)]
+def write_csv(points: list[DataPoint], destination: str | Path) -> None:
+    """Write ``x,y,device_radius`` rows as UTF-8 CSV with LF endings."""
+    lines = ["x,y,device_radius"]
     for p in points:
-        values = {"x": p.x, "y": p.y, "device_radius": p.device_radius}
-        lines.append(",".join(_num(values[c]) for c in columns))
+        lines.append(f"{_num(p.x)},{_num(p.y)},{_num(p.device_radius)}")
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -327,17 +299,6 @@ def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 # batch runner
 
-def _process_one(tree: CTree, index: int, svg: Path, config: PipelineConfig,
-                 out_dir: Path) -> ExtractionReport:
-    points, annotated, report = extract_figure(
-        svg, config, tree_id=tree.id, figure_index=index)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(points, out_dir / "figure.csv", config.csv_columns)
-    (out_dir / "figure_annotated.svg").write_bytes(annotated)
-    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-    return report
-
-
 def run_project(project: CorpusProject, figure_filter: str,
                 config: PipelineConfig, output_root: str | Path,
                 ) -> list[ExtractionReport]:
@@ -347,25 +308,9 @@ def run_project(project: CorpusProject, figure_filter: str,
     JSON aggregating statuses lands at the output root.
     """
     output_root = Path(output_root)
-    figures = enumerate_figures(project, figure_filter)
-    jobs = max(1, config.jobs)
-
-    tasks = []
-    for tree, index, svg in figures:
-        rel = svg.parent.relative_to(project.root)
-        tasks.append((tree, index, svg, output_root / rel))
-
-    reports: list[ExtractionReport] = []
-    if jobs == 1:
-        for tree, index, svg, out_dir in tasks:
-            reports.append(_run_guarded(tree, index, svg, config, out_dir))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_guarded, tree, index, svg, config, out_dir)
-                       for tree, index, svg, out_dir in tasks]
-            reports = [f.result() for f in futures]
-
-    reports.sort(key=lambda r: (r.tree_id, r.figure_index))
+    reports = [_run_guarded(tree, index, svg, config,
+                            output_root / svg.parent.relative_to(project.root))
+               for tree, index, svg in enumerate_figures(project, figure_filter)]
     summary = {
         "n_figures": len(reports),
         "statuses": {s.value: sum(1 for r in reports if r.status is s)
@@ -386,15 +331,21 @@ def run_project(project: CorpusProject, figure_filter: str,
 def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
                  out_dir: Path) -> ExtractionReport:
     try:
-        return _process_one(tree, index, svg, config, out_dir)
+        points, annotated, report = extract_figure(
+            svg, config, tree_id=tree.id, figure_index=index)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(points, out_dir / "figure.csv")
+        (out_dir / "figure_annotated.svg").write_bytes(annotated)
+        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+        return report
     except Exception as exc:  # isolation: a broken figure must not kill the batch
         report = ExtractionReport(tree_id=tree.id, figure_index=index,
                                   status=Status.PARSE_ERROR,
                                   warnings=[f"unhandled: {exc}"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_csv([], out_dir / "figure.csv", config.csv_columns)
+            write_csv([], out_dir / "figure.csv")
             (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        except OSError:
+        except (OSError, IoFailure):
             pass
         return report

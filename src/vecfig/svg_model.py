@@ -185,6 +185,8 @@ def parse_transform(text: str) -> AffineTransform:
     result = IDENTITY
     for name, argtext in _TRANSFORM_RE.findall(text):
         args = [float(m.group(0)) for m in _NUM_RE.finditer(argtext)]
+        if not all(map(math.isfinite, args)):
+            raise DegenerateTransform(f"non-finite transform argument: {name}({argtext})")
         if name == "matrix" and len(args) == 6:
             t = AffineTransform(*args)
         elif name == "translate" and len(args) in (1, 2):
@@ -727,8 +729,8 @@ def parse_svg(data: bytes) -> FigureDocument:
     """Parse SVG bytes into a flat device-space FigureDocument.
 
     Raw per-glyph text elements are composed into runs before the document
-    is returned.  Raises MalformedXml / NotSvg / DegenerateTransform /
-    PathSyntax.
+    is returned.  Raises MalformedXml (also for nesting too deep to walk) /
+    NotSvg / DegenerateTransform (also for non-finite arguments) / PathSyntax.
     """
     try:
         root = ET.fromstring(data)
@@ -740,7 +742,10 @@ def parse_svg(data: bytes) -> FigureDocument:
     parser = _Parser()
     root_t_attr = root.get("transform")
     root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
-    parser.walk(root, root_t, DEFAULT_FONT_SIZE)
+    try:
+        parser.walk(root, root_t, DEFAULT_FONT_SIZE)
+    except RecursionError:
+        raise MalformedXml("elements nested too deeply to walk") from None
     doc = parser.doc
     doc.root_transform = root_t
     doc.canvas = _canvas_rect(root, doc)

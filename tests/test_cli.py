@@ -67,7 +67,7 @@ def test_generate_then_extract_then_evaluate(tmp_path, capsys):
     assert run(["generate", "--outputDir", str(proj),
                 "--seed", "5", "--count", "3"]) == 0
     assert run(["extract", "--project", str(proj),
-                "--outputDir", str(proj), "--jobs", "2"]) == 0
+                "--outputDir", str(proj)]) == 0
     assert run(["evaluate", "--outputDir", str(proj)]) == 0
     out = capsys.readouterr().out
     assert "both axes correct: 3/3" in out
@@ -95,3 +95,14 @@ def test_extract_with_config_override(tmp_path, capsys):
     assert run(["extract", "--project", str(proj),
                 "--outputDir", str(tmp_path / "out"),
                 "--config", str(cfg)]) == 0
+
+
+def test_extract_with_removed_config_key(tmp_path, capsys):
+    proj = build_synthetic_project(tmp_path / "proj",
+                                   [SyntheticSpec(seed=1, n_points=4)])
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert run(["extract", "--project", str(proj),
+                "--outputDir", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+    assert "unknown config key 'jobs'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -106,6 +106,51 @@ class TestEnumerateFigures:
         out = enumerate_figures(project, DEFAULT_FIGURE_FILTER)
         assert [i for _, i, _ in out] == [3]
 
+    MIXED_TREE = [
+        "t1/figures/figure1/figure.svg",
+        "t1/figures/figure1/figure_2.svg",
+        "t1/figures/figure10/figure.svg",
+        "t1/figures/figure2/figure.svg",
+        "t1/figures/figure2/notes.svg",
+        "t1/figures/figureX/figure.svg",
+        "t1/extra/figures/figure7/figure.svg",
+        "t1/figure5.svg",
+        "t2/figures/figure3/figure.svg",
+        "t2/figures/figure3/figure_1.svg",
+        "t2/other.svg",
+    ]
+
+    @pytest.mark.parametrize("figure_filter, expected", [
+        (DEFAULT_FIGURE_FILTER, [
+            ("t1", 1, "t1/figures/figure1/figure.svg"),
+            ("t1", 1, "t1/figures/figure1/figure_2.svg"),
+            ("t1", 2, "t1/figures/figure2/figure.svg"),
+            ("t1", 7, "t1/extra/figures/figure7/figure.svg"),
+            ("t1", 10, "t1/figures/figure10/figure.svg"),
+            ("t2", 3, "t2/figures/figure3/figure.svg"),
+            ("t2", 3, "t2/figures/figure3/figure_1.svg"),
+        ]),
+        (r"^.*/figures/figure(\d+)/figure\.svg$", [
+            ("t1", 1, "t1/figures/figure1/figure.svg"),
+            ("t1", 2, "t1/figures/figure2/figure.svg"),
+            ("t1", 7, "t1/extra/figures/figure7/figure.svg"),
+            ("t1", 10, "t1/figures/figure10/figure.svg"),
+            ("t2", 3, "t2/figures/figure3/figure.svg"),
+        ]),
+        (r"^.*figure(\d+)(/figure_\d+)?\.svg$", [
+            ("t1", 1, "t1/figures/figure1/figure_2.svg"),
+            ("t1", 5, "t1/figure5.svg"),
+            ("t2", 3, "t2/figures/figure3/figure_1.svg"),
+        ]),
+    ])
+    def test_mixed_tree(self, tmp_path, figure_filter, expected):
+        for rel in self.MIXED_TREE:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(b'<svg xmlns="http://www.w3.org/2000/svg"/>')
+        out = enumerate_figures(scan_project(tmp_path), figure_filter)
+        assert [(t.id, i, p.relative_to(tmp_path).as_posix())
+                for t, i, p in out] == expected
+
 
 class TestWriteCsv:
     def test_single_point(self, tmp_path):
@@ -212,6 +257,22 @@ class TestExtractFigure:
         path.write_bytes(re.sub(drop, b"", svg))
         points, _, report = extract_figure(path)
         assert (points, report.status, report.warnings[-1]) == ([], status, warning)
+
+    @pytest.mark.parametrize("hostile", [
+        # math.cos / math.tan of an infinite angle raise a bare ValueError
+        lambda svg: svg.replace(b"<circle ", b'<circle transform="rotate(1e400)" ', 1),
+        lambda svg: svg.replace(b"<circle ", b'<circle transform="skewX(1e400)" ', 1),
+        # deeper than the interpreter's recursion limit
+        lambda svg: svg.replace(b"<circle ", b"<g>" * 1200 + b"<circle ", 1).replace(
+            b"</svg>", b"</g>" * 1200 + b"</svg>"),
+    ], ids=["rotate_inf", "skew_inf", "nested_1200"])
+    def test_hostile_input_is_parse_error(self, tmp_path, hostile):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(hostile(svg))
+        points, annotated, report = extract_figure(path)
+        assert (points, report.status) == ([], Status.PARSE_ERROR)
+        assert annotated == path.read_bytes()
 
     def test_global_transform_invariance(self, tmp_path):
         spec = SyntheticSpec(n_points=8, seed=21)
@@ -449,14 +510,6 @@ class TestRunProject:
         run_project(scan_project(root), DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out2)
         assert self._hash_outputs(out1) == self._hash_outputs(out2)
 
-    def test_parallel_equals_sequential(self, tmp_path):
-        root = self._project(tmp_path, [AxisStyle.STANDARD] * 4)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        run_project(scan_project(root), DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out1)
-        cfg4 = PipelineConfig(jobs=4)
-        run_project(scan_project(root), DEFAULT_FIGURE_FILTER, cfg4, out2)
-        assert self._hash_outputs(out1) == self._hash_outputs(out2)
-
     def test_batch_isolation(self, tmp_path):
         root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.RASTER_BODY,
                                         AxisStyle.STANDARD])
@@ -473,22 +526,44 @@ class TestRunProject:
                   if k != "summary.json"}
         assert h_all == h_rest
 
+    def test_unwritable_output_does_not_stop_batch(self, tmp_path):
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        out = tmp_path / "out"
+        # a directory where the first figure's CSV goes: both writes of it fail
+        (out / "fig-0001" / "figures" / "figure1" / "figure.csv").mkdir(parents=True)
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, out)
+        assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
+        assert reports[0].warnings[0].startswith("unhandled: cannot write")
+        assert (out / "fig-0002" / "figures" / "figure1" / "figure.csv").is_file()
+        assert (out / "summary.json").is_file()
+
 
 class TestConfigFile:
     def test_load_overrides(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
-        cfg_file.write_text("# comment\nresidual_gate_frac = 0.02\njobs=3\n")
+        cfg_file.write_text("# comment\nresidual_gate_frac = 0.02\ntick_touch_tol=2.5\n")
         cfg = load_config(cfg_file)
         assert cfg.residual_gate_frac == 0.02
-        assert cfg.jobs == 3
-        assert cfg.tick_touch_tol == DEFAULT_CONFIG.tick_touch_tol
+        assert cfg.tick_touch_tol == 2.5
+        assert cfg.corner_gap_tol == DEFAULT_CONFIG.corner_gap_tol
 
-    def test_unknown_key(self, tmp_path):
+    # only detection tolerances are keys: not execution or output settings
+    @pytest.mark.parametrize("line", [
+        "no_such_tolerance = 1", "jobs = 3", "csv_columns = y, x",
+        "overlay_box_color = #000000"])
+    def test_unknown_key(self, tmp_path, line):
         cfg_file = tmp_path / "pipeline.cfg"
-        cfg_file.write_text("no_such_tolerance = 1\n")
-        with pytest.raises(ValueError):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown config key"):
             load_config(cfg_file)
 
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(tick_touch_tol=0.0)
+    @pytest.mark.parametrize("value", ["0.0", "-1", "nan", "inf", "-inf"])
+    def test_nonpositive_tolerance_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            PipelineConfig(tick_touch_tol=float(value))
+        # a nan gate never fires: a log axis would come back ok
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"residual_gate_frac = {value}\n")
+        with pytest.raises(ValueError, match="finite and > 0"):
+            load_config(cfg_file)

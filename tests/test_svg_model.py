@@ -125,6 +125,19 @@ class TestParseErrors:
             parse_svg(svg_bytes('<g transform="matrix(0,0,0,0,1,1)">'
                                 '<circle cx="1" cy="1" r="1"/></g>'))
 
+    @pytest.mark.parametrize("transform", [
+        "rotate(1e400)", "skewX(1e400)", "skewY(-1e400)", "translate(1e400, 0)",
+        "matrix(1,0,0,1,0,1e999)"])
+    def test_nonfinite_transform_argument(self, transform):
+        from vecfig.errors import DegenerateTransform
+        with pytest.raises(DegenerateTransform, match="non-finite"):
+            parse_transform(transform)
+
+    def test_nesting_deeper_than_recursion_limit(self):
+        body = "<g>" * 1200 + '<circle cx="1" cy="1" r="1"/>' + "</g>" * 1200
+        with pytest.raises(MalformedXml, match="nested too deeply"):
+            parse_svg(svg_bytes(body))
+
 
 def cubic_deviation_oracle(p0, p1, p2, p3, n=2001):
     """Dense-sampling oracle: max distance of the cubic from its chord."""
