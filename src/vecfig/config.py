@@ -37,12 +37,16 @@ class PipelineConfig:
     raster_overlap_frac: float = 0.5    # interior fraction covered -> raster body
 
     def __post_init__(self) -> None:
-        # a nan or infinite tolerance would switch its gate off, not loosen it
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"config value {f.name} must be finite and > 0, "
-                                 f"got {v!r}")
+            _check_tolerance(f.name, getattr(self, f.name))
+
+
+def _check_tolerance(name: str, value: float) -> float:
+    """``value``, unless it is not a finite number above zero (ValueError)."""
+    # a nan or infinite tolerance would switch its gate off, not loosen it
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"config value {name} must be finite and > 0, got {value!r}")
+    return value
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -54,7 +58,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read a flat ``key = value`` config file; missing keys keep defaults.
 
     Lines starting with ``#`` and blank lines are ignored.  Unknown keys
-    raise ValueError so that typos do not silently fall back to defaults.
+    raise ValueError so that typos do not silently fall back to defaults;
+    so does a value that is not a finite number above zero.  Every such
+    error starts with ``<path>:<line>:``.
     """
     overrides: dict[str, float] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -67,5 +73,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = float(raw)
+        try:
+            overrides[key] = _check_tolerance(key, float(raw.strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return PipelineConfig(**overrides)

@@ -8,7 +8,6 @@ expressed as a fraction of that axis's value span.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -58,24 +57,6 @@ def match_points(truth: list[Pair], extracted: list[Pair],
         used_e.add(ei)
         matches.append((ti, ei))
     return matches
-
-
-def match_points_optimal(truth: list[Pair], extracted: list[Pair],
-                         spans: tuple[float, float]) -> list[tuple[int, int]]:
-    """Brute-force minimum-total-distance matching; small inputs only."""
-    sx, sy = spans
-    n, m = len(truth), len(extracted)
-    k = min(n, m)
-    best: tuple[float, list[tuple[int, int]]] | None = None
-    for t_subset in itertools.combinations(range(n), k):
-        for e_perm in itertools.permutations(range(m), k):
-            total = sum(
-                math.hypot((truth[ti][0] - extracted[ei][0]) / sx,
-                           (truth[ti][1] - extracted[ei][1]) / sy)
-                for ti, ei in zip(t_subset, e_perm))
-            if best is None or total < best[0] - 1e-12:
-                best = (total, list(zip(t_subset, e_perm)))
-    return best[1] if best else []
 
 
 def evaluate_figure(figure_id: str, extracted: list[Pair], truth: list[Pair],

@@ -21,7 +21,7 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import (BadFilter, DestinationCollision, IoFailure, Status,
                      TemplateGroupOutOfRange, VecfigError)
 from .point_extraction import DataPoint
-from .svg_model import IDENTITY, AffineTransform, CircleGlyph
+from .svg_model import IDENTITY, AffineTransform, Markers
 
 DEFAULT_FIGURE_FILTER = r"^.*figures/figure(\d+)/figure(_\d+)?\.svg$"
 
@@ -147,7 +147,7 @@ class _Detected:
     box: PlotBox | None = None
     ticks: list[TickMark] = field(default_factory=list)
     labels: list[tuple[TickMark, TickLabel]] = field(default_factory=list)
-    markers: list[CircleGlyph] = field(default_factory=list)
+    markers: Markers = field(default_factory=Markers)
 
 
 def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG,
@@ -250,11 +250,12 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
         parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
     # markers mostly share a few radii: format each ring's tail once
     tails: dict[float, str] = {}
-    for c in detected.markers:
-        tail = tails.get(c.radius)
+    markers = detected.markers
+    for x, y, r in zip(markers.cx, markers.cy, markers.r):
+        tail = tails.get(r)
         if tail is None:
-            tail = tails[c.radius] = ring_tail(c.radius + 1.5, "#ff7f0e")
-        parts.append(f'<circle cx="{_num(c.center.x)}" cy="{_num(c.center.y)}"{tail}')
+            tail = tails[r] = ring_tail(r + 1.5, "#ff7f0e")
+        parts.append(f'<circle cx="{_num(x)}" cy="{_num(y)}"{tail}')
     parts.append("</g>")
     overlay = "".join(parts).encode("ascii")
     i = ends[-1]

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
+from typing import NamedTuple
 
 from .axis_detection import AxisCalibration, PlotBox
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import NoDataGlyphs
-from .svg_model import CircleGlyph, FigureDocument
+from .svg_model import FigureDocument, Markers
 
 
-@dataclass(frozen=True)
-class DataPoint:
+class DataPoint(NamedTuple):
     x: float
     y: float
     device_radius: float
@@ -28,7 +28,7 @@ class DataPoint:
 @dataclass(frozen=True)
 class RadiusCluster:
     representative_radius: float
-    members: list[CircleGlyph]
+    members: Markers  # in (radius, id) order, ties in document order
 
 
 def select_data_glyphs(doc: FigureDocument, box: PlotBox,
@@ -40,28 +40,30 @@ def select_data_glyphs(doc: FigureDocument, box: PlotBox,
     radius (markers are small relative to decorations).  Raises
     NoDataGlyphs when nothing lies inside.
     """
-    if not doc.circles:
+    circles = doc.circles
+    if not circles:
         raise NoDataGlyphs("figure contains no circles")
-    med_radius = median(c.radius for c in doc.circles)
-    interior = box.interior.expanded(med_radius)
+    interior = box.interior.expanded(median(circles.r))
     x0, y0, x1, y1 = interior.x0, interior.y0, interior.x1, interior.y1
-    inside = [c for c in doc.circles
-              if x0 <= c.center.x <= x1 and y0 <= c.center.y <= y1]
+    ids = circles.ids
+    # (radius, id, index) sorts as a stable sort on (radius, id) would
+    inside = sorted((r, ids[i], i) for i, (x, y, r)
+                    in enumerate(zip(circles.cx, circles.cy, circles.r))
+                    if x0 <= x <= x1 and y0 <= y <= y1)
     if not inside:
         raise NoDataGlyphs("no circle center inside the plot interior")
 
     # greedy sweep over sorted radii: a cluster spans [r0, (1+tol)*r0]
-    inside.sort(key=lambda c: (c.radius, c.id))
-    clusters: list[list[CircleGlyph]] = []
+    clusters: list[list[tuple[float, str, int]]] = []
     for c in inside:
-        if clusters and c.radius <= (1.0 + cfg.radius_cluster_tol) * clusters[-1][0].radius:
+        if clusters and c[0] <= (1.0 + cfg.radius_cluster_tol) * clusters[-1][0][0]:
             clusters[-1].append(c)
         else:
             clusters.append([c])
-    clusters.sort(key=lambda cl: (-len(cl), median(c.radius for c in cl)))
-    best = clusters[0]
-    return RadiusCluster(representative_radius=median(c.radius for c in best),
-                         members=best)
+    # the first of the largest clusters, ties to the smaller median radius
+    best = min(clusters, key=lambda cl: (-len(cl), median(r for r, _, _ in cl)))
+    return RadiusCluster(representative_radius=median(r for r, _, _ in best),
+                         members=circles.take([i for _, _, i in best]))
 
 
 def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
@@ -71,14 +73,14 @@ def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
     Output order is stable (device x, device y, id); duplicates are never
     merged, so fully overlapping markers yield repeated rows.
     """
-    ordered = sorted(cluster.members,
-                     key=lambda c: (c.center.x, c.center.y, c.id))
+    m = cluster.members
+    radii = m.r
     # AxisCalibration.to_data, inlined: intercept + slope * coordinate
     x_slope, x_intercept = xcal.slope, xcal.intercept
     y_slope, y_intercept = ycal.slope, ycal.intercept
-    return [DataPoint(x_intercept + x_slope * c.center.x,
-                      y_intercept + y_slope * c.center.y, c.radius, c.id)
-            for c in ordered]
+    return [DataPoint(x_intercept + x_slope * x, y_intercept + y_slope * y,
+                      radii[i], sid)
+            for x, y, sid, i in sorted(zip(m.cx, m.cy, m.ids, range(len(m))))]
 
 
 def detect_raster_body(doc: FigureDocument, box: PlotBox,

@@ -5,6 +5,10 @@ markers), straight segments (axes and ticks), raster images (bitmap plot
 bodies) and text runs (tick labels).  All nested transforms are composed
 and applied during parsing, so every coordinate in the model is already in
 one device space.  Per the SVG convention, y grows downward.
+
+Circle markers are parallel columns (:class:`Markers`: id, centre x,
+centre y, radius), not one object each: a dense scatter has tens of
+thousands, and selection, mapping and the overlay read them in bulk.
 """
 
 from __future__ import annotations
@@ -129,11 +133,27 @@ class Rect:
         return w * h if w > 0 and h > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class CircleGlyph:
-    id: str
-    center: Point
-    radius: float
+@dataclass
+class Markers:
+    """Circle markers as parallel columns, in device space.
+
+    Marker ``i`` is ``ids[i]``, centred at ``(cx[i], cy[i])`` with radius
+    ``r[i]``; the four lists always have the same length.
+    """
+
+    ids: list[str] = field(default_factory=list)
+    cx: list[float] = field(default_factory=list)
+    cy: list[float] = field(default_factory=list)
+    r: list[float] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, indices: list[int]) -> "Markers":
+        """The markers at ``indices``, in that order."""
+        ids, cx, cy, r = self.ids, self.cx, self.cy, self.r
+        return Markers([ids[i] for i in indices], [cx[i] for i in indices],
+                       [cy[i] for i in indices], [r[i] for i in indices])
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,7 @@ class TextRun:
 
 @dataclass
 class FigureDocument:
-    circles: list[CircleGlyph] = field(default_factory=list)
+    circles: Markers = field(default_factory=Markers)
     segments: list[SegmentGlyph] = field(default_factory=list)
     rasters: list[RasterGlyph] = field(default_factory=list)
     texts: list[TextRun] = field(default_factory=list)
@@ -510,59 +530,59 @@ class _Parser:
         return f"{kind}-{self._counter}"
 
     def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float) -> None:
-        """Hand each child its composed transform and the inherited font size."""
+        """Hand each child its composed transform and the inherited font size.
+
+        Circles and ellipses, the bulk of a dense scatter, go straight into
+        the marker columns here, with no handler call.
+        """
         handlers = self._HANDLERS
+        doc = self.doc
+        markers = doc.circles
         for child in elem:
             tag = _local_name(child.tag)
-            t_attr = child.get("transform")
+            get = child.get
+            t_attr = get("transform")
             t = transform.then(parse_transform(t_attr)) if t_attr else transform
+            if tag == "circle" or tag == "ellipse":
+                if tag == "circle":
+                    rx = ry = _parse_length(get("r")) or 0.0
+                else:
+                    rx = _parse_length(get("rx")) or 0.0
+                    ry = _parse_length(get("ry")) or 0.0
+                if rx <= 0 or ry <= 0:
+                    doc.warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+                    continue
+                # image of the ellipse under the linear part; semi-axes are the
+                # singular values of L * diag(rx, ry).  Markers in a row mostly
+                # share the transform and the radii, so the solve is redone
+                # only when one of them changes.
+                shape_t, shape_rx, shape_ry = self._shape
+                if t is not shape_t or rx != shape_rx or ry != shape_ry:
+                    self._shape = (t, rx, ry)
+                    self._semi_axes = _singular_values(t.a * rx, t.b * rx,
+                                                       t.c * ry, t.d * ry)
+                s1, s2 = self._semi_axes
+                if s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
+                    doc.warnings.append(
+                        f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
+                    continue
+                cx = _parse_length(get("cx")) or 0.0
+                cy = _parse_length(get("cy")) or 0.0
+                markers.ids.append(self._gen_id(child, "circle"))
+                markers.cx.append(t.a * cx + t.c * cy + t.e)
+                markers.cy.append(t.b * cx + t.d * cy + t.f)
+                markers.r.append(math.sqrt(s1 * s2))
+                continue
             handler = handlers.get(tag)
             if handler is not None:
                 handler(self, child, t, font_size)
             else:
-                self.doc.warnings.append(f"unsupported element <{tag}> skipped")
+                doc.warnings.append(f"unsupported element <{tag}> skipped")
 
     # --- element handlers -------------------------------------------------
 
     def _handle_container(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         self.walk(elem, t, _font_size(elem, fs))
-
-    def _handle_circle(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        get = elem.get
-        r = _parse_length(get("r")) or 0.0
-        self._add_rounded(elem, t, _parse_length(get("cx")) or 0.0,
-                          _parse_length(get("cy")) or 0.0, r, r)
-
-    def _handle_ellipse(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        get = elem.get
-        self._add_rounded(elem, t, _parse_length(get("cx")) or 0.0,
-                          _parse_length(get("cy")) or 0.0,
-                          _parse_length(get("rx")) or 0.0,
-                          _parse_length(get("ry")) or 0.0)
-
-    def _add_rounded(self, elem: ET.Element, t: AffineTransform,
-                     cx: float, cy: float, rx: float, ry: float) -> None:
-        if rx <= 0 or ry <= 0:
-            self.doc.warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
-            return
-        # image of the ellipse under the linear part; semi-axes are the
-        # singular values of L * diag(rx, ry).  Markers in a row mostly share
-        # the transform and the radii, so the solve is redone only when one
-        # of them changes.
-        shape_t, shape_rx, shape_ry = self._shape
-        if t is not shape_t or rx != shape_rx or ry != shape_ry:
-            self._shape = (t, rx, ry)
-            self._semi_axes = _singular_values(t.a * rx, t.b * rx, t.c * ry, t.d * ry)
-        s1, s2 = self._semi_axes
-        if s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
-            self.doc.warnings.append(
-                f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
-            return
-        self.doc.circles.append(CircleGlyph(
-            id=self._gen_id(elem, "circle"),
-            center=t.apply_xy(cx, cy),
-            radius=math.sqrt(s1 * s2),
-        ))
 
     def _handle_line(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         p1 = t.apply_xy(_parse_length(elem.get("x1")) or 0.0,
@@ -653,11 +673,11 @@ class _Parser:
     # plain functions, not bound methods: a table of bound methods on the
     # instance would keep each parser, and its document, in a reference cycle
     _HANDLERS = {
-        "circle": _handle_circle, "ellipse": _handle_ellipse, "line": _handle_line,
-        "path": _handle_path, "rect": _handle_rect, "image": _handle_image,
-        "text": _handle_text, "use": _handle_use, "style": _handle_style,
-        "g": _handle_container, "svg": _handle_container, "a": _handle_container,
-        "switch": _handle_container, **dict.fromkeys(_NON_RENDERING, _skip),
+        "line": _handle_line, "path": _handle_path, "rect": _handle_rect,
+        "image": _handle_image, "text": _handle_text, "use": _handle_use,
+        "style": _handle_style, "g": _handle_container, "svg": _handle_container,
+        "a": _handle_container, "switch": _handle_container,
+        **dict.fromkeys(_NON_RENDERING, _skip),
     }
 
 
@@ -674,9 +694,10 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     # fall back to content bounds
     xs: list[float] = []
     ys: list[float] = []
-    for c in doc.circles:
-        xs += [c.center.x - c.radius, c.center.x + c.radius]
-        ys += [c.center.y - c.radius, c.center.y + c.radius]
+    circles = doc.circles
+    for x, y, r in zip(circles.cx, circles.cy, circles.r):
+        xs += [x - r, x + r]
+        ys += [y - r, y + r]
     for s in doc.segments:
         xs += [s.p1.x, s.p2.x]
         ys += [s.p1.y, s.p2.y]
@@ -705,13 +726,15 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
     def fits(x0: float, y0: float, x1: float, y1: float) -> bool:
         return x_lo <= x0 and x1 <= x_hi and y_lo <= y0 and y1 <= y_hi
 
-    def circle_fits(c: CircleGlyph) -> bool:
-        x, y, r = c.center.x, c.center.y, c.radius
-        return x_lo <= x - r and x + r <= x_hi and y_lo <= y - r and y + r <= y_hi
-
-    # one test per primitive kind, in the order warnings report them
+    circles = doc.circles
+    fitting = [i for i, (x, y, r) in enumerate(zip(circles.cx, circles.cy, circles.r))
+               if x_lo <= x - r and x + r <= x_hi and y_lo <= y - r and y + r <= y_hi]
+    if len(fitting) != len(circles):
+        doc.circles = circles.take(fitting)
+        doc.warnings.append(
+            f"{len(circles) - len(fitting)} far-out-of-canvas circles discarded")
+    # one test per other primitive kind, in the order warnings report them
     tests = {
-        "circles": circle_fits,
         "segments": lambda s: fits(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
                                    max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)),
         "rasters": lambda r: fits(r.bounds.x0, r.bounds.y0, r.bounds.x1, r.bounds.y1),

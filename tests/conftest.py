@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
-from vecfig.svg_model import FigureDocument
+from vecfig.svg_model import FigureDocument, Markers, Point
 
 # CI runs the property tests on a fixed example sequence (HYPOTHESIS_PROFILE=ci),
 # so a run fails only on a change; local runs draw fresh examples
@@ -25,9 +26,9 @@ def svg_bytes(body: str, width: float = 600, height: float = 450) -> bytes:
 def serialize_model(doc: FigureDocument) -> bytes:
     """Re-serialize a figure model to SVG for round-trip checks."""
     parts = []
-    for c in doc.circles:
-        parts.append(f'<circle id="{c.id}" cx="{c.center.x!r}" cy="{c.center.y!r}" '
-                     f'r="{c.radius!r}"/>')
+    c = doc.circles
+    for cid, x, y, r in zip(c.ids, c.cx, c.cy, c.r):
+        parts.append(f'<circle id="{cid}" cx="{x!r}" cy="{y!r}" r="{r!r}"/>')
     for s in doc.segments:
         parts.append(f'<line id="{s.id}" x1="{s.p1.x!r}" y1="{s.p1.y!r}" '
                      f'x2="{s.p2.x!r}" y2="{s.p2.y!r}"/>')
@@ -35,6 +36,26 @@ def serialize_model(doc: FigureDocument) -> bytes:
         parts.append(f'<text id="{t.id}" x="{t.anchor.x!r}" y="{t.anchor.y!r}" '
                      f'font-size="{t.glyph_height!r}">{t.content}</text>')
     return svg_bytes("".join(parts), doc.canvas.width, doc.canvas.height)
+
+
+@dataclass(frozen=True)
+class Circle:
+    """One marker as an object, the form the oracles below the columns use."""
+    id: str
+    center: Point
+    radius: float
+
+
+def markers_of(circles: list[Circle]) -> Markers:
+    """The marker columns holding ``circles``, in order."""
+    return Markers([c.id for c in circles], [c.center.x for c in circles],
+                   [c.center.y for c in circles], [c.radius for c in circles])
+
+
+def circles_of(markers: Markers) -> list[Circle]:
+    """Marker columns back as one object per marker, in order."""
+    return [Circle(cid, Point(x, y), r)
+            for cid, x, y, r in zip(markers.ids, markers.cx, markers.cy, markers.r)]
 
 
 @pytest.fixture

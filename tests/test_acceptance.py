@@ -94,9 +94,9 @@ def test_inline_snippet_fidelity():
     doc = parse_svg(data)
     elapsed = time.perf_counter() - start
     ok = (len(doc.circles) == 1
-          and doc.circles[0].center.x == 103.71
-          and doc.circles[0].center.y == 121.22
-          and doc.circles[0].radius == 25.234
+          and doc.circles.cx[0] == 103.71
+          and doc.circles.cy[0] == 121.22
+          and doc.circles.r[0] == 25.234
           and elapsed < 1.0)
     report("inline-snippet fidelity (exact decimals, < 1 s)", ok)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from vecfig.cli import run
 from vecfig.synth import AxisStyle, SyntheticSpec, build_synthetic_project
 
@@ -105,4 +107,16 @@ def test_extract_with_removed_config_key(tmp_path, capsys):
     assert run(["extract", "--project", str(proj),
                 "--outputDir", str(tmp_path / "out"), "--config", str(cfg)]) == 1
     assert "unknown config key 'jobs'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1%", "nan", "inf", "0", "-1"])
+def test_extract_with_bad_config_value(tmp_path, capsys, value):
+    proj = build_synthetic_project(tmp_path / "proj",
+                                   [SyntheticSpec(seed=1, n_points=4)])
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"tick_touch_tol = 1.0\nresidual_gate_frac = {value}\n")
+    assert run(["extract", "--project", str(proj),
+                "--outputDir", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
     assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import svg_bytes
+from conftest import circles_of, svg_bytes
 from vecfig import axis_detection
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
@@ -365,8 +365,8 @@ class TestExtractFigure:
         assert report.status is Status.OK
         original = parse_svg(svg)
         redone = parse_svg(annotated)
-        orig_circles = {(c.center.x, c.center.y, c.radius) for c in original.circles}
-        new_circles = {(c.center.x, c.center.y, c.radius) for c in redone.circles}
+        orig_circles = set(zip(original.circles.cx, original.circles.cy, original.circles.r))
+        new_circles = set(zip(redone.circles.cx, redone.circles.cy, redone.circles.r))
         assert orig_circles <= new_circles  # originals untouched, overlays added
         orig_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in original.segments}
         new_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in redone.segments}
@@ -396,8 +396,8 @@ class TestAnnotatedSvg:
         assert report.status is Status.OK and points
         before, after = parse_svg(source), parse_svg(annotated)
         # the overlay closes the root, so its primitives are parsed last
-        rings = after.circles[len(before.circles):]
-        centers = {c.id: c.center for c in before.circles}
+        rings = circles_of(after.circles)[len(before.circles):]
+        centers = {c.id: c.center for c in circles_of(before.circles)}
         for p in points:
             center = centers[p.source_id]
             assert any(ring.center.distance_to(center) < 1e-6
@@ -567,3 +567,15 @@ class TestConfigFile:
         cfg_file.write_text(f"residual_gate_frac = {value}\n")
         with pytest.raises(ValueError, match="finite and > 0"):
             load_config(cfg_file)
+
+    @pytest.mark.parametrize("value,reason", [
+        ("1%", "could not convert string to float: '1%'"),
+        ("nan", "finite and > 0, got nan"), ("inf", "finite and > 0, got inf"),
+        ("0", "finite and > 0, got 0.0"), ("-1", "finite and > 0, got -1.0")])
+    def test_bad_value_names_file_and_line(self, tmp_path, value, reason):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"# gates\nresidual_gate_frac = {value}\n")
+        with pytest.raises(ValueError) as info:
+            load_config(cfg_file)
+        assert str(info.value).startswith(f"{cfg_file}:2: ")
+        assert str(info.value).endswith(reason)

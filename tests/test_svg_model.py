@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import serialize_model, svg_bytes
+from conftest import Circle, circles_of, markers_of, serialize_model, svg_bytes
 from vecfig import svg_model
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
-                              CircleGlyph, FigureDocument, Point, RasterGlyph,
+                              FigureDocument, Markers, Point, RasterGlyph,
                               Rect, SegmentGlyph, TextRun, _parse_length,
                               compose_text_runs, flatten_path, parse_svg,
                               parse_transform)
@@ -26,7 +26,7 @@ class TestParseCircle:
                          'fill-opacity="0" stroke="#cf1d35" stroke-width=".26458"/>')
         doc = parse_svg(data)
         assert len(doc.circles) == 1
-        c = doc.circles[0]
+        c, = circles_of(doc.circles)
         assert c.center == Point(103.71, 121.22)
         assert c.radius == 25.234
 
@@ -34,27 +34,28 @@ class TestParseCircle:
         plain = parse_svg(svg_bytes('<circle cx="5" cy="6" r="2"/>'))
         wrapped = parse_svg(svg_bytes(
             '<g transform="matrix(1,0,0,1,0,0)"><circle cx="5" cy="6" r="2"/></g>'))
-        assert plain.circles[0].center == wrapped.circles[0].center
-        assert plain.circles[0].radius == wrapped.circles[0].radius
+        assert circles_of(plain.circles) == circles_of(wrapped.circles)
 
     def test_translate_transform(self):
         # independently composed: (5,5) + (10,20) = (15,25)
         doc = parse_svg(svg_bytes(
             '<g transform="translate(10,20)"><circle cx="5" cy="5" r="2"/></g>'))
-        assert doc.circles[0].center == Point(15.0, 25.0)
-        assert doc.circles[0].radius == 2.0
+        c, = circles_of(doc.circles)
+        assert c.center == Point(15.0, 25.0)
+        assert c.radius == 2.0
 
     def test_nested_transforms_compose(self):
         doc = parse_svg(svg_bytes(
             '<g transform="translate(10,0)"><g transform="scale(2)">'
             '<circle cx="3" cy="4" r="1"/></g></g>'))
-        assert doc.circles[0].center == Point(16.0, 8.0)
-        assert doc.circles[0].radius == pytest.approx(2.0)
+        c, = circles_of(doc.circles)
+        assert c.center == Point(16.0, 8.0)
+        assert c.radius == pytest.approx(2.0)
 
     def test_near_circular_ellipse_accepted(self):
         doc = parse_svg(svg_bytes('<ellipse cx="10" cy="10" rx="2.0" ry="1.96"/>'))
         assert len(doc.circles) == 1
-        assert doc.circles[0].radius == pytest.approx(math.sqrt(2.0 * 1.96))
+        assert doc.circles.r[0] == pytest.approx(math.sqrt(2.0 * 1.96))
 
     def test_eccentric_ellipse_skipped_with_warning(self):
         doc = parse_svg(svg_bytes('<ellipse cx="10" cy="10" rx="4" ry="2"/>'))
@@ -292,8 +293,8 @@ class TestInvariants:
             f'<g transform="translate({tx},{ty}) scale({sx},{sx})">{inner}</g>'))
         t = AffineTransform(a=sx, d=sx, e=tx, f=ty)
         # uniform scale keeps circles circular
-        expect = t.apply(plain.circles[0].center)
-        got = wrapped.circles[0].center
+        expect = t.apply(circles_of(plain.circles)[0].center)
+        got = circles_of(wrapped.circles)[0].center
         assert math.hypot(expect.x - got.x, expect.y - got.y) < 1e-9 * max(1, abs(tx), abs(ty))
         for ps, ws in zip(plain.segments, wrapped.segments):
             for pp, wp in ((ps.p1, ws.p1), (ps.p2, ws.p2)):
@@ -308,7 +309,7 @@ class TestInvariants:
             '<text x="48" y="415" font-size="8">0.5</text>'))
         doc2 = parse_svg(serialize_model(doc))
         assert len(doc2.circles) == len(doc.circles)
-        for a, b in zip(doc.circles, doc2.circles):
+        for a, b in zip(circles_of(doc.circles), circles_of(doc2.circles)):
             assert abs(a.center.x - b.center.x) < 1e-9
             assert abs(a.center.y - b.center.y) < 1e-9
             assert abs(a.radius - b.radius) < 1e-9
@@ -369,7 +370,7 @@ def canvas_filter_oracle(doc):
         return (cx - half_w <= b.x0 and b.x1 <= cx + half_w
                 and cy - half_h <= b.y0 and b.y1 <= cy + half_h)
     return {
-        "circles": [c for c in doc.circles if within(Rect(
+        "circles": [c for c in circles_of(doc.circles) if within(Rect(
             c.center.x - c.radius, c.center.y - c.radius,
             c.center.x + c.radius, c.center.y + c.radius))],
         "segments": [s for s in doc.segments if within(Rect(
@@ -440,7 +441,7 @@ class TestMarkerPathOracles:
                 want[f"m{i}"] = got
         body += "</g>" * len(groups)
         doc = parse_svg(svg_bytes(body, 1e6, 1e6))
-        assert {c.id: (c.center, c.radius) for c in doc.circles} == want
+        assert {c.id: (c.center, c.radius) for c in circles_of(doc.circles)} == want
         assert doc.warnings == want_warnings
 
     @pytest.mark.parametrize("element,warning", [
@@ -489,9 +490,10 @@ class TestMarkerPathOracles:
     @settings(max_examples=300, deadline=None)
     def test_canvas_filter_matches_rect_overflow(self, items, x0, y0, width, height):
         doc = FigureDocument(canvas=Rect(x0, y0, x0 + width, y0 + height))
+        circles = []
         for i, (kind, x, y, size) in enumerate(items):
             if kind == "circles":
-                doc.circles.append(CircleGlyph(f"c{i}", Point(x, y), size))
+                circles.append(Circle(f"c{i}", Point(x, y), size))
             elif kind == "segments":
                 doc.segments.append(SegmentGlyph(f"s{i}", Point(x, y),
                                                  Point(x + size, y - size)))
@@ -499,13 +501,16 @@ class TestMarkerPathOracles:
                 doc.rasters.append(RasterGlyph(f"r{i}", Rect(x, y, x + size, y + size)))
             else:
                 doc.texts.append(TextRun(f"t{i}", Point(x, y), "1", size))
+        doc.circles = markers_of(circles)
         want = canvas_filter_oracle(doc)
         want_warnings = [f"{len(getattr(doc, name)) - len(kept)} far-out-of-canvas "
                          f"{name} discarded"
                          for name, kept in want.items()
                          if len(kept) != len(getattr(doc, name))]
         svg_model._drop_out_of_canvas(doc)
-        assert {name: getattr(doc, name) for name in want} == want
+        got = {name: getattr(doc, name) for name in want}
+        got["circles"] = circles_of(doc.circles)
+        assert got == want
         assert doc.warnings == want_warnings
 
 
@@ -517,7 +522,7 @@ class TestMarkerPathOracles:
         x = edge + (beyond if edge > 0 else -beyond)
         doc = FigureDocument(canvas=Rect(0.0, 0.0, 100.0, 100.0))
         if kind == "circles":
-            doc.circles.append(CircleGlyph("c", Point(x - 2 if edge > 0 else x + 2, 50), 2.0))
+            doc.circles = Markers(["c"], [x - 2 if edge > 0 else x + 2], [50], [2.0])
         elif kind == "segments":
             doc.segments.append(SegmentGlyph("s", Point(x, 50), Point(50, x)))
         elif kind == "rasters":
@@ -528,6 +533,16 @@ class TestMarkerPathOracles:
         svg_model._drop_out_of_canvas(doc)
         assert len(getattr(doc, kind)) == len(want[kind]) == (beyond == 0.0)
 
+
+    def test_markers_held_without_an_object_each(self):
+        # one object per marker was 40k GC-tracked objects for this figure
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        gc.collect()
+        before = len(gc.get_objects())
+        doc = parse_svg(svg)
+        added = len(gc.get_objects()) - before
+        assert len(doc.circles) == 20_000
+        assert added < 200
 
     def test_parse_leaves_no_reference_cycle(self):
         # a cycle through the parser would keep every document alive until

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
 
 from vecfig.errors import MissingTruth
-from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, aggregate,
-                             evaluate_figure, match_points,
-                             match_points_optimal, render_table)
+from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, Pair, aggregate,
+                             evaluate_figure, match_points, render_table)
 from vecfig.synth import AxisStyle, SyntheticSpec, generate_scatter_svg
 
 
@@ -95,6 +96,24 @@ class TestEvaluateFigure:
     def test_missing_truth(self):
         with pytest.raises(MissingTruth):
             evaluate_figure("f", [], [], True)
+
+
+def match_points_optimal(truth: list[Pair], extracted: list[Pair],
+                         spans: tuple[float, float]) -> list[tuple[int, int]]:
+    """Brute-force minimum-total-distance matching; small inputs only."""
+    sx, sy = spans
+    n, m = len(truth), len(extracted)
+    k = min(n, m)
+    best: tuple[float, list[tuple[int, int]]] | None = None
+    for t_subset in itertools.combinations(range(n), k):
+        for e_perm in itertools.permutations(range(m), k):
+            total = sum(
+                math.hypot((truth[ti][0] - extracted[ei][0]) / sx,
+                           (truth[ti][1] - extracted[ei][1]) / sy)
+                for ti, ei in zip(t_subset, e_perm))
+            if best is None or total < best[0] - 1e-12:
+                best = (total, list(zip(t_subset, e_perm)))
+    return best[1] if best else []
 
 
 class TestMatching:
