@@ -18,7 +18,7 @@ from statistics import median
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import (CollocatedTicks, InsufficientMatches, NoAxesFound,
                      NonlinearScale, TooFewTicks)
-from .svg_model import FigureDocument, Point, Rect, SegmentGlyph, TextRun
+from .svg_model import FigureDocument, Point, Rect, SegmentGlyph, Segments, TextRun
 
 
 class AxisSide(enum.Enum):
@@ -32,6 +32,10 @@ class PlotBox:
     bottom_axis: SegmentGlyph
     interior: Rect
     score: float
+    # where the two axes sit in the document's segment columns; tick
+    # detection reads the axes from there
+    left_index: int
+    bottom_index: int
 
 
 @dataclass(frozen=True)
@@ -65,27 +69,23 @@ class AxisCalibration:
 # ---------------------------------------------------------------------------
 # plot-box detection
 
-def _angle_from_vertical(seg: SegmentGlyph) -> float:
-    dx = abs(seg.p2.x - seg.p1.x)
-    dy = abs(seg.p2.y - seg.p1.y)
-    return math.degrees(math.atan2(dx, dy))
+def _corner(v: tuple[float, float, float, float],
+            h: tuple[float, float, float, float],
+            ) -> tuple[float, float, float, float, float, float, float]:
+    """Nearest endpoint pair of two ``(x1, y1, x2, y2)`` segments.
 
-
-def _angle_from_horizontal(seg: SegmentGlyph) -> float:
-    dx = abs(seg.p2.x - seg.p1.x)
-    dy = abs(seg.p2.y - seg.p1.y)
-    return math.degrees(math.atan2(dy, dx))
-
-
-def _corner(v: SegmentGlyph, h: SegmentGlyph) -> tuple[Point, Point, Point, float]:
-    """Nearest endpoint pair: (corner midpoint, far v end, far h end, gap)."""
+    Returns the corner midpoint, the far end of ``v``, the far end of ``h``
+    (x then y for each) and the gap between the two near ends.
+    """
+    vx1, vy1, vx2, vy2 = v
+    hx1, hy1, hx2, hy2 = h
     best = None
-    for ve, v_far in ((v.p1, v.p2), (v.p2, v.p1)):
-        for he, h_far in ((h.p1, h.p2), (h.p2, h.p1)):
-            gap = ve.distance_to(he)
-            if best is None or gap < best[3]:
-                mid = Point((ve.x + he.x) / 2.0, (ve.y + he.y) / 2.0)
-                best = (mid, v_far, h_far, gap)
+    for vx, vy, v_far_x, v_far_y in ((vx1, vy1, vx2, vy2), (vx2, vy2, vx1, vy1)):
+        for hx, hy, h_far_x, h_far_y in ((hx1, hy1, hx2, hy2), (hx2, hy2, hx1, hy1)):
+            gap = math.hypot(vx - hx, vy - hy)
+            if best is None or gap < best[6]:
+                best = ((vx + hx) / 2.0, (vy + hy) / 2.0,
+                        v_far_x, v_far_y, h_far_x, h_far_y, gap)
     assert best is not None
     return best
 
@@ -103,15 +103,16 @@ def _grid_coord(value: float, tol: float) -> float:
     return max(-_CELL_LIMIT, min(_CELL_LIMIT, value / tol))
 
 
-def _cell(p: Point, tol: float) -> tuple[int, int]:
-    return (math.floor(_grid_coord(p.x, tol)), math.floor(_grid_coord(p.y, tol)))
-
-
 def _reach(value: float, tol: float) -> range:
     """Cells holding every coordinate within ``tol`` of ``value``."""
     q = _grid_coord(value, tol)
     return range(math.floor(q - 1.0 - _CELL_SLACK),
                  math.floor(q + 1.0 + _CELL_SLACK) + 1)
+
+
+def _glyph(segments: Segments, i: int) -> SegmentGlyph:
+    return SegmentGlyph(segments.ids[i], Point(segments.x1[i], segments.y1[i]),
+                        Point(segments.x2[i], segments.y2[i]))
 
 
 def detect_plot_box(doc: FigureDocument,
@@ -125,105 +126,143 @@ def detect_plot_box(doc: FigureDocument,
     Pairs are found through an endpoint grid with cells ``corner_gap_tol``
     wide: a vertical is scored only against the horizontals with an
     endpoint in the block of cells around one of its own endpoints, which
-    holds every endpoint within ``corner_gap_tol``.  The cost is O(V + H)
-    plus the pairs that share a block, not O(V * H), and the result is the
-    one the full V x H comparison gives.
+    holds every endpoint within ``corner_gap_tol``.  A vertical endpoint
+    whose block of columns holds no horizontal endpoint at all is skipped
+    before its rows are looked up.  The cost is O(V + H) plus the pairs
+    that share a block, not O(V * H), and the result is the one the full
+    V x H comparison gives.
     """
-    verticals = [s for s in doc.segments
-                 if s.length >= cfg.min_axis_length
-                 and _angle_from_vertical(s) <= cfg.axis_angle_tol_deg]
-    horizontals = [s for s in doc.segments
-                   if s.length >= cfg.min_axis_length
-                   and _angle_from_horizontal(s) <= cfg.axis_angle_tol_deg]
+    segments = doc.segments
+    ids, xs1, ys1 = segments.ids, segments.x1, segments.y1
+    xs2, ys2 = segments.x2, segments.y2
+    min_length = cfg.min_axis_length
+    angle_tol = cfg.axis_angle_tol_deg
+    hypot, atan2, degrees = math.hypot, math.atan2, math.degrees
+    # axis candidates by column index, each with its length
+    v_index: list[int] = []
+    v_length: list[float] = []
+    h_index: list[int] = []
+    h_length: list[float] = []
+    for i, (x1, y1, x2, y2) in enumerate(zip(xs1, ys1, xs2, ys2)):
+        dx = x1 - x2
+        dy = y1 - y2
+        length = hypot(dx, dy)
+        if not length >= min_length:
+            continue
+        dx = abs(dx)
+        dy = abs(dy)
+        if degrees(atan2(dx, dy)) <= angle_tol:
+            v_index.append(i)
+            v_length.append(length)
+        if degrees(atan2(dy, dx)) <= angle_tol:
+            h_index.append(i)
+            h_length.append(length)
     canvas = doc.canvas
     norm = max(canvas.width * canvas.height, 1e-12)
     tol = cfg.corner_gap_tol
+    floor = math.floor
 
+    # horizontal endpoints by cell, as positions in the candidate list
     grid: dict[tuple[int, int], list[int]] = {}
-    for i, h in enumerate(horizontals):
-        for p in (h.p1, h.p2):
-            grid.setdefault(_cell(p, tol), []).append(i)
+    for k, j in enumerate(h_index):
+        for x, y in ((xs1[j], ys1[j]), (xs2[j], ys2[j])):
+            cell = (floor(_grid_coord(x, tol)), floor(_grid_coord(y, tol)))
+            grid.setdefault(cell, []).append(k)
+    columns = {cx for cx, _ in grid}
 
     candidates = []
-    for v in verticals:
+    for i, v_len in zip(v_index, v_length):
         near: set[int] = set()
-        for p in (v.p1, v.p2):
-            rows = _reach(p.y, tol)
-            for cx in _reach(p.x, tol):
+        for x, y in ((xs1[i], ys1[i]), (xs2[i], ys2[i])):
+            cols = _reach(x, tol)
+            if columns.isdisjoint(cols):
+                continue
+            rows = _reach(y, tol)
+            for cx in cols:
                 for cy in rows:
                     near.update(grid.get((cx, cy), ()))
+        if not near:
+            continue
+        v = (xs1[i], ys1[i], xs2[i], ys2[i])
         # original order keeps the candidate list, and so the stable sort's
         # pick among exact ties, the same as the full comparison's
-        for i in sorted(near):
-            h = horizontals[i]
-            corner, v_far, h_far, gap = _corner(v, h)
-            if gap > cfg.corner_gap_tol:
+        for k in sorted(near):
+            j = h_index[k]
+            mx, my, v_far_x, v_far_y, h_far_x, h_far_y, gap = _corner(
+                v, (xs1[j], ys1[j], xs2[j], ys2[j]))
+            if gap > tol:
                 continue
             # left axis goes up from the corner, bottom axis goes right
-            if v_far.y > corner.y or h_far.x < corner.x:
+            if v_far_y > my or h_far_x < mx:
                 continue
-            proximity = 1.0 - gap / (cfg.corner_gap_tol + 1e-12)
-            score = min(1.0, v.length * h.length / norm) * max(proximity, 1e-6)
-            interior = Rect(min(corner.x, h_far.x), min(corner.y, v_far.y),
-                            max(corner.x, h_far.x), max(corner.y, v_far.y))
-            candidates.append((score, corner, v, h, interior))
+            h_len = h_length[k]
+            proximity = 1.0 - gap / (tol + 1e-12)
+            score = min(1.0, v_len * h_len / norm) * max(proximity, 1e-6)
+            key = (-score, -my, mx, -(v_len + h_len), ids[i], ids[j])
+            candidates.append((key, score, i, j, mx, my, v_far_y, h_far_x))
     if not candidates:
         raise NoAxesFound("no qualifying vertical/horizontal axis pair")
-    candidates.sort(key=lambda c: (-c[0], -c[1].y, c[1].x,
-                                   -(c[2].length + c[3].length),
-                                   c[2].id, c[3].id))
-    score, _, v, h, interior = candidates[0]
-    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score)
+    candidates.sort(key=lambda c: c[0])
+    _, score, i, j, mx, my, v_far_y, h_far_x = candidates[0]
+    interior = Rect(min(mx, h_far_x), min(my, v_far_y),
+                    max(mx, h_far_x), max(my, v_far_y))
+    return PlotBox(left_axis=_glyph(segments, i), bottom_axis=_glyph(segments, j),
+                   interior=interior, score=score, left_index=i, bottom_index=j)
 
 
 # ---------------------------------------------------------------------------
 # tick detection
 
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    vx, vy = b.x - a.x, b.y - a.y
-    wx, wy = p.x - a.x, p.y - a.y
-    denom = vx * vx + vy * vy
-    t = 0.0 if denom == 0 else max(0.0, min(1.0, (wx * vx + wy * vy) / denom))
-    return math.hypot(p.x - (a.x + t * vx), p.y - (a.y + t * vy))
-
-
 def detect_ticks(doc: FigureDocument, box: PlotBox,
                  cfg: PipelineConfig = DEFAULT_CONFIG) -> list[TickMark]:
     """Collect short perpendicular stubs touching either axis line."""
     ticks: list[TickMark] = []
-    ticks += _ticks_on_axis(doc, box.bottom_axis, AxisSide.X_AXIS,
+    ticks += _ticks_on_axis(doc.segments, box.bottom_index, AxisSide.X_AXIS,
                             box.interior.height, cfg)
-    ticks += _ticks_on_axis(doc, box.left_axis, AxisSide.Y_AXIS,
+    ticks += _ticks_on_axis(doc.segments, box.left_index, AxisSide.Y_AXIS,
                             box.interior.width, cfg)
     return ticks
 
 
-def _ticks_on_axis(doc: FigureDocument, axis: SegmentGlyph, side: AxisSide,
-                   cross_side_length: float,
-                   cfg: PipelineConfig) -> list[TickMark]:
+def _ticks_on_axis(segments: Segments, axis_index: int, side: AxisSide,
+                   cross_side_length: float, cfg: PipelineConfig) -> list[TickMark]:
+    """Ticks off the axis at ``axis_index`` in the columns, the axis skipped."""
+    ax, ay = segments.x1[axis_index], segments.y1[axis_index]
+    vx, vy = segments.x2[axis_index] - ax, segments.y2[axis_index] - ay
+    denom = vx * vx + vy * vy
+
+    def gap(px: float, py: float) -> float:
+        """Distance from (px, py) to the axis segment."""
+        t = 0.0
+        if denom != 0:
+            t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / denom))
+        return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+
     # ticks on the x axis are near-vertical stubs and vice versa
-    if side is AxisSide.X_AXIS:
-        is_perpendicular = lambda s: _angle_from_vertical(s) <= cfg.tick_angle_tol_deg
-        along = lambda p: p.x
-    else:
-        is_perpendicular = lambda s: _angle_from_horizontal(s) <= cfg.tick_angle_tol_deg
-        along = lambda p: p.y
-    max_len = cfg.tick_max_length_frac * cross_side_length
+    x_axis = side is AxisSide.X_AXIS
+    min_length = cfg.tick_min_length
+    max_length = cfg.tick_max_length_frac * cross_side_length
+    angle_tol = cfg.tick_angle_tol_deg
+    hypot, atan2, degrees = math.hypot, math.atan2, math.degrees
     out: list[TickMark] = []
-    for seg in doc.segments:
-        if seg is axis:
+    for i, (x1, y1, x2, y2) in enumerate(zip(segments.x1, segments.y1,
+                                              segments.x2, segments.y2)):
+        length = hypot(x1 - x2, y1 - y2)
+        if not (min_length <= length <= max_length) or i == axis_index:
             continue
-        length = seg.length
-        if not (cfg.tick_min_length <= length <= max_len):
+        dx = abs(x1 - x2)
+        dy = abs(y1 - y2)
+        if not degrees(atan2(dx, dy) if x_axis else atan2(dy, dx)) <= angle_tol:
             continue
-        if not is_perpendicular(seg):
-            continue
-        d1 = _point_segment_distance(seg.p1, axis.p1, axis.p2)
-        d2 = _point_segment_distance(seg.p2, axis.p1, axis.p2)
+        d1 = gap(x1, y1)
+        d2 = gap(x2, y2)
         if min(d1, d2) > cfg.tick_touch_tol:
             continue
-        touching = seg.p1 if d1 <= d2 else seg.p2
-        out.append(TickMark(position=along(touching), side=side, length=length))
+        if d1 <= d2:
+            position = x1 if x_axis else y1
+        else:
+            position = x2 if x_axis else y2
+        out.append(TickMark(position=position, side=side, length=length))
     out.sort(key=lambda t: t.position)
     return out
 

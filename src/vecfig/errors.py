@@ -14,6 +14,7 @@ class Status(Enum):
     RASTER_BODY = "raster_body"
     NO_DATA_GLYPHS = "no_data_glyphs"
     PARSE_ERROR = "parse_error"
+    WRITE_ERROR = "write_error"
 
 
 class VecfigError(Exception):
@@ -92,6 +93,7 @@ class BadFilter(VecfigError):
 
 class IoFailure(VecfigError):
     """Output could not be written."""
+    status = Status.WRITE_ERROR
 
 
 # --- Evaluation ---

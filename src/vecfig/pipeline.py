@@ -331,22 +331,39 @@ def run_project(project: CorpusProject, figure_filter: str,
 
 def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
                  out_dir: Path) -> ExtractionReport:
+    annotated: bytes | None = None
     try:
         points, annotated, report = extract_figure(
             svg, config, tree_id=tree.id, figure_index=index)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(points, out_dir / "figure.csv")
-        (out_dir / "figure_annotated.svg").write_bytes(annotated)
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        return report
     except Exception as exc:  # isolation: a broken figure must not kill the batch
-        report = ExtractionReport(tree_id=tree.id, figure_index=index,
-                                  status=Status.PARSE_ERROR,
-                                  warnings=[f"unhandled: {exc}"])
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_csv([], out_dir / "figure.csv")
-            (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        except (OSError, IoFailure):
-            pass
+        points, report = [], ExtractionReport(tree_id=tree.id, figure_index=index,
+                                              status=Status.PARSE_ERROR,
+                                              warnings=[f"unhandled: {exc}"])
+    try:
+        _write_outputs(out_dir, points, annotated, report)
         return report
+    except (OSError, IoFailure) as exc:
+        # a figure that could not be read stays parse_error; either way its
+        # earlier warnings are kept
+        status = (report.status if report.status is Status.PARSE_ERROR
+                  else Status.WRITE_ERROR)
+        warnings = report.warnings + [f"write failed: {exc}"]
+    except Exception as exc:  # e.g. a non-finite data value the CSV cannot hold
+        status, warnings = Status.PARSE_ERROR, [f"unhandled: {exc}"]
+    report = ExtractionReport(tree_id=tree.id, figure_index=index,
+                              status=status, warnings=warnings)
+    try:
+        _write_outputs(out_dir, [], None, report)
+    except (OSError, IoFailure):
+        pass
+    return report
+
+
+def _write_outputs(out_dir: Path, points: list[DataPoint], annotated: bytes | None,
+                   report: ExtractionReport) -> None:
+    """The figure's CSV, its annotated SVG (unless None) and its report."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(points, out_dir / "figure.csv")
+    if annotated is not None:
+        (out_dir / "figure_annotated.svg").write_bytes(annotated)
+    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")

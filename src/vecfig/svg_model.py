@@ -6,9 +6,12 @@ bodies) and text runs (tick labels).  All nested transforms are composed
 and applied during parsing, so every coordinate in the model is already in
 one device space.  Per the SVG convention, y grows downward.
 
-Circle markers are parallel columns (:class:`Markers`: id, centre x,
-centre y, radius), not one object each: a dense scatter has tens of
-thousands, and selection, mapping and the overlay read them in bulk.
+Circle markers and straight segments are parallel columns, not one
+object each: :class:`Markers` holds id, centre x, centre y and radius,
+:class:`Segments` holds id and the two endpoints.  A dense scatter has
+tens of thousands of markers and a gridded one thousands of lines;
+selection, mapping, the overlay, plot-box and tick detection read them in
+bulk.
 """
 
 from __future__ import annotations
@@ -156,8 +159,49 @@ class Markers:
                        [cy[i] for i in indices], [r[i] for i in indices])
 
 
+@dataclass
+class Segments:
+    """Straight segments as parallel columns, in device space.
+
+    Segment ``i`` is ``ids[i]``, from ``(x1[i], y1[i])`` to ``(x2[i], y2[i])``;
+    the five lists always have the same length.
+    """
+
+    ids: list[str] = field(default_factory=list)
+    x1: list[float] = field(default_factory=list)
+    y1: list[float] = field(default_factory=list)
+    x2: list[float] = field(default_factory=list)
+    y2: list[float] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, sid: str, x1: float, y1: float, x2: float, y2: float) -> None:
+        self.ids.append(sid)
+        self.x1.append(x1)
+        self.y1.append(y1)
+        self.x2.append(x2)
+        self.y2.append(y2)
+
+    def extend(self, other: "Segments") -> None:
+        self.ids += other.ids
+        self.x1 += other.x1
+        self.y1 += other.y1
+        self.x2 += other.x2
+        self.y2 += other.y2
+
+    def take(self, indices: list[int]) -> "Segments":
+        """The segments at ``indices``, in that order."""
+        ids, x1, y1, x2, y2 = self.ids, self.x1, self.y1, self.x2, self.y2
+        return Segments([ids[i] for i in indices], [x1[i] for i in indices],
+                        [y1[i] for i in indices], [x2[i] for i in indices],
+                        [y2[i] for i in indices])
+
+
 @dataclass(frozen=True)
 class SegmentGlyph:
+    """One segment as an object: the form a detected axis is reported in."""
+
     id: str
     p1: Point
     p2: Point
@@ -184,7 +228,7 @@ class TextRun:
 @dataclass
 class FigureDocument:
     circles: Markers = field(default_factory=Markers)
-    segments: list[SegmentGlyph] = field(default_factory=list)
+    segments: Segments = field(default_factory=Segments)
     rasters: list[RasterGlyph] = field(default_factory=list)
     texts: list[TextRun] = field(default_factory=list)
     canvas: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1.0, 1.0))
@@ -299,7 +343,7 @@ def _sample_quadratic(p0: Point, p1: Point, p2: Point, n: int = 33) -> list[Poin
 
 def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
                  id_prefix: str = "path",
-                 warnings: list[str] | None = None) -> list[SegmentGlyph]:
+                 warnings: list[str] | None = None) -> Segments:
     """Decompose path data into straight device-space segments.
 
     Curves whose sampled deviation from their chord is within
@@ -309,7 +353,9 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
     """
     tokens = _tokenize_path(path_data)
     warnings = warnings if warnings is not None else []
-    segments: list[SegmentGlyph] = []
+    segments = Segments()
+    ta, tb, tc, td, te, tf = (transform.a, transform.b, transform.c,
+                              transform.d, transform.e, transform.f)
 
     cur = Point(0.0, 0.0)
     start = Point(0.0, 0.0)
@@ -321,17 +367,21 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
 
     def emit(p1: Point, p2: Point) -> None:
         nonlocal seg_n
-        t1, t2 = transform.apply(p1), transform.apply(p2)
-        if t1 != t2:
-            segments.append(SegmentGlyph(f"{id_prefix}.{seg_n}", t1, t2))
+        x1 = ta * p1.x + tc * p1.y + te
+        y1 = tb * p1.x + td * p1.y + tf
+        x2 = ta * p2.x + tc * p2.y + te
+        y2 = tb * p2.x + td * p2.y + tf
+        if x1 != x2 or y1 != y2:
+            segments.append(f"{id_prefix}.{seg_n}", x1, y1, x2, y2)
             seg_n += 1
 
     def emit_curve(ctrl_points: list[Point]) -> None:
         nonlocal seg_n
         devpts = [transform.apply(p) for p in ctrl_points]
         if _chord_deviation(devpts) <= CURVE_DEVIATION_TOL:
-            if devpts[0] != devpts[-1]:
-                segments.append(SegmentGlyph(f"{id_prefix}.{seg_n}", devpts[0], devpts[-1]))
+            start, end = devpts[0], devpts[-1]
+            if start != end:
+                segments.append(f"{id_prefix}.{seg_n}", start.x, start.y, end.x, end.y)
                 seg_n += 1
         else:
             warnings.append(f"{id_prefix}: curve exceeds deviation bound, skipped")
@@ -538,6 +588,7 @@ class _Parser:
         handlers = self._HANDLERS
         doc = self.doc
         markers = doc.circles
+        inf = math.inf
         for child in elem:
             tag = _local_name(child.tag)
             get = child.get
@@ -549,7 +600,9 @@ class _Parser:
                 else:
                     rx = _parse_length(get("rx")) or 0.0
                     ry = _parse_length(get("ry")) or 0.0
-                if rx <= 0 or ry <= 0:
+                # an overflowing radius is degenerate too: times the transform's
+                # zero entries it would give nan semi-axes
+                if not (0 < rx < inf and 0 < ry < inf):
                     doc.warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
                     continue
                 # image of the ellipse under the linear part; semi-axes are the
@@ -585,23 +638,27 @@ class _Parser:
         self.walk(elem, t, _font_size(elem, fs))
 
     def _handle_line(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        p1 = t.apply_xy(_parse_length(elem.get("x1")) or 0.0,
-                        _parse_length(elem.get("y1")) or 0.0)
-        p2 = t.apply_xy(_parse_length(elem.get("x2")) or 0.0,
-                        _parse_length(elem.get("y2")) or 0.0)
-        if p1 == p2:
+        get = elem.get
+        px1 = _parse_length(get("x1")) or 0.0
+        py1 = _parse_length(get("y1")) or 0.0
+        px2 = _parse_length(get("x2")) or 0.0
+        py2 = _parse_length(get("y2")) or 0.0
+        x1 = t.a * px1 + t.c * py1 + t.e
+        y1 = t.b * px1 + t.d * py1 + t.f
+        x2 = t.a * px2 + t.c * py2 + t.e
+        y2 = t.b * px2 + t.d * py2 + t.f
+        if x1 == x2 and y1 == y2:
             self.doc.warnings.append("zero-length line skipped")
             return
-        self.doc.segments.append(SegmentGlyph(self._gen_id(elem, "line"), p1, p2))
+        self.doc.segments.append(self._gen_id(elem, "line"), x1, y1, x2, y2)
 
     def _handle_path(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         d = elem.get("d", "")
         if not d.strip():
             self.doc.warnings.append("empty path skipped")
             return
-        segs = flatten_path(d, t, id_prefix=self._gen_id(elem, "path"),
-                            warnings=self.doc.warnings)
-        self.doc.segments.extend(segs)
+        self.doc.segments.extend(flatten_path(d, t, id_prefix=self._gen_id(elem, "path"),
+                                              warnings=self.doc.warnings))
 
     def _handle_rect(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         x = _parse_length(elem.get("x")) or 0.0
@@ -615,8 +672,8 @@ class _Parser:
         corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
                    t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
         for k in range(4):
-            self.doc.segments.append(
-                SegmentGlyph(f"{rid}.{k}", corners[k], corners[(k + 1) % 4]))
+            p1, p2 = corners[k], corners[(k + 1) % 4]
+            self.doc.segments.append(f"{rid}.{k}", p1.x, p1.y, p2.x, p2.y)
 
     def _handle_image(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         x = _parse_length(elem.get("x")) or 0.0
@@ -698,9 +755,10 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     for x, y, r in zip(circles.cx, circles.cy, circles.r):
         xs += [x - r, x + r]
         ys += [y - r, y + r]
-    for s in doc.segments:
-        xs += [s.p1.x, s.p2.x]
-        ys += [s.p1.y, s.p2.y]
+    segments = doc.segments
+    for x1, y1, x2, y2 in zip(segments.x1, segments.y1, segments.x2, segments.y2):
+        xs += [x1, x2]
+        ys += [y1, y2]
     for r in doc.rasters:
         xs += [r.bounds.x0, r.bounds.x1]
         ys += [r.bounds.y0, r.bounds.y1]
@@ -733,10 +791,16 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
         doc.circles = circles.take(fitting)
         doc.warnings.append(
             f"{len(circles) - len(fitting)} far-out-of-canvas circles discarded")
+    segments = doc.segments
+    fitting = [i for i, (x1, y1, x2, y2)
+               in enumerate(zip(segments.x1, segments.y1, segments.x2, segments.y2))
+               if fits(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))]
+    if len(fitting) != len(segments):
+        doc.segments = segments.take(fitting)
+        doc.warnings.append(
+            f"{len(segments) - len(fitting)} far-out-of-canvas segments discarded")
     # one test per other primitive kind, in the order warnings report them
     tests = {
-        "segments": lambda s: fits(min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
-                                   max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)),
         "rasters": lambda r: fits(r.bounds.x0, r.bounds.y0, r.bounds.x1, r.bounds.y1),
         "texts": lambda t: fits(t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y),
     }

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import settings
 
-from vecfig.svg_model import FigureDocument, Markers, Point
+from vecfig.svg_model import FigureDocument, Markers, Point, SegmentGlyph, Segments
 
 # CI runs the property tests on a fixed example sequence (HYPOTHESIS_PROFILE=ci),
 # so a run fails only on a change; local runs draw fresh examples
@@ -29,9 +29,10 @@ def serialize_model(doc: FigureDocument) -> bytes:
     c = doc.circles
     for cid, x, y, r in zip(c.ids, c.cx, c.cy, c.r):
         parts.append(f'<circle id="{cid}" cx="{x!r}" cy="{y!r}" r="{r!r}"/>')
-    for s in doc.segments:
-        parts.append(f'<line id="{s.id}" x1="{s.p1.x!r}" y1="{s.p1.y!r}" '
-                     f'x2="{s.p2.x!r}" y2="{s.p2.y!r}"/>')
+    g = doc.segments
+    for sid, x1, y1, x2, y2 in zip(g.ids, g.x1, g.y1, g.x2, g.y2):
+        parts.append(f'<line id="{sid}" x1="{x1!r}" y1="{y1!r}" '
+                     f'x2="{x2!r}" y2="{y2!r}"/>')
     for t in doc.texts:
         parts.append(f'<text id="{t.id}" x="{t.anchor.x!r}" y="{t.anchor.y!r}" '
                      f'font-size="{t.glyph_height!r}">{t.content}</text>')
@@ -56,6 +57,20 @@ def circles_of(markers: Markers) -> list[Circle]:
     """Marker columns back as one object per marker, in order."""
     return [Circle(cid, Point(x, y), r)
             for cid, x, y, r in zip(markers.ids, markers.cx, markers.cy, markers.r)]
+
+
+def segments_of(glyphs: list[SegmentGlyph]) -> Segments:
+    """The segment columns holding ``glyphs``, in order."""
+    return Segments([g.id for g in glyphs], [g.p1.x for g in glyphs],
+                    [g.p1.y for g in glyphs], [g.p2.x for g in glyphs],
+                    [g.p2.y for g in glyphs])
+
+
+def glyphs_of(segments: Segments) -> list[SegmentGlyph]:
+    """Segment columns back as one object per segment, in order."""
+    return [SegmentGlyph(sid, Point(x1, y1), Point(x2, y2))
+            for sid, x1, y1, x2, y2 in zip(segments.ids, segments.x1, segments.y1,
+                                           segments.x2, segments.y2)]
 
 
 @pytest.fixture

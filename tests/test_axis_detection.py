@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import svg_bytes
-from vecfig import axis_detection
+from conftest import glyphs_of, segments_of, svg_bytes
+from vecfig import axis_detection, svg_model
 from vecfig.axis_detection import (AxisSide, PlotBox, TickLabel, TickMark,
                                    calibrate_axis, detect_plot_box, detect_ticks,
                                    match_ticks_to_labels, parse_numeric_label)
@@ -24,12 +26,19 @@ def seg(id_, x1, y1, x2, y2) -> SegmentGlyph:
 
 
 def doc_with(segments, canvas=Rect(0, 0, 600, 450)) -> FigureDocument:
-    return FigureDocument(segments=segments, canvas=canvas)
+    return FigureDocument(segments=segments_of(segments), canvas=canvas)
 
 
+# the documents the tick tests build list these two axes first
 STD_BOX = PlotBox(left_axis=seg("v", 50, 400, 50, 50),
                   bottom_axis=seg("h", 50, 400, 500, 400),
-                  interior=Rect(50, 50, 500, 400), score=1.0)
+                  interior=Rect(50, 50, 500, 400), score=1.0,
+                  left_index=0, bottom_index=1)
+
+
+def index_of(glyphs, glyph) -> int:
+    """Where ``glyph`` itself (not an equal segment) sits in ``glyphs``."""
+    return next(i for i, g in enumerate(glyphs) if g is glyph)
 
 
 def brute_force_best_pair(doc, cfg=DEFAULT_CONFIG):
@@ -42,10 +51,11 @@ def brute_force_best_pair(doc, cfg=DEFAULT_CONFIG):
 
     best = None
     norm = doc.canvas.width * doc.canvas.height
-    for v in doc.segments:
+    glyphs = glyphs_of(doc.segments)
+    for v in glyphs:
         if v.length < cfg.min_axis_length or from_vert(v) > cfg.axis_angle_tol_deg:
             continue
-        for h in doc.segments:
+        for h in glyphs:
             if h.length < cfg.min_axis_length or from_horiz(h) > cfg.axis_angle_tol_deg:
                 continue
             gap, corner = min(
@@ -79,9 +89,10 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
                     best = (mid, v_far, h_far, gap)
         return best
 
-    verticals = [s for s in doc.segments if s.length >= cfg.min_axis_length
+    glyphs = glyphs_of(doc.segments)
+    verticals = [s for s in glyphs if s.length >= cfg.min_axis_length
                  and from_vert(s) <= cfg.axis_angle_tol_deg]
-    horizontals = [s for s in doc.segments if s.length >= cfg.min_axis_length
+    horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
                    and from_horiz(s) <= cfg.axis_angle_tol_deg]
     norm = max(doc.canvas.width * doc.canvas.height, 1e-12)
     candidates = []
@@ -103,16 +114,18 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
                                    -(c[2].length + c[3].length),
                                    c[2].id, c[3].id))
     score, _, v, h, interior = candidates[0]
-    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score)
+    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score,
+                   left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h))
 
 
 def box_outcome(detect, doc, cfg):
-    """The chosen axes (compared as whole segments), interior and score."""
+    """The chosen axes (as whole segments and as indices), interior and score."""
     try:
         box = detect(doc, cfg)
     except NoAxesFound:
         return None
-    return (box.left_axis, box.bottom_axis, box.interior, box.score)
+    return (box.left_axis, box.bottom_axis, box.left_index, box.bottom_index,
+            box.interior, box.score)
 
 
 def random_axis_segments(rng: random.Random, tol: float) -> list[SegmentGlyph]:
@@ -192,7 +205,7 @@ class TestPlotBoxGridPairing:
                          [h_rev, seg("v", 50, 400, 50, 50), h_fwd]):
             doc = doc_with(segments)
             box = detect_plot_box(doc)
-            assert box.bottom_axis is quadratic_plot_box(doc).bottom_axis
+            assert box.bottom_index == quadratic_plot_box(doc).bottom_index
 
     @pytest.mark.parametrize("vx,hx", [(-1e-17, 3.0),
                                        (-3.000000000000001, -6.000000000000001)])
@@ -332,6 +345,275 @@ class TestDetectTicks:
         ticks = detect_ticks(doc_with([STD_BOX.left_axis, STD_BOX.bottom_axis]),
                              STD_BOX)
         assert not ticks
+
+
+# ---------------------------------------------------------------------------
+# the column passes against the object-based versions they replaced
+
+def object_plot_box(doc, cfg=DEFAULT_CONFIG):
+    """Oracle: the endpoint-grid pairing over one SegmentGlyph per segment."""
+    def from_vert(s):
+        return math.degrees(math.atan2(abs(s.p2.x - s.p1.x), abs(s.p2.y - s.p1.y)))
+
+    def from_horiz(s):
+        return math.degrees(math.atan2(abs(s.p2.y - s.p1.y), abs(s.p2.x - s.p1.x)))
+
+    def corner_of(v, h):
+        best = None
+        for ve, v_far in ((v.p1, v.p2), (v.p2, v.p1)):
+            for he, h_far in ((h.p1, h.p2), (h.p2, h.p1)):
+                gap = ve.distance_to(he)
+                if best is None or gap < best[3]:
+                    mid = Point((ve.x + he.x) / 2.0, (ve.y + he.y) / 2.0)
+                    best = (mid, v_far, h_far, gap)
+        return best
+
+    def grid_coord(value, tol):
+        return max(-2.0 ** 62, min(2.0 ** 62, value / tol))
+
+    def cell(p, tol):
+        return (math.floor(grid_coord(p.x, tol)), math.floor(grid_coord(p.y, tol)))
+
+    def reach(value, tol):
+        q = grid_coord(value, tol)
+        return range(math.floor(q - 1.0 - 1e-6), math.floor(q + 1.0 + 1e-6) + 1)
+
+    glyphs = glyphs_of(doc.segments)
+    verticals = [s for s in glyphs if s.length >= cfg.min_axis_length
+                 and from_vert(s) <= cfg.axis_angle_tol_deg]
+    horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
+                   and from_horiz(s) <= cfg.axis_angle_tol_deg]
+    norm = max(doc.canvas.width * doc.canvas.height, 1e-12)
+    tol = cfg.corner_gap_tol
+    grid = {}
+    for i, h in enumerate(horizontals):
+        for p in (h.p1, h.p2):
+            grid.setdefault(cell(p, tol), []).append(i)
+    candidates = []
+    for v in verticals:
+        near = set()
+        for p in (v.p1, v.p2):
+            for cx in reach(p.x, tol):
+                for cy in reach(p.y, tol):
+                    near.update(grid.get((cx, cy), ()))
+        for i in sorted(near):
+            h = horizontals[i]
+            corner, v_far, h_far, gap = corner_of(v, h)
+            if gap > tol:
+                continue
+            if v_far.y > corner.y or h_far.x < corner.x:
+                continue
+            proximity = 1.0 - gap / (tol + 1e-12)
+            score = min(1.0, v.length * h.length / norm) * max(proximity, 1e-6)
+            interior = Rect(min(corner.x, h_far.x), min(corner.y, v_far.y),
+                            max(corner.x, h_far.x), max(corner.y, v_far.y))
+            candidates.append((score, corner, v, h, interior))
+    if not candidates:
+        raise NoAxesFound("no qualifying vertical/horizontal axis pair")
+    candidates.sort(key=lambda c: (-c[0], -c[1].y, c[1].x,
+                                   -(c[2].length + c[3].length),
+                                   c[2].id, c[3].id))
+    score, _, v, h, interior = candidates[0]
+    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score,
+                   left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h))
+
+
+def object_ticks(doc, box, cfg=DEFAULT_CONFIG):
+    """Oracle: the per-object tick pass, skipping each axis by identity."""
+    def from_vert(s):
+        return math.degrees(math.atan2(abs(s.p2.x - s.p1.x), abs(s.p2.y - s.p1.y)))
+
+    def from_horiz(s):
+        return math.degrees(math.atan2(abs(s.p2.y - s.p1.y), abs(s.p2.x - s.p1.x)))
+
+    def distance(p, a, b):
+        vx, vy = b.x - a.x, b.y - a.y
+        wx, wy = p.x - a.x, p.y - a.y
+        denom = vx * vx + vy * vy
+        t = 0.0 if denom == 0 else max(0.0, min(1.0, (wx * vx + wy * vy) / denom))
+        return math.hypot(p.x - (a.x + t * vx), p.y - (a.y + t * vy))
+
+    def on_axis(axis, side, cross_side_length):
+        if side is AxisSide.X_AXIS:
+            is_perpendicular = lambda s: from_vert(s) <= cfg.tick_angle_tol_deg
+            along = lambda p: p.x
+        else:
+            is_perpendicular = lambda s: from_horiz(s) <= cfg.tick_angle_tol_deg
+            along = lambda p: p.y
+        max_len = cfg.tick_max_length_frac * cross_side_length
+        out = []
+        for s in glyphs:
+            if s is axis:
+                continue
+            length = s.length
+            if not (cfg.tick_min_length <= length <= max_len):
+                continue
+            if not is_perpendicular(s):
+                continue
+            d1 = distance(s.p1, axis.p1, axis.p2)
+            d2 = distance(s.p2, axis.p1, axis.p2)
+            if min(d1, d2) > cfg.tick_touch_tol:
+                continue
+            touching = s.p1 if d1 <= d2 else s.p2
+            out.append(TickMark(position=along(touching), side=side, length=length))
+        out.sort(key=lambda t: t.position)
+        return out
+
+    glyphs = glyphs_of(doc.segments)
+    return (on_axis(glyphs[box.bottom_index], AxisSide.X_AXIS, box.interior.height)
+            + on_axis(glyphs[box.left_index], AxisSide.Y_AXIS, box.interior.width))
+
+
+_IDS = st.sampled_from(["a", "b", "v", "h"])
+
+
+@st.composite
+def axis_layouts(draw):
+    """(cfg, segments): axis-like segments crowding a few cells of the tol grid.
+
+    Ends sit on cell edges, just either side of one, or anywhere near an
+    anchor; segments run either way, some tilt past the angle tolerance,
+    some reach huge or infinite coordinates, ids repeat, and some segments
+    come twice (reversed or not), so that exact score ties occur.
+    """
+    tol = draw(st.sampled_from([3.0, 0.5, 7.3, 40.0]))
+    cfg = PipelineConfig(corner_gap_tol=tol)
+    anchors = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                            min_size=1, max_size=2))
+    offsets = st.one_of(st.just(0.0),
+                        st.sampled_from([tol, -tol, tol + 1e-9, tol - 1e-9,
+                                         -tol + 1e-9, -tol - 1e-9]),
+                        st.floats(-1.5 * tol, 1.5 * tol))
+    far = st.sampled_from([math.inf, -math.inf, 1e300, -1e300, 2e300])
+    out = []
+    for _ in range(draw(st.integers(2, 10))):
+        ax, ay = draw(st.sampled_from(anchors))
+        x, y = ax * tol + draw(offsets), ay * tol + draw(offsets)
+        # the length gate's edge, and lengths whose products tie
+        length = draw(st.one_of(st.sampled_from([10.0, 20.0, 30.0, 60.0]),
+                                st.floats(0.0, 60.0 + 8 * tol)))
+        # mostly up for verticals and right for horizontals, as axes run
+        sign = draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))
+        tilt = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05))) * length
+        kind = draw(st.sampled_from(["v", "v", "h", "h", "v_far", "h_far", "any"]))
+        if kind == "v":
+            end = (x + tilt, y - sign * length)
+        elif kind == "h":
+            end = (x + sign * length, y + tilt)
+        elif kind == "v_far":
+            end = (x, draw(far))
+        elif kind == "h_far":
+            end = (draw(far), y)
+        else:
+            end = (draw(st.floats(-100, 500)), draw(st.floats(-100, 500)))
+        ends = [Point(x, y), Point(*end)]
+        if draw(st.booleans()):
+            ends.reverse()
+        out.append(SegmentGlyph(draw(_IDS), *ends))
+    for k, flip in draw(st.lists(st.tuples(st.integers(0, len(out) - 1), st.booleans()),
+                                 max_size=3)):
+        s = out[k]
+        twin = SegmentGlyph(s.id, s.p2, s.p1) if flip else s
+        out.insert(draw(st.integers(0, len(out))), twin)
+    return cfg, out
+
+
+def same(got, want) -> bool:
+    """Equal down to the last bit: reprs, so that nan matches nan and -0.0 not 0.0."""
+    return repr(got) == repr(want)
+
+
+class TestColumnarSegmentsMatchObjectOracle:
+    """The column passes give what one SegmentGlyph per segment gave."""
+
+    @given(axis_layouts())
+    # two boxes tied on score, the lower corner further right
+    @example((DEFAULT_CONFIG, [seg("v", 0, 0, 0, -20), seg("h", 0, 0, 30, 0),
+                               seg("v2", 100, 100, 100, 70), seg("h2", 100, 100, 120, 100)]))
+    # one geometry twice, the ids crossed: only the id order decides
+    @example((DEFAULT_CONFIG, [seg("a", 0, 0, 0, -20), seg("b", 0, 0, 0, -20),
+                               seg("b", 0, 0, 30, 0), seg("a", 0, 0, 30, 0)]))
+    # both ends of v equally far from the near end of h: the first one counts
+    @example((PipelineConfig(corner_gap_tol=40.0),
+              [seg("v", 0, 0, 0, -10), seg("h", 5, -5, 50, -5)]))
+    @settings(max_examples=250, deadline=None)
+    def test_plot_box_and_ticks(self, layout):
+        cfg, glyphs = layout
+        doc = doc_with(glyphs, canvas=Rect(-10 * cfg.corner_gap_tol,
+                                           -10 * cfg.corner_gap_tol, 600, 450))
+        want = box_outcome(object_plot_box, doc, cfg)
+        assert same(box_outcome(detect_plot_box, doc, cfg), want)
+        assert same(box_outcome(quadratic_plot_box, doc, cfg), want)
+        if want is not None:
+            box = detect_plot_box(doc, cfg)
+            assert same(detect_ticks(doc, box, cfg), object_ticks(doc, box, cfg))
+
+    @given(st.lists(st.tuples(st.sampled_from(["x", "y"]), st.floats(-10, 55),
+                              st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1.0000000000000002,
+                                                         -1.0000000000000002]),
+                                        st.floats(-3, 3)),
+                              st.one_of(st.sampled_from([0.5, 0.49999999999999994, 52.5,
+                                                         52.50000000000001, 67.5]),
+                                        st.floats(0, 70)),
+                              st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+                              st.sampled_from([1.0, -1.0]), st.booleans(), _IDS),
+                    max_size=25),
+           st.integers(0, 25), st.integers(0, 25), st.booleans())
+    # tilted stubs crossing each axis at their midpoints: both ends touch
+    # equally, and the first end gives the position
+    @example([("x", 10.0, -1.0, 2.0, 0.01, 1.0, False, "a"),
+              ("y", 10.0, -1.0, 2.0, 0.01, 1.0, True, "b")], 0, 1, False)
+    @settings(max_examples=200, deadline=None)
+    def test_ticks_on_boundaries(self, stubs, left_at, bottom_at, twins):
+        # stubs hang off either axis (inward or outward), past its ends too,
+        # with lengths, gaps and tilts on both sides of the gates; twins copy
+        # the axes themselves, which only the skip by index leaves out
+        cfg = DEFAULT_CONFIG
+        glyphs = []
+        for side, along, gap, length, tilt, way, flip, sid in stubs:
+            if side == "x":  # near-vertical, off the bottom axis at y = 400
+                x = 50 + 10 * along
+                ends = [Point(x, 400 + gap), Point(x + tilt * length, 400 + gap + way * length)]
+            else:  # near-horizontal, off the left axis at x = 50
+                y = 400 - 10 * along
+                ends = [Point(50 + gap, y), Point(50 + gap + way * length, y + tilt * length)]
+            if flip:
+                ends.reverse()
+            glyphs.append(SegmentGlyph(sid, *ends))
+        left, bottom = STD_BOX.left_axis, STD_BOX.bottom_axis
+        glyphs.insert(min(left_at, len(glyphs)), left)
+        glyphs.insert(min(bottom_at, len(glyphs)), bottom)
+        if twins:
+            glyphs += [SegmentGlyph(left.id, left.p2, left.p1), bottom]
+        doc = doc_with(glyphs)
+        box = detect_plot_box(doc, cfg)
+        assert same(box_outcome(detect_plot_box, doc, cfg),
+                    box_outcome(object_plot_box, doc, cfg))
+        assert same(detect_ticks(doc, box, cfg), object_ticks(doc, box, cfg))
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -450.0, 550.0, 1e300, -1e300,
+                                               math.inf, -math.inf, 50.0, 549.9999999999999]),
+                              st.sampled_from([0.0, -450.0, 550.0, 1e300, math.inf,
+                                               -math.inf, 50.0, -450.00000000000006]),
+                              st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.booleans()),
+                    max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_canvas_filter_on_huge_and_infinite_ends(self, rows):
+        # canvas 0..100: the overflow window is -450..550 on both axes
+        glyphs = []
+        for i, (a, b, c, d, flip) in enumerate(rows):
+            ends = [Point(a, c), Point(d, b)]
+            if flip:
+                ends.reverse()
+            glyphs.append(SegmentGlyph(f"s{i % 3}", *ends))
+        doc = FigureDocument(segments=segments_of(glyphs), canvas=Rect(0, 0, 100, 100))
+        want = [s for s in glyphs if -450 <= min(s.p1.x, s.p2.x) and max(s.p1.x, s.p2.x) <= 550
+                and -450 <= min(s.p1.y, s.p2.y) and max(s.p1.y, s.p2.y) <= 550]
+        svg_model._drop_out_of_canvas(doc)
+        assert glyphs_of(doc.segments) == want
+        dropped = len(glyphs) - len(want)
+        assert doc.warnings == ([f"{dropped} far-out-of-canvas segments discarded"]
+                                if dropped else [])
 
 
 def run(content, x=0.0, y=0.0, h=8.0) -> TextRun:

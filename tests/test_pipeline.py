@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circles_of, svg_bytes
+from conftest import circles_of, glyphs_of, svg_bytes
 from vecfig import axis_detection
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
@@ -368,8 +368,10 @@ class TestExtractFigure:
         orig_circles = set(zip(original.circles.cx, original.circles.cy, original.circles.r))
         new_circles = set(zip(redone.circles.cx, redone.circles.cy, redone.circles.r))
         assert orig_circles <= new_circles  # originals untouched, overlays added
-        orig_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in original.segments}
-        new_segs = {(s.p1.x, s.p1.y, s.p2.x, s.p2.y) for s in redone.segments}
+        orig_segs = set(zip(original.segments.x1, original.segments.y1,
+                            original.segments.x2, original.segments.y2))
+        new_segs = set(zip(redone.segments.x1, redone.segments.y1,
+                           redone.segments.x2, redone.segments.y2))
         assert orig_segs <= new_segs
 
 
@@ -407,7 +409,7 @@ class TestAnnotatedSvg:
         corners = [(inner.x0, inner.y0), (inner.x1, inner.y0),
                    (inner.x1, inner.y1), (inner.x0, inner.y1)]
         box_sides = [((s.p1.x, s.p1.y), (s.p2.x, s.p2.y))
-                     for s in after.segments[len(before.segments):]]
+                     for s in glyphs_of(after.segments)[len(before.segments):]]
         want = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
         assert len(box_sides) == 4
         for got, exp in zip(box_sides, want):
@@ -533,10 +535,49 @@ class TestRunProject:
         (out / "fig-0001" / "figures" / "figure1" / "figure.csv").mkdir(parents=True)
         reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
                               DEFAULT_CONFIG, out)
-        assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
-        assert reports[0].warnings[0].startswith("unhandled: cannot write")
+        assert [r.status for r in reports] == [Status.WRITE_ERROR, Status.OK]
+        assert reports[0].warnings[-1].startswith("write failed: cannot write")
         assert (out / "fig-0002" / "figures" / "figure1" / "figure.csv").is_file()
-        assert (out / "summary.json").is_file()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["statuses"]["write_error"] == 1
+        assert summary["statuses"]["parse_error"] == 0
+
+    def test_broken_figure_with_unwritable_output_stays_parse_error(self, tmp_path):
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        (root / "fig-0001" / "figures" / "figure1" / "figure.svg").write_bytes(b"<svg")
+        out = tmp_path / "out"
+        (out / "fig-0001" / "figures" / "figure1" / "figure.csv").mkdir(parents=True)
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, out)
+        assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
+        assert reports[0].warnings[0].startswith("unclosed token")
+        assert reports[0].warnings[-1].startswith("write failed: cannot write")
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["statuses"]["parse_error"] == 1
+        assert summary["statuses"]["write_error"] == 0
+
+    def test_non_finite_data_value_does_not_stop_batch(self, tmp_path):
+        # x labels 0, 5e307, 1e308, 1.5e308 calibrate exactly; a marker near
+        # the axis end maps past the largest double, which the CSV cannot hold
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        svg = root / "fig-0001" / "figures" / "figure1" / "figure.svg"
+        text = svg.read_text(encoding="utf-8")
+        for old, new in [(">2.5<", ">5e307<"), (">5<", ">1e308<"),
+                         (">7.5<", ">1.5e308<"), ('font-size="10">10<', 'font-size="10"><'),
+                         ('cx="453.343929"', 'cx="570"')]:
+            assert old in text
+            text = text.replace(old, new)
+        svg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, out)
+        assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
+        assert reports[0].warnings[0].startswith("unhandled: ")
+        first = out / "fig-0001" / "figures" / "figure1"
+        assert (first / "figure.csv").read_text(encoding="utf-8") == "x,y,device_radius\n"
+        assert not (first / "figure_annotated.svg").exists()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["statuses"]["parse_error"] == 1
 
 
 class TestConfigFile:

@@ -20,7 +20,7 @@ from vecfig.svg_model import (FigureDocument, Point, RasterGlyph, Rect,
 BOX = PlotBox(
     left_axis=SegmentGlyph("v", Point(50, 400), Point(50, 50)),
     bottom_axis=SegmentGlyph("h", Point(50, 400), Point(500, 400)),
-    interior=Rect(50, 50, 500, 400), score=1.0)
+    interior=Rect(50, 50, 500, 400), score=1.0, left_index=0, bottom_index=1)
 
 
 def circle(id_, x, y, r) -> Circle:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Circle, circles_of, markers_of, serialize_model, svg_bytes
+from conftest import (Circle, circles_of, glyphs_of, markers_of, segments_of,
+                      serialize_model, svg_bytes)
 from vecfig import svg_model
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
@@ -62,6 +63,15 @@ class TestParseCircle:
         assert not doc.circles
         assert any("ellipse" in w for w in doc.warnings)
 
+    @pytest.mark.parametrize("snippet", [
+        '<circle cx="10" cy="10" r="1e999"/>',
+        '<ellipse cx="10" cy="10" rx="1e999" ry="1e999"/>'])
+    def test_overflowing_radius_is_degenerate(self, snippet):
+        # not an eccentric ellipse: inf times the transform's zeros is nan
+        doc = parse_svg(svg_bytes(snippet))
+        assert not doc.circles
+        assert doc.warnings == ["degenerate circle/ellipse skipped (r=inf,inf)"]
+
     def test_nonuniform_scale_turns_circle_elliptical(self):
         doc = parse_svg(svg_bytes(
             '<g transform="scale(3,1)"><circle cx="5" cy="5" r="2"/></g>'))
@@ -72,14 +82,14 @@ class TestParseCircle:
 class TestParseOtherElements:
     def test_line(self):
         doc = parse_svg(svg_bytes('<line x1="0" y1="0" x2="10" y2="0"/>'))
-        assert len(doc.segments) == 1
-        assert doc.segments[0].p1 == Point(0, 0)
-        assert doc.segments[0].p2 == Point(10, 0)
+        s, = glyphs_of(doc.segments)
+        assert s.p1 == Point(0, 0)
+        assert s.p2 == Point(10, 0)
 
     def test_rect_decomposes_into_four_segments(self):
         doc = parse_svg(svg_bytes('<rect x="1" y="2" width="10" height="5"/>'))
         assert len(doc.segments) == 4
-        endpoints = {(s.p1.x, s.p1.y) for s in doc.segments}
+        endpoints = {(s.p1.x, s.p1.y) for s in glyphs_of(doc.segments)}
         assert endpoints == {(1, 2), (11, 2), (11, 7), (1, 7)}
 
     def test_image_becomes_raster(self):
@@ -157,7 +167,7 @@ def cubic_deviation_oracle(p0, p1, p2, p3, n=2001):
 
 class TestFlattenPath:
     def test_single_line(self):
-        segs = flatten_path("M 0 0 L 10 0")
+        segs = glyphs_of(flatten_path("M 0 0 L 10 0"))
         assert len(segs) == 1
         assert (segs[0].p1, segs[0].p2) == (Point(0, 0), Point(10, 0))
 
@@ -166,12 +176,12 @@ class TestFlattenPath:
         assert len(segs) == 2
 
     def test_close_emits_segment(self):
-        segs = flatten_path("M 0 0 L 10 0 L 10 5 Z")
+        segs = glyphs_of(flatten_path("M 0 0 L 10 0 L 10 5 Z"))
         assert len(segs) == 3
         assert segs[-1].p2 == Point(0, 0)
 
     def test_relative_and_shorthand_commands(self):
-        segs = flatten_path("m 1 1 l 2 0 h 3 v 4")
+        segs = glyphs_of(flatten_path("m 1 1 l 2 0 h 3 v 4"))
         assert [(s.p1, s.p2) for s in segs] == [
             (Point(1, 1), Point(3, 1)),
             (Point(3, 1), Point(6, 1)),
@@ -183,7 +193,7 @@ class TestFlattenPath:
         dev = cubic_deviation_oracle((0, 0), (3, 0.1), (7, 0.1), (10, 0))
         assert dev == pytest.approx(0.075, abs=0.002)
         assert dev <= 0.25
-        segs = flatten_path("M 0 0 C 3 0.1 7 0.1 10 0")
+        segs = glyphs_of(flatten_path("M 0 0 C 3 0.1 7 0.1 10 0"))
         assert len(segs) == 1
         assert (segs[0].p1, segs[0].p2) == (Point(0, 0), Point(10, 0))
 
@@ -296,7 +306,7 @@ class TestInvariants:
         expect = t.apply(circles_of(plain.circles)[0].center)
         got = circles_of(wrapped.circles)[0].center
         assert math.hypot(expect.x - got.x, expect.y - got.y) < 1e-9 * max(1, abs(tx), abs(ty))
-        for ps, ws in zip(plain.segments, wrapped.segments):
+        for ps, ws in zip(glyphs_of(plain.segments), glyphs_of(wrapped.segments)):
             for pp, wp in ((ps.p1, ws.p1), (ps.p2, ws.p2)):
                 ep = t.apply(pp)
                 assert math.hypot(ep.x - wp.x, ep.y - wp.y) < 1e-9 * 100
@@ -313,7 +323,7 @@ class TestInvariants:
             assert abs(a.center.x - b.center.x) < 1e-9
             assert abs(a.center.y - b.center.y) < 1e-9
             assert abs(a.radius - b.radius) < 1e-9
-        for a, b in zip(doc.segments, doc2.segments):
+        for a, b in zip(glyphs_of(doc.segments), glyphs_of(doc2.segments)):
             assert abs(a.p1.x - b.p1.x) < 1e-9 and abs(a.p2.y - b.p2.y) < 1e-9
         assert [t.content for t in doc.texts] == [t.content for t in doc2.texts]
 
@@ -373,7 +383,7 @@ def canvas_filter_oracle(doc):
         "circles": [c for c in circles_of(doc.circles) if within(Rect(
             c.center.x - c.radius, c.center.y - c.radius,
             c.center.x + c.radius, c.center.y + c.radius))],
-        "segments": [s for s in doc.segments if within(Rect(
+        "segments": [s for s in glyphs_of(doc.segments) if within(Rect(
             min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
             max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)))],
         "rasters": [r for r in doc.rasters if within(r.bounds)],
@@ -491,17 +501,19 @@ class TestMarkerPathOracles:
     def test_canvas_filter_matches_rect_overflow(self, items, x0, y0, width, height):
         doc = FigureDocument(canvas=Rect(x0, y0, x0 + width, y0 + height))
         circles = []
+        segments = []
         for i, (kind, x, y, size) in enumerate(items):
             if kind == "circles":
                 circles.append(Circle(f"c{i}", Point(x, y), size))
             elif kind == "segments":
-                doc.segments.append(SegmentGlyph(f"s{i}", Point(x, y),
-                                                 Point(x + size, y - size)))
+                segments.append(SegmentGlyph(f"s{i}", Point(x, y),
+                                             Point(x + size, y - size)))
             elif kind == "rasters":
                 doc.rasters.append(RasterGlyph(f"r{i}", Rect(x, y, x + size, y + size)))
             else:
                 doc.texts.append(TextRun(f"t{i}", Point(x, y), "1", size))
         doc.circles = markers_of(circles)
+        doc.segments = segments_of(segments)
         want = canvas_filter_oracle(doc)
         want_warnings = [f"{len(getattr(doc, name)) - len(kept)} far-out-of-canvas "
                          f"{name} discarded"
@@ -510,6 +522,7 @@ class TestMarkerPathOracles:
         svg_model._drop_out_of_canvas(doc)
         got = {name: getattr(doc, name) for name in want}
         got["circles"] = circles_of(doc.circles)
+        got["segments"] = glyphs_of(doc.segments)
         assert got == want
         assert doc.warnings == want_warnings
 
@@ -524,7 +537,7 @@ class TestMarkerPathOracles:
         if kind == "circles":
             doc.circles = Markers(["c"], [x - 2 if edge > 0 else x + 2], [50], [2.0])
         elif kind == "segments":
-            doc.segments.append(SegmentGlyph("s", Point(x, 50), Point(50, x)))
+            doc.segments = segments_of([SegmentGlyph("s", Point(x, 50), Point(50, x))])
         elif kind == "rasters":
             doc.rasters.append(RasterGlyph("r", Rect(min(x, 50), 50, max(x, 50), 60)))
         else:
@@ -542,6 +555,21 @@ class TestMarkerPathOracles:
         doc = parse_svg(svg)
         added = len(gc.get_objects()) - before
         assert len(doc.circles) == 20_000
+        assert added < 200
+
+    def test_segments_held_without_an_object_each(self):
+        # a SegmentGlyph and two Points per line were 3,074 GC-tracked
+        # objects for this figure
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=50, seed=5))
+        grid = "".join(f'<line x1="{60 + i * 1.03}" y1="25" x2="{60 + i * 1.03}" y2="400"/>'
+                       f'<line x1="60" y1="{25 + i * 0.75}" x2="575" y2="{25 + i * 0.75}"/>'
+                       for i in range(1, 501))
+        svg = svg.replace(b"</svg>", grid.encode("ascii") + b"</svg>")
+        gc.collect()
+        before = len(gc.get_objects())
+        doc = parse_svg(svg)
+        added = len(gc.get_objects()) - before
+        assert len(doc.segments) >= 1000
         assert added < 200
 
     def test_parse_leaves_no_reference_cycle(self):
