@@ -99,17 +99,6 @@ _CELL_SLACK = 1e-6
 _CELL_LIMIT = 2.0 ** 62
 
 
-def _grid_coord(value: float, tol: float) -> float:
-    return max(-_CELL_LIMIT, min(_CELL_LIMIT, value / tol))
-
-
-def _reach(value: float, tol: float) -> range:
-    """Cells holding every coordinate within ``tol`` of ``value``."""
-    q = _grid_coord(value, tol)
-    return range(math.floor(q - 1.0 - _CELL_SLACK),
-                 math.floor(q + 1.0 + _CELL_SLACK) + 1)
-
-
 def _glyph(segments: Segments, i: int) -> SegmentGlyph:
     return SegmentGlyph(segments.ids[i], Point(segments.x1[i], segments.y1[i]),
                         Point(segments.x2[i], segments.y2[i]))
@@ -161,23 +150,35 @@ def detect_plot_box(doc: FigureDocument,
     norm = max(canvas.width * canvas.height, 1e-12)
     tol = cfg.corner_gap_tol
     floor = math.floor
+    # a grid coordinate is value / tol clamped to +-limit; nan clamps to
+    # +limit, as max(-limit, min(limit, nan)) does
+    limit = _CELL_LIMIT
+    slack = _CELL_SLACK
 
     # horizontal endpoints by cell, as positions in the candidate list
     grid: dict[tuple[int, int], list[int]] = {}
     for k, j in enumerate(h_index):
         for x, y in ((xs1[j], ys1[j]), (xs2[j], ys2[j])):
-            cell = (floor(_grid_coord(x, tol)), floor(_grid_coord(y, tol)))
-            grid.setdefault(cell, []).append(k)
+            qx = x / tol
+            qx = limit if not qx <= limit else -limit if qx < -limit else qx
+            qy = y / tol
+            qy = limit if not qy <= limit else -limit if qy < -limit else qy
+            grid.setdefault((floor(qx), floor(qy)), []).append(k)
     columns = {cx for cx, _ in grid}
 
     candidates = []
     for i, v_len in zip(v_index, v_length):
         near: set[int] = set()
         for x, y in ((xs1[i], ys1[i]), (xs2[i], ys2[i])):
-            cols = _reach(x, tol)
+            # the cells holding every coordinate within tol of the endpoint
+            qx = x / tol
+            qx = limit if not qx <= limit else -limit if qx < -limit else qx
+            cols = range(floor(qx - 1.0 - slack), floor(qx + 1.0 + slack) + 1)
             if columns.isdisjoint(cols):
                 continue
-            rows = _reach(y, tol)
+            qy = y / tol
+            qy = limit if not qy <= limit else -limit if qy < -limit else qy
+            rows = range(floor(qy - 1.0 - slack), floor(qy + 1.0 + slack) + 1)
             for cx in cols:
                 for cy in rows:
                     near.update(grid.get((cx, cy), ()))

@@ -45,25 +45,31 @@ def select_data_glyphs(doc: FigureDocument, box: PlotBox,
         raise NoDataGlyphs("figure contains no circles")
     interior = box.interior.expanded(median(circles.r))
     x0, y0, x1, y1 = interior.x0, interior.y0, interior.x1, interior.y1
-    ids = circles.ids
-    # (radius, id, index) sorts as a stable sort on (radius, id) would
-    inside = sorted((r, ids[i], i) for i, (x, y, r)
-                    in enumerate(zip(circles.cx, circles.cy, circles.r))
-                    if x0 <= x <= x1 and y0 <= y <= y1)
+    radii = circles.r
+    inside = [i for i, (x, y) in enumerate(zip(circles.cx, circles.cy))
+              if x0 <= x <= x1 and y0 <= y <= y1]
     if not inside:
         raise NoDataGlyphs("no circle center inside the plot interior")
+    # (radius, id) order, ties in document order: two stable sorts, the
+    # minor key first
+    inside.sort(key=circles.ids.__getitem__)
+    inside.sort(key=radii.__getitem__)
 
     # greedy sweep over sorted radii: a cluster spans [r0, (1+tol)*r0]
-    clusters: list[list[tuple[float, str, int]]] = []
-    for c in inside:
-        if clusters and c[0] <= (1.0 + cfg.radius_cluster_tol) * clusters[-1][0][0]:
-            clusters[-1].append(c)
+    grow = 1.0 + cfg.radius_cluster_tol
+    clusters: list[list[int]] = []
+    edge = 0.0
+    for i in inside:
+        r = radii[i]
+        if clusters and r <= edge:
+            clusters[-1].append(i)
         else:
-            clusters.append([c])
+            clusters.append([i])
+            edge = grow * r
     # the first of the largest clusters, ties to the smaller median radius
-    best = min(clusters, key=lambda cl: (-len(cl), median(r for r, _, _ in cl)))
-    return RadiusCluster(representative_radius=median(r for r, _, _ in best),
-                         members=circles.take([i for _, _, i in best]))
+    best = min(clusters, key=lambda cl: (-len(cl), median(radii[i] for i in cl)))
+    return RadiusCluster(representative_radius=median(radii[i] for i in best),
+                         members=circles.take(best))
 
 
 def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
@@ -74,13 +80,21 @@ def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
     merged, so fully overlapping markers yield repeated rows.
     """
     m = cluster.members
-    radii = m.r
+    cx, cy, radii, ids = m.cx, m.cy, m.r, m.ids
+    # (x, y, id) order, ties in member order: three stable sorts, the minor
+    # key first
+    order = sorted(range(len(m)), key=ids.__getitem__)
+    order.sort(key=cy.__getitem__)
+    order.sort(key=cx.__getitem__)
     # AxisCalibration.to_data, inlined: intercept + slope * coordinate
     x_slope, x_intercept = xcal.slope, xcal.intercept
     y_slope, y_intercept = ycal.slope, ycal.intercept
-    return [DataPoint(x_intercept + x_slope * x, y_intercept + y_slope * y,
-                      radii[i], sid)
-            for x, y, sid, i in sorted(zip(m.cx, m.cy, m.ids, range(len(m))))]
+    # tuple.__new__ builds each row in C; DataPoint(...) would go through
+    # the named tuple's Python-level __new__
+    row = tuple.__new__
+    return [row(DataPoint, (x_intercept + x_slope * cx[i], y_intercept + y_slope * cy[i],
+                            radii[i], ids[i]))
+            for i in order]
 
 
 def detect_raster_body(doc: FigureDocument, box: PlotBox,

@@ -564,10 +564,19 @@ _NON_RENDERING = ("defs", "title", "desc", "metadata", "clipPath", "marker",
                   "filter", "mask", "script")
 
 
+class _LocalNames(dict):
+    """Qualified tag -> local name, each tag split once, on first lookup."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = _local_name(tag)
+        return name
+
+
 class _Parser:
     def __init__(self) -> None:
         self.doc = FigureDocument()
         self._counter = 0
+        self.names = _LocalNames()
         # (transform, rx, ry) of the last circle or ellipse, and its semi-axes
         self._shape: tuple[AffineTransform | None, float, float] = (None, 0.0, 0.0)
         self._semi_axes = (0.0, 0.0)
@@ -582,18 +591,49 @@ class _Parser:
     def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float) -> None:
         """Hand each child its composed transform and the inherited font size.
 
-        Circles and ellipses, the bulk of a dense scatter, go straight into
-        the marker columns here, with no handler call.
+        Circles, ellipses and lines, the bulk of a dense or gridded figure,
+        go straight into the marker and segment columns here, with no
+        handler call.
         """
         handlers = self._HANDLERS
+        names = self.names
         doc = self.doc
+        warn = doc.warnings.append
         markers = doc.circles
+        m_id, m_cx, m_cy, m_r = (markers.ids.append, markers.cx.append,
+                                 markers.cy.append, markers.r.append)
+        segments = doc.segments
+        s_id, s_x1, s_y1, s_x2, s_y2 = (segments.ids.append, segments.x1.append,
+                                        segments.y1.append, segments.x2.append,
+                                        segments.y2.append)
         inf = math.inf
         for child in elem:
-            tag = _local_name(child.tag)
+            tag = names[child.tag]
             get = child.get
             t_attr = get("transform")
             t = transform.then(parse_transform(t_attr)) if t_attr else transform
+            if tag == "line":
+                px1 = _parse_length(get("x1")) or 0.0
+                py1 = _parse_length(get("y1")) or 0.0
+                px2 = _parse_length(get("x2")) or 0.0
+                py2 = _parse_length(get("y2")) or 0.0
+                x1 = t.a * px1 + t.c * py1 + t.e
+                y1 = t.b * px1 + t.d * py1 + t.f
+                x2 = t.a * px2 + t.c * py2 + t.e
+                y2 = t.b * px2 + t.d * py2 + t.f
+                if x1 == x2 and y1 == y2:
+                    warn("zero-length line skipped")
+                    continue
+                eid = get("id")
+                if not eid:
+                    self._counter += 1
+                    eid = f"line-{self._counter}"
+                s_id(eid)
+                s_x1(x1)
+                s_y1(y1)
+                s_x2(x2)
+                s_y2(y2)
+                continue
             if tag == "circle" or tag == "ellipse":
                 if tag == "circle":
                     rx = ry = _parse_length(get("r")) or 0.0
@@ -603,7 +643,7 @@ class _Parser:
                 # an overflowing radius is degenerate too: times the transform's
                 # zero entries it would give nan semi-axes
                 if not (0 < rx < inf and 0 < ry < inf):
-                    doc.warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+                    warn(f"degenerate circle/ellipse skipped (r={rx},{ry})")
                     continue
                 # image of the ellipse under the linear part; semi-axes are the
                 # singular values of L * diag(rx, ry).  Markers in a row mostly
@@ -615,42 +655,35 @@ class _Parser:
                     self._semi_axes = _singular_values(t.a * rx, t.b * rx,
                                                        t.c * ry, t.d * ry)
                 s1, s2 = self._semi_axes
+                # finite radii can still overflow under the transform; s1 is
+                # the larger semi-axis and never nan
+                if s1 == inf:
+                    warn(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+                    continue
                 if s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
-                    doc.warnings.append(
-                        f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
+                    warn(f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
                     continue
                 cx = _parse_length(get("cx")) or 0.0
                 cy = _parse_length(get("cy")) or 0.0
-                markers.ids.append(self._gen_id(child, "circle"))
-                markers.cx.append(t.a * cx + t.c * cy + t.e)
-                markers.cy.append(t.b * cx + t.d * cy + t.f)
-                markers.r.append(math.sqrt(s1 * s2))
+                eid = get("id")
+                if not eid:
+                    self._counter += 1
+                    eid = f"circle-{self._counter}"
+                m_id(eid)
+                m_cx(t.a * cx + t.c * cy + t.e)
+                m_cy(t.b * cx + t.d * cy + t.f)
+                m_r(math.sqrt(s1 * s2))
                 continue
             handler = handlers.get(tag)
             if handler is not None:
                 handler(self, child, t, font_size)
             else:
-                doc.warnings.append(f"unsupported element <{tag}> skipped")
+                warn(f"unsupported element <{tag}> skipped")
 
     # --- element handlers -------------------------------------------------
 
     def _handle_container(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         self.walk(elem, t, _font_size(elem, fs))
-
-    def _handle_line(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        get = elem.get
-        px1 = _parse_length(get("x1")) or 0.0
-        py1 = _parse_length(get("y1")) or 0.0
-        px2 = _parse_length(get("x2")) or 0.0
-        py2 = _parse_length(get("y2")) or 0.0
-        x1 = t.a * px1 + t.c * py1 + t.e
-        y1 = t.b * px1 + t.d * py1 + t.f
-        x2 = t.a * px2 + t.c * py2 + t.e
-        y2 = t.b * px2 + t.d * py2 + t.f
-        if x1 == x2 and y1 == y2:
-            self.doc.warnings.append("zero-length line skipped")
-            return
-        self.doc.segments.append(self._gen_id(elem, "line"), x1, y1, x2, y2)
 
     def _handle_path(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         d = elem.get("d", "")
@@ -716,7 +749,7 @@ class _Parser:
         elif content:
             self.doc.warnings.append("text without anchor skipped")
         for child in elem:
-            tag = _local_name(child.tag)
+            tag = self.names[child.tag]
             if tag == "tspan":
                 ct_attr = child.get("transform")
                 ct = t.then(parse_transform(ct_attr)) if ct_attr else t
@@ -730,7 +763,7 @@ class _Parser:
     # plain functions, not bound methods: a table of bound methods on the
     # instance would keep each parser, and its document, in a reference cycle
     _HANDLERS = {
-        "line": _handle_line, "path": _handle_path, "rect": _handle_rect,
+        "path": _handle_path, "rect": _handle_rect,
         "image": _handle_image, "text": _handle_text, "use": _handle_use,
         "style": _handle_style, "g": _handle_container, "svg": _handle_container,
         "a": _handle_container, "switch": _handle_container,
@@ -792,9 +825,11 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
         doc.warnings.append(
             f"{len(circles) - len(fitting)} far-out-of-canvas circles discarded")
     segments = doc.segments
+    # each end on its own, so that a nan coordinate at either end drops it
     fitting = [i for i, (x1, y1, x2, y2)
                in enumerate(zip(segments.x1, segments.y1, segments.x2, segments.y2))
-               if fits(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))]
+               if x_lo <= x1 <= x_hi and x_lo <= x2 <= x_hi
+               and y_lo <= y1 <= y_hi and y_lo <= y2 <= y_hi]
     if len(fitting) != len(segments):
         doc.segments = segments.take(fitting)
         doc.warnings.append(
@@ -823,10 +858,10 @@ def parse_svg(data: bytes) -> FigureDocument:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    if _local_name(root.tag) != "svg":
-        raise NotSvg(f"root element is <{_local_name(root.tag)}>, not <svg>")
-
     parser = _Parser()
+    root_name = parser.names[root.tag]
+    if root_name != "svg":
+        raise NotSvg(f"root element is <{root_name}>, not <svg>")
     root_t_attr = root.get("transform")
     root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
     try:

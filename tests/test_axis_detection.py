@@ -465,6 +465,8 @@ def object_ticks(doc, box, cfg=DEFAULT_CONFIG):
 
 
 _IDS = st.sampled_from(["a", "b", "v", "h"])
+# the clamp of the grid coordinate, in device units at the default corner_gap_tol
+_BEYOND = 2.0 ** 62 * DEFAULT_CONFIG.corner_gap_tol
 
 
 @st.composite
@@ -592,9 +594,11 @@ class TestColumnarSegmentsMatchObjectOracle:
         assert same(detect_ticks(doc, box, cfg), object_ticks(doc, box, cfg))
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, -450.0, 550.0, 1e300, -1e300,
-                                               math.inf, -math.inf, 50.0, 549.9999999999999]),
+                                               math.inf, -math.inf, 50.0, 549.9999999999999,
+                                               math.nan]),
                               st.sampled_from([0.0, -450.0, 550.0, 1e300, math.inf,
-                                               -math.inf, 50.0, -450.00000000000006]),
+                                               -math.inf, 50.0, -450.00000000000006,
+                                               math.nan]),
                               st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.booleans()),
                     max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -607,13 +611,66 @@ class TestColumnarSegmentsMatchObjectOracle:
                 ends.reverse()
             glyphs.append(SegmentGlyph(f"s{i % 3}", *ends))
         doc = FigureDocument(segments=segments_of(glyphs), canvas=Rect(0, 0, 100, 100))
-        want = [s for s in glyphs if -450 <= min(s.p1.x, s.p2.x) and max(s.p1.x, s.p2.x) <= 550
+        # a nan coordinate at either end drops the segment
+        want = [s for s in glyphs
+                if not any(map(math.isnan, (s.p1.x, s.p1.y, s.p2.x, s.p2.y)))
+                and -450 <= min(s.p1.x, s.p2.x) and max(s.p1.x, s.p2.x) <= 550
                 and -450 <= min(s.p1.y, s.p2.y) and max(s.p1.y, s.p2.y) <= 550]
         svg_model._drop_out_of_canvas(doc)
         assert glyphs_of(doc.segments) == want
         dropped = len(glyphs) - len(want)
         assert doc.warnings == ([f"{dropped} far-out-of-canvas segments discarded"]
                                 if dropped else [])
+
+    @pytest.mark.parametrize("segments", [
+        # corners past the clamp on each side: each end there is clamped
+        # into the same cell as the other axis's end
+        [seg("v", 2 * _BEYOND, 0, 2 * _BEYOND, -30), seg("h", 2 * _BEYOND, 0, math.inf, 0)],
+        [seg("v", -2 * _BEYOND, 0, -2 * _BEYOND, -30), seg("h", -2 * _BEYOND, 0, 0, 0)],
+        [seg("v", 0, 2 * _BEYOND, 0, -math.inf), seg("h", 0, 2 * _BEYOND, 30, 2 * _BEYOND)],
+    ])
+    def test_corners_past_the_clamp(self, segments):
+        doc = doc_with(segments)
+        want = box_outcome(object_plot_box, doc, DEFAULT_CONFIG)
+        assert want is not None
+        assert same(box_outcome(detect_plot_box, doc, DEFAULT_CONFIG), want)
+        assert same(box_outcome(quadratic_plot_box, doc, DEFAULT_CONFIG), want)
+
+    @given(st.sampled_from([3.0, 0.5, 7.3]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_grid_cells_match_clamp_and_floor(self, tol, data):
+        # ends far past the clamp, on it, on cell edges and on the edges of
+        # a vertical's reach, and 1e-9 either side of each; the oracle keeps
+        # the clamp as max(-limit, min(limit, q)) followed by floor
+        limit = 2.0 ** 62 * tol
+        edges = [k * tol for k in range(-3, 4)] + [(k + 1e-6) * tol for k in (-2, 1)]
+        near_edges = st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([e, e - 1e-9, e + 1e-9]))
+        coords = st.one_of(
+            st.sampled_from([math.inf, -math.inf, math.nan, limit, -limit,
+                             2 * limit, -2 * limit, 1e300, -1e300]),
+            near_edges, near_edges)
+        # ends drawn from a few values each way, so that corners form
+        xs = st.sampled_from(data.draw(st.lists(coords, min_size=1, max_size=3)))
+        ys = st.sampled_from(data.draw(st.lists(coords, min_size=1, max_size=3)))
+        glyphs = []
+        for i in range(data.draw(st.integers(2, 8))):
+            x, y = data.draw(xs), data.draw(ys)
+            if data.draw(st.booleans()):  # vertical, else horizontal
+                far = data.draw(st.one_of(st.just(y - 30.0), st.just(y - 30.0),
+                                          st.just(y + 30.0), coords))
+                ends = [Point(x, y), Point(x, far)]
+            else:
+                far = data.draw(st.one_of(st.just(x + 30.0), st.just(x + 30.0),
+                                          st.just(x - 30.0), coords))
+                ends = [Point(x, y), Point(far, y)]
+            if data.draw(st.booleans()):
+                ends.reverse()
+            glyphs.append(SegmentGlyph(data.draw(_IDS), *ends))
+        cfg = PipelineConfig(corner_gap_tol=tol)
+        doc = doc_with(glyphs, canvas=Rect(-100, -100, 100, 100))
+        assert same(box_outcome(detect_plot_box, doc, cfg),
+                    box_outcome(object_plot_box, doc, cfg))
 
 
 def run(content, x=0.0, y=0.0, h=8.0) -> TextRun:

@@ -12,7 +12,7 @@ from conftest import Circle, circles_of, markers_of
 from vecfig.axis_detection import AxisCalibration, AxisSide, PlotBox
 from vecfig.config import DEFAULT_CONFIG
 from vecfig.errors import NoDataGlyphs
-from vecfig.point_extraction import (RadiusCluster, detect_raster_body,
+from vecfig.point_extraction import (DataPoint, RadiusCluster, detect_raster_body,
                                      map_to_data, select_data_glyphs)
 from vecfig.svg_model import (FigureDocument, Point, RasterGlyph, Rect,
                               SegmentGlyph)
@@ -256,8 +256,8 @@ _EDGE_RADII = sorted({r for r0 in _R0 for r in (
     math.nextafter(r0, 0.0))})
 _MARKERS = st.lists(st.builds(
     circle, st.sampled_from(["a", "b", "c", "pt1", "pt10", "pt2"]),
-    st.one_of(st.sampled_from([47.0, 100.0, 250.0, 500.0]), st.floats(0, 550)),
-    st.one_of(st.sampled_from([100.0, 250.0, 400.0]), st.floats(0, 450)),
+    st.one_of(st.sampled_from([47.0, 100.0, 250.0, 500.0, -0.0, 0.0]), st.floats(0, 550)),
+    st.one_of(st.sampled_from([100.0, 250.0, 400.0, -0.0, 0.0]), st.floats(0, 450)),
     st.one_of(st.sampled_from(_EDGE_RADII), st.floats(0.5, 12))), max_size=40)
 
 
@@ -282,6 +282,29 @@ class TestColumnarMarkersMatchObjectOracle:
         everything = RadiusCluster(0.0, markers_of(circles))
         assert ([tuple(p) for p in map_to_data(everything, xcal, ycal)]
                 == map_object_oracle(circles, xcal, ycal))
+
+    @pytest.mark.parametrize("box", [BOX, PlotBox(
+        left_axis=SegmentGlyph("v", Point(0, 0), Point(0, -100)),
+        bottom_axis=SegmentGlyph("h", Point(0, 0), Point(100, 0)),
+        interior=Rect(0, -100, 100, 0), score=1.0, left_index=0, bottom_index=1)])
+    def test_signed_zero_ties_and_ids_against_document_order(self, box):
+        # -0.0 == 0.0, so such centres tie and the id decides; equal centres
+        # whose ids run against document order come out in id order
+        circles = [circle("d", 0.0, -0.0, 2.0), circle("c", -0.0, 0.0, 2.0),
+                   circle("b", -0.0, -0.0, 2.0), circle("a", 0.0, 0.0, 2.0),
+                   circle("z", 250.0, 250.0, 2.0), circle("y", 250.0, 250.0, 2.0),
+                   circle("x", 250.0, 250.0, 2.0), circle("y", 250.0, 250.0, 2.1)]
+        xcal, ycal = cal(AxisSide.X_AXIS, 2.0, 0.0), cal(AxisSide.Y_AXIS, -1.0, 0.0)
+        everything = map_to_data(RadiusCluster(0.0, markers_of(circles)), xcal, ycal)
+        assert [p.source_id for p in everything] == ["a", "b", "c", "d", "x", "y", "y", "z"]
+        assert repr(everything) == repr([DataPoint(*row) for row in
+                                         map_object_oracle(circles, xcal, ycal)])
+        cluster = select_data_glyphs(doc_of(circles), box)
+        want_rep, want_members = select_object_oracle(circles, box)
+        assert cluster.representative_radius == want_rep
+        assert repr(circles_of(cluster.members)) == repr(want_members)
+        assert repr(map_to_data(cluster, xcal, ycal)) == repr(
+            [DataPoint(*row) for row in map_object_oracle(want_members, xcal, ycal)])
 
     def test_equal_centre_and_id_rows_follow_member_order(self):
         # equal (x, y, id) with different radii: the rows keep the members'

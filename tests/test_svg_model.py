@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import weakref
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,17 @@ class TestParseCircle:
         assert not doc.circles
         assert doc.warnings == ["degenerate circle/ellipse skipped (r=inf,inf)"]
 
+    @pytest.mark.parametrize("snippet,radii", [
+        ('<g transform="scale(1e200)"><circle cx="0" cy="0" r="1e200"/></g>', "1e+200,1e+200"),
+        # one semi-axis infinite, the other 0 after the solve: a nan radius
+        ('<g transform="scale(1e200, 1)"><ellipse cx="0" cy="0" rx="1e200" ry="1"/></g>',
+         "1e+200,1.0")])
+    def test_radius_overflowing_under_transform_is_degenerate(self, snippet, radii):
+        # finite radii whose semi-axes overflow: not a marker out of canvas
+        doc = parse_svg(svg_bytes(snippet * 2))
+        assert not doc.circles
+        assert doc.warnings == [f"degenerate circle/ellipse skipped (r={radii})"] * 2
+
     def test_nonuniform_scale_turns_circle_elliptical(self):
         doc = parse_svg(svg_bytes(
             '<g transform="scale(3,1)"><circle cx="5" cy="5" r="2"/></g>'))
@@ -111,6 +123,26 @@ class TestParseOtherElements:
                                   '<circle cx="10" cy="10" r="2"/>'))
         assert len(doc.circles) == 1
         assert any("out-of-canvas" in w for w in doc.warnings)
+
+    @pytest.mark.parametrize("ends", ['x1="5" y1="5" x2="1e999" y2="-1e999"',
+                                      'x1="1e999" y1="-1e999" x2="5" y2="5"'])
+    def test_nan_end_discarded_in_either_order(self, ends):
+        # under skewX(45) the infinite end becomes (nan, nan): inf - inf and 0 * inf
+        doc = parse_svg(svg_bytes(f'<g transform="skewX(45)"><line {ends}/></g>'))
+        assert not doc.segments
+        assert doc.warnings == ["1 far-out-of-canvas segments discarded"]
+
+    def test_line_ids_and_zero_length(self):
+        # generated ids count every primitive without an id of its own, in
+        # document order; a zero-length line takes no id
+        doc = parse_svg(svg_bytes('<line x1="0" y1="0" x2="9" y2="0"/>'
+                                  '<line id="" x1="3" y1="3" x2="3" y2="3"/>'
+                                  '<circle cx="5" cy="5" r="2"/>'
+                                  '<line id="axis" x1="0" y1="0" x2="0" y2="9"/>'
+                                  '<line id="" x1="0" y1="1" x2="9" y2="1"/>'))
+        assert doc.segments.ids == ["line-1", "axis", "line-3"]
+        assert doc.circles.ids == ["circle-2"]
+        assert doc.warnings == ["zero-length line skipped"]
 
     def test_text_run(self):
         doc = parse_svg(svg_bytes('<text x="12" y="34" font-size="8">0.5</text>'))
@@ -571,6 +603,25 @@ class TestMarkerPathOracles:
         added = len(gc.get_objects()) - before
         assert len(doc.segments) >= 1000
         assert added < 200
+
+    def test_local_name_once_per_distinct_tag(self, monkeypatch):
+        calls = []
+        local_name = svg_model._local_name
+
+        def counting(tag):
+            calls.append(tag)
+            return local_name(tag)
+
+        monkeypatch.setattr(svg_model, "_local_name", counting)
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=50, seed=5))
+        grid = "".join(f'<line x1="{60 + i * 1.03}" y1="25" x2="{60 + i * 1.03}" y2="400"/>'
+                       f'<line x1="60" y1="{25 + i * 0.75}" x2="575" y2="{25 + i * 0.75}"/>'
+                       for i in range(1, 501))
+        svg = svg.replace(b"</svg>", f"<g>{grid}</g><text x=\"1\" y=\"2\">a<tspan>b</tspan>"
+                          "</text></svg>".encode("ascii"))
+        doc = parse_svg(svg)
+        assert len(doc.segments) >= 1000
+        assert sorted(calls) == sorted({elem.tag for elem in ET.fromstring(svg).iter()})
 
     def test_parse_leaves_no_reference_cycle(self):
         # a cycle through the parser would keep every document alive until
