@@ -8,6 +8,7 @@ expressed as a fraction of that axis's value span.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,26 +38,72 @@ def _spans(truth: list[Pair]) -> tuple[float, float]:
     return (max(xs) - min(xs) or 1.0, max(ys) - min(ys) or 1.0)
 
 
+# Scoring collects the pairs within this normalized distance through a grid.
+# It is twice the default tolerance, so a correct extraction is matched in
+# that pass, while a 20k-point figure holds only a few such pairs per point.
+MATCH_RADIUS = 0.01
+# Normalizing and subtracting round; a pair within MATCH_RADIUS can lie this
+# fraction of the largest normalized coordinate further apart in grid terms.
+_CELL_SLACK = 1e-12
+
+
 def match_points(truth: list[Pair], extracted: list[Pair],
                  spans: tuple[float, float]) -> list[tuple[int, int]]:
-    """Greedy one-to-one nearest-neighbour matching in normalized space."""
+    """Greedy one-to-one nearest-neighbour matching in normalized space.
+
+    Pairs are taken in ``(distance, truth index, extracted index)`` order,
+    each one kept unless either point is already matched.  Those within
+    MATCH_RADIUS are a prefix of that order, found through a grid with
+    cells MATCH_RADIUS wide; the points still unmatched after them are
+    matched from all their pairs.  The matches, and their order, are the
+    ones the greedy pass over every pair gives.
+    """
     sx, sy = spans
-    dists = []
-    for ti, (tx, ty) in enumerate(truth):
-        for ei, (ex, ey) in enumerate(extracted):
-            d = math.hypot((tx - ex) / sx, (ty - ey) / sy)
-            dists.append((d, ti, ei))
-    dists.sort()
     used_t: set[int] = set()
     used_e: set[int] = set()
-    matches = []
-    for _, ti, ei in dists:
+    matches: list[tuple[int, int]] = []
+    tu = [(tx / sx, ty / sy) for tx, ty in truth]
+    eu = [(ex / sx, ey / sy) for ex, ey in extracted]
+    coords = [*itertools.chain.from_iterable(tu), *itertools.chain.from_iterable(eu)]
+    # a nan distance has no place in the order and an infinite coordinate
+    # no cell: such inputs are matched from all their pairs at once
+    if all(map(math.isfinite, (sx, sy, *coords))):
+        largest = max(map(abs, coords), default=0.0)
+        cell = MATCH_RADIUS + _CELL_SLACK * (MATCH_RADIUS + largest)
+        floor = math.floor
+        grid: dict[tuple[int, int], list[int]] = {}
+        for ti, (u, v) in enumerate(tu):
+            grid.setdefault((floor(u / cell), floor(v / cell)), []).append(ti)
+        near = []
+        for ei, ((ex, ey), (u, v)) in enumerate(zip(extracted, eu)):
+            col, row = floor(u / cell), floor(v / cell)
+            for i in (col - 1, col, col + 1):
+                for j in (row - 1, row, row + 1):
+                    for ti in grid.get((i, j), ()):
+                        tx, ty = truth[ti]
+                        d = math.hypot((tx - ex) / sx, (ty - ey) / sy)
+                        if d <= MATCH_RADIUS:
+                            near.append((d, ti, ei))
+        _greedy(near, used_t, used_e, matches)
+    free_e = [ei for ei in range(len(extracted)) if ei not in used_e]
+    rest = [(math.hypot((tx - extracted[ei][0]) / sx, (ty - extracted[ei][1]) / sy), ti, ei)
+            for ti, (tx, ty) in enumerate(truth) if ti not in used_t
+            for ei in free_e]
+    _greedy(rest, used_t, used_e, matches)
+    return matches
+
+
+def _greedy(pairs: list[tuple[float, int, int]], used_t: set[int],
+            used_e: set[int], matches: list[tuple[int, int]]) -> None:
+    """Match in (distance, truth index, extracted index) order, skipping
+    pairs with a point already matched."""
+    pairs.sort()
+    for _, ti, ei in pairs:
         if ti in used_t or ei in used_e:
             continue
         used_t.add(ti)
         used_e.add(ei)
         matches.append((ti, ei))
-    return matches
 
 
 def evaluate_figure(figure_id: str, extracted: list[Pair], truth: list[Pair],

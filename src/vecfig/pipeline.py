@@ -9,6 +9,7 @@ CSV, an annotated SVG and a JSON report next to each source figure.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import shutil
@@ -206,8 +207,22 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
     return points, annotated, report
 
 
-# the root's end tag; the last match, since nested <svg> elements close earlier
+# the root's end tag is the last match, since nested <svg> elements close
+# earlier; a match holds no "</" past its start, so the last match starts at
+# the last "</" where the pattern matches
 _ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
+
+# marker rings are encoded and written this many at a time, so the overlay
+# never exists whole as text; a smaller overlay is one join and one encode
+_RINGS_PER_WRITE = 1024
+
+
+def _root_end(svg_bytes: bytes) -> int:
+    """Offset of the root's end tag, searched back from the end; -1 if none."""
+    i = svg_bytes.rfind(b"</")
+    while i >= 0 and not _ROOT_END_RE.match(svg_bytes, i):
+        i = svg_bytes.rfind(b"</", 0, i)
+    return i
 
 
 def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
@@ -220,10 +235,15 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     inherit a second time.  The source comes back unchanged when no plot
     box was found, or when it has no root end tag to splice before (a
     self-closing root, an encoding that is not ASCII-compatible).
+
+    The result is written once, into one buffer: the source goes in as
+    slices of a memoryview, the overlay in pieces of _RINGS_PER_WRITE rings.
     """
     box = detected.box
-    ends = [m.start() for m in _ROOT_END_RE.finditer(svg_bytes)]
-    if box is None or not ends:
+    if box is None:
+        return svg_bytes
+    end = _root_end(svg_bytes)
+    if end < 0:
         return svg_bytes
 
     def ring_tail(r: float, color: str) -> str:
@@ -248,18 +268,25 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
             parts.append(ring(inner.x0, tick.position, 2, "#2ca02c"))
     for _, label in detected.labels:
         parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
-    # markers mostly share a few radii: format each ring's tail once
-    tails: dict[float, str] = {}
+
+    source = memoryview(svg_bytes)
+    out = io.BytesIO()
+    out.write(source[:end])
     markers = detected.markers
-    for x, y, r in zip(markers.cx, markers.cy, markers.r):
-        tail = tails.get(r)
-        if tail is None:
-            tail = tails[r] = ring_tail(r + 1.5, "#ff7f0e")
-        parts.append(f'<circle cx="{_num(x)}" cy="{_num(y)}"{tail}')
+    cx, cy, radii = markers.cx, markers.cy, markers.r
+    # markers mostly share a few radii: format each ring's tail once
+    tails = {r: ring_tail(r + 1.5, "#ff7f0e") for r in set(radii)}
+    for start in range(0, len(markers), _RINGS_PER_WRITE):
+        if start:
+            out.write("".join(parts).encode("ascii"))
+            parts.clear()
+        stop = start + _RINGS_PER_WRITE
+        parts += [f'<circle cx="{_num(x)}" cy="{_num(y)}"{tails[r]}'
+                  for x, y, r in zip(cx[start:stop], cy[start:stop], radii[start:stop])]
     parts.append("</g>")
-    overlay = "".join(parts).encode("ascii")
-    i = ends[-1]
-    return svg_bytes[:i] + overlay + svg_bytes[i:]
+    out.write("".join(parts).encode("ascii"))
+    out.write(source[end:])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,23 @@ def parse_transform(text: str) -> AffineTransform:
         else:
             raise DegenerateTransform(f"bad transform arguments: {name}({argtext})")
         result = result.then(t)
-    if result.determinant == 0.0:
-        raise DegenerateTransform(f"zero-determinant transform: {text!r}")
-    return result
+    return _checked(result, text)
+
+
+def _checked(t: AffineTransform, text: str, kind: str = "transform") -> AffineTransform:
+    """``t``, unless an entry overflowed or it is singular; then raises
+    DegenerateTransform naming the ``transform`` attribute ``text``."""
+    if not all(map(math.isfinite, (t.a, t.b, t.c, t.d, t.e, t.f))):
+        raise DegenerateTransform(f"non-finite {kind}: {text!r}")
+    if t.determinant == 0.0:
+        raise DegenerateTransform(f"zero-determinant {kind}: {text!r}")
+    return t
+
+
+def _compose(parent: AffineTransform, text: str) -> AffineTransform:
+    """``parent`` then the ``transform`` attribute ``text``, checked as a
+    whole: nested attributes that are each fine can overflow together."""
+    return _checked(parent.then(parse_transform(text)), text, "composed transform")
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +625,7 @@ class _Parser:
             tag = names[child.tag]
             get = child.get
             t_attr = get("transform")
-            t = transform.then(parse_transform(t_attr)) if t_attr else transform
+            t = _compose(transform, t_attr) if t_attr else transform
             if tag == "line":
                 px1 = _parse_length(get("x1")) or 0.0
                 py1 = _parse_length(get("y1")) or 0.0
@@ -752,7 +766,7 @@ class _Parser:
             tag = self.names[child.tag]
             if tag == "tspan":
                 ct_attr = child.get("transform")
-                ct = t.then(parse_transform(ct_attr)) if ct_attr else t
+                ct = _compose(t, ct_attr) if ct_attr else t
                 self._collect_text(child, ct, _font_size(child, fs), anchor)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
@@ -798,7 +812,11 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     for t in doc.texts:
         xs.append(t.anchor.x)
         ys.append(t.anchor.y)
-    if xs and (max(xs) > min(xs) or max(ys) > min(ys)):
+    # min and max return their first argument against a nan, and an
+    # infinite bound makes an infinite canvas: neither may decide it
+    xs = list(filter(math.isfinite, xs))
+    ys = list(filter(math.isfinite, ys))
+    if xs and ys and (max(xs) > min(xs) or max(ys) > min(ys)):
         doc.warnings.append("no viewBox/width/height; canvas from content bounds")
         return Rect(min(xs), min(ys), max(max(xs), min(xs) + 1.0),
                     max(max(ys), min(ys) + 1.0))

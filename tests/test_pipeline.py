@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
-from vecfig import axis_detection
+from vecfig import axis_detection, pipeline
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
@@ -20,7 +22,7 @@ from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
                              make_project, read_csv_points, run_project,
                              scan_project, write_csv)
 from vecfig.point_extraction import DataPoint
-from vecfig.svg_model import parse_svg
+from vecfig.svg_model import IDENTITY, SVG_NS, parse_svg
 from vecfig.synth import (AxisStyle, SyntheticSpec, build_synthetic_project,
                           generate_scatter_svg)
 
@@ -265,7 +267,15 @@ class TestExtractFigure:
         # deeper than the interpreter's recursion limit
         lambda svg: svg.replace(b"<circle ", b"<g>" * 1200 + b"<circle ", 1).replace(
             b"</svg>", b"</g>" * 1200 + b"</svg>"),
-    ], ids=["rotate_inf", "skew_inf", "nested_1200"])
+        # each attribute is finite and invertible, their product is not
+        lambda svg: svg.replace(
+            b"<circle ", b'<g transform="rotate(45) scale(1e200)"><g transform='
+            b'"scale(1e200) rotate(45)"><circle cx="1" cy="1" r="1"/></g></g><circle ', 1),
+        lambda svg: svg.replace(
+            b"<circle ", b'<g transform="scale(1e-100)"><g transform="scale(1e-100)">'
+            b'<line x1="1" y1="1" x2="2" y2="2"/></g></g><circle ', 1),
+    ], ids=["rotate_inf", "skew_inf", "nested_1200", "composed_overflow",
+            "composed_singular"])
     def test_hostile_input_is_parse_error(self, tmp_path, hostile):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
         path = tmp_path / "figure.svg"
@@ -461,6 +471,145 @@ class TestAnnotatedSvg:
         points, annotated, report = self._extract(tmp_path, source)
         assert report.status is Status.OK and len(points) == 5
         assert annotated == source
+
+
+def annotate_svg_oracle(svg_bytes: bytes, detected: pipeline._Detected) -> bytes:
+    """The splice as first written: every root end tag found, the last one
+    used, and the result built by concatenation."""
+    box = detected.box
+    ends = [m.start() for m in pipeline._ROOT_END_RE.finditer(svg_bytes)]
+    if box is None or not ends:
+        return svg_bytes
+
+    def ring(x: float, y: float, r: float, color: str) -> str:
+        return (f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{_num(r)}" '
+                f'stroke="{color}" stroke-width="0.8"/>')
+
+    inner = box.interior
+    transform = ""
+    if detected.root_transform != IDENTITY:
+        inverse = astuple(detected.root_transform.inverse())
+        transform = f' transform="matrix({",".join(map(_num, inverse))})"'
+    parts = [f'<g xmlns="{SVG_NS}" id="vecfig-overlay" fill="none"{transform}>',
+             f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
+             f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
+             f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>']
+    for tick in detected.ticks:
+        if tick.side is AxisSide.X_AXIS:
+            parts.append(ring(tick.position, inner.y1, 2, "#2ca02c"))
+        else:
+            parts.append(ring(inner.x0, tick.position, 2, "#2ca02c"))
+    for _, label in detected.labels:
+        parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
+    markers = detected.markers
+    for x, y, r in zip(markers.cx, markers.cy, markers.r):
+        parts.append(ring(x, y, r + 1.5, "#ff7f0e"))
+    parts.append("</g>")
+    overlay = "".join(parts).encode("ascii")
+    i = ends[-1]
+    return svg_bytes[:i] + overlay + svg_bytes[i:]
+
+
+def detected_of(tmp_path: Path, monkeypatch, svg: bytes
+                ) -> tuple[Status, pipeline._Detected]:
+    """The status of ``svg`` and the structure its overlay draws."""
+    seen = []
+    annotate = pipeline._annotate_svg
+    monkeypatch.setattr(pipeline, "_annotate_svg",
+                        lambda source, detected: seen.append(detected)
+                        or annotate(source, detected))
+    path = tmp_path / "figure.svg"
+    path.write_bytes(svg)
+    _, _, report = extract_figure(path)
+    monkeypatch.setattr(pipeline, "_annotate_svg", annotate)
+    return report.status, seen[0]
+
+
+def _utf16(svg: bytes) -> bytes:
+    return (svg.decode("utf-8").replace('encoding="UTF-8"', 'encoding="UTF-16"')
+            .encode("utf-16"))
+
+
+class TestAnnotateSplice:
+    """One buffer, the end tag searched back from the end: the same bytes
+    as the oracle's scan of every end tag and concatenation."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda svg: svg,
+        lambda svg: (svg.replace(b"<svg ", b'<svg:svg xmlns:svg="http://www.w3.org/2000/svg" ', 1)
+                     .replace(b"</svg>", b"</svg:svg>")),
+        lambda svg: svg.replace(b"</svg>", b"<svg><line x1='0' y1='0' x2='1' y2='1'/>"
+                                b"</svg></svg>"),
+        lambda svg: svg.replace(b"</svg>", b"</svg >"),
+        lambda svg: svg.replace(b"</svg>", b"</svg\n\t>"),
+        lambda svg: svg + b"\n  \n",
+        lambda svg: svg + b"<!-- closes </g> and </svg -->\n",
+        lambda svg: svg + b'<?xml-stylesheet href="a.css" type="text/css"?>',
+        lambda svg: svg.replace(
+            b"viewBox=", b'transform="translate(10,5) scale(1.2)" viewBox=', 1),
+        _utf16,
+    ], ids=["plain", "prefixed_root", "nested_svg", "space_in_end_tag",
+            "newline_tab_in_end_tag", "trailing_whitespace", "trailing_comment",
+            "trailing_pi", "root_transform", "utf16"])
+    def test_matches_oracle(self, tmp_path, monkeypatch, edit):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=4))
+        source = edit(svg)
+        status, detected = detected_of(tmp_path, monkeypatch, source)
+        assert status is Status.OK and detected.box is not None
+        annotated = pipeline._annotate_svg(source, detected)
+        assert annotated == annotate_svg_oracle(source, detected)
+        assert (annotated == source) == (edit is _utf16)
+
+    @pytest.mark.parametrize("source", [
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>',
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/><!-- </g> -->',
+        b"",
+    ], ids=["self_closing_root", "self_closing_root_and_comment", "empty"])
+    def test_no_root_end_tag(self, tmp_path, monkeypatch, source):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=4))
+        _, detected = detected_of(tmp_path, monkeypatch, svg)
+        assert pipeline._annotate_svg(source, detected) == source
+        assert annotate_svg_oracle(source, detected) == source
+
+    def test_no_plot_box(self, tmp_path, monkeypatch):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=4))
+        source = re.sub(rb"<line [^>]*>", b"", svg)
+        status, detected = detected_of(tmp_path, monkeypatch, source)
+        assert status is Status.NO_AXES and detected.box is None
+        assert pipeline._annotate_svg(source, detected) is source
+
+    @pytest.mark.parametrize("n_points", [1023, 1024, 1025, 3000])
+    def test_ring_pieces_at_and_past_a_write(self, tmp_path, monkeypatch, n_points):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=n_points, seed=2))
+        status, detected = detected_of(tmp_path, monkeypatch, svg)
+        assert status is Status.OK
+        assert len(detected.markers) >= pipeline._RINGS_PER_WRITE - 1
+        annotated = pipeline._annotate_svg(svg, detected)
+        assert annotated == annotate_svg_oracle(svg, detected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        b"</svg>", b"</svg >", b"</s:svg>", b"</svg", b"</g>", b"</", b"<", b"/",
+        b">", b"svg", b"x", b" ", b"\n", b"<!-- ", b" -->", b"</svgz>", b"</:svg>"]),
+        max_size=12))
+    def test_root_end_is_last_pattern_match(self, fragments):
+        data = b"".join(fragments)
+        ends = [m.start() for m in pipeline._ROOT_END_RE.finditer(data)]
+        assert pipeline._root_end(data) == (ends[-1] if ends else -1)
+
+    def test_peak_memory_near_the_result(self, tmp_path, monkeypatch):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20000, seed=5))
+        status, detected = detected_of(tmp_path, monkeypatch, svg)
+        assert status is Status.OK and len(detected.markers) > 19000
+        tracemalloc.start()
+        try:
+            annotated = pipeline._annotate_svg(svg, detected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # concatenating the whole overlay onto source slices peaks at about
+        # 3.15 times the result
+        assert peak <= 1.5 * len(annotated)
 
 
 class TestRunProject:

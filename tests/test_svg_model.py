@@ -132,6 +132,27 @@ class TestParseOtherElements:
         assert not doc.segments
         assert doc.warnings == ["1 far-out-of-canvas segments discarded"]
 
+    @pytest.mark.parametrize("stray", [
+        '<g transform="skewX(45)"><line x1="1e999" y1="-1e999" x2="5" y2="5"/></g>',
+        '<line x1="5" y1="5" x2="1e999" y2="5"/>'], ids=["nan_end", "infinite_end"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_content_bounds_from_finite_values(self, stray, first):
+        axes = ('<line x1="0" y1="100" x2="0" y2="0"/>'
+                '<line x1="0" y1="100" x2="100" y2="100"/>')
+        body = stray + axes if first else axes + stray
+        doc = parse_svg(f'<svg xmlns="http://www.w3.org/2000/svg">{body}</svg>'.encode())
+        assert doc.canvas == Rect(0.0, 0.0, 100.0, 100.0)
+        assert doc.warnings == ["no viewBox/width/height; canvas from content bounds",
+                                "1 far-out-of-canvas segments discarded"]
+        assert len(doc.segments) == 2
+
+    def test_no_finite_content_bounds(self):
+        doc = parse_svg(b'<svg xmlns="http://www.w3.org/2000/svg">'
+                        b'<line x1="5" y1="1e999" x2="6" y2="-1e999"/></svg>')
+        assert doc.canvas == Rect(0.0, 0.0, 1.0, 1.0)
+        assert doc.warnings == ["no canvas information; unit canvas assumed",
+                                "1 far-out-of-canvas segments discarded"]
+
     def test_line_ids_and_zero_length(self):
         # generated ids count every primitive without an id of its own, in
         # document order; a zero-length line takes no id
@@ -175,6 +196,35 @@ class TestParseErrors:
         from vecfig.errors import DegenerateTransform
         with pytest.raises(DegenerateTransform, match="non-finite"):
             parse_transform(transform)
+
+    @pytest.mark.parametrize("groups, message", [
+        # one attribute whose own product overflows into inf and nan entries
+        (['rotate(45) scale(1e200) scale(1e200) rotate(45)'], "non-finite transform"),
+        (['rotate(45) scale(1e200)', 'scale(1e200) rotate(45)'],
+         "non-finite composed transform"),
+        (['scale(1e-200)', 'scale(1e-200)'], "zero-determinant transform"),
+        (['scale(1e-100)', 'scale(1e-100)'], "zero-determinant composed transform"),
+        (['translate(1e308)', 'translate(1e308)'], "non-finite composed transform"),
+    ])
+    @pytest.mark.parametrize("content", ['<circle cx="1" cy="1" r="1"/>',
+                                         '<line x1="1" y1="1" x2="2" y2="2"/>',
+                                         '<text x="1" y="1"><tspan transform="scale(1)">'
+                                         '1</tspan></text>'])
+    def test_degenerate_composed_transform(self, groups, message, content):
+        from vecfig.errors import DegenerateTransform
+        body = ("".join(f'<g transform="{t}">' for t in groups) + content
+                + "</g>" * len(groups))
+        with pytest.raises(DegenerateTransform, match=message):
+            parse_svg(svg_bytes(body))
+
+    def test_degenerate_tspan_and_root_transform(self):
+        from vecfig.errors import DegenerateTransform
+        with pytest.raises(DegenerateTransform, match="zero-determinant composed"):
+            parse_svg(svg_bytes('<text x="1" y="1" transform="scale(1e-100)">'
+                                '<tspan transform="scale(1e-100)">1</tspan></text>'))
+        with pytest.raises(DegenerateTransform, match="non-finite transform"):
+            parse_svg(svg_bytes("").replace(
+                b"<svg ", b'<svg transform="scale(1e200) scale(1e200) rotate(45)" ', 1))
 
     def test_nesting_deeper_than_recursion_limit(self):
         body = "<g>" * 1200 + '<circle cx="1" cy="1" r="1"/>' + "</g>" * 1200

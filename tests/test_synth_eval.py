@@ -7,7 +7,8 @@ import random
 import pytest
 
 from vecfig.errors import MissingTruth
-from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, Pair, aggregate,
+from vecfig import evaluate
+from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, Pair, _spans, aggregate,
                              evaluate_figure, match_points, render_table)
 from vecfig.synth import AxisStyle, SyntheticSpec, generate_scatter_svg
 
@@ -116,7 +117,90 @@ def match_points_optimal(truth: list[Pair], extracted: list[Pair],
     return best[1] if best else []
 
 
+def match_points_all_pairs(truth: list[Pair], extracted: list[Pair],
+                           spans: tuple[float, float]) -> list[tuple[int, int]]:
+    """The greedy matcher as first written: every pair sorted at once."""
+    sx, sy = spans
+    dists = []
+    for ti, (tx, ty) in enumerate(truth):
+        for ei, (ex, ey) in enumerate(extracted):
+            d = math.hypot((tx - ex) / sx, (ty - ey) / sy)
+            dists.append((d, ti, ei))
+    dists.sort()
+    used_t: set[int] = set()
+    used_e: set[int] = set()
+    matches = []
+    for _, ti, ei in dists:
+        if ti in used_t or ei in used_e:
+            continue
+        used_t.add(ti)
+        used_e.add(ei)
+        matches.append((ti, ei))
+    return matches
+
+
+def _lattice_points(rng: random.Random, n: int, step: float, size: int,
+                    offset: float) -> list[Pair]:
+    """Points on a coarse lattice, so distances repeat and tie exactly."""
+    return [(offset + step * rng.randint(0, size), offset + step * rng.randint(0, size))
+            for _ in range(n)]
+
+
 class TestMatching:
+    @pytest.mark.parametrize("radius", [evaluate.MATCH_RADIUS, 0.003, 0.05, 0.3])
+    @pytest.mark.parametrize("offset", [0.0, -7.5, 1e6])
+    def test_same_matches_as_all_pairs(self, monkeypatch, radius, offset):
+        monkeypatch.setattr(evaluate, "MATCH_RADIUS", radius)
+        rng = random.Random(f"{radius} {offset}")
+        for _ in range(150):
+            step = rng.choice([radius / 2, radius, 0.01, 0.1, 0.3])
+            size = rng.randint(1, 12)
+            truth = _lattice_points(rng, rng.randint(1, 12), step, size, offset)
+            extracted = _lattice_points(rng, rng.randint(0, 12), step, size, offset)
+            # exact duplicates, near copies and points from the other list
+            extracted += rng.sample(truth, rng.randint(0, len(truth)))
+            extracted += [(x + rng.choice([-1, 1]) * radius, y)
+                          for x, y in rng.sample(truth, rng.randint(0, len(truth)))]
+            truth += rng.sample(truth, rng.randint(0, min(2, len(truth))))
+            rng.shuffle(extracted)
+            spans = rng.choice([(1.0, 1.0), _spans(truth), (step, 2 * step)])
+            assert (match_points(truth, extracted, spans)
+                    == match_points_all_pairs(truth, extracted, spans))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_or_overflowing_input_as_all_pairs(self, bad):
+        truth = [(0.0, 0.0), (1.0, 1.0), (0.5, bad), (bad, 0.75), (0.25, 0.25)]
+        extracted = [(0.0, 0.0), (bad, 0.5), (1.0, 1.0), (0.25, 0.26), (-1e308, 0.0)]
+        for spans in [(1.0, 1.0), (1e-300, 1.0), (math.inf, 1.0)]:
+            assert (match_points(truth, extracted, spans)
+                    == match_points_all_pairs(truth, extracted, spans))
+
+    def test_infinite_span_as_all_pairs(self):
+        # finite coordinates, but a difference overflows and gives a nan
+        # distance, which sorts apart from the finite ones
+        truth = [(-1e308, 0.0), (0.5, 0.0)]
+        extracted = [(1e308, 1e308), (0.25, 1e308), (1.0, 0.0), (1e308, 0.0)]
+        spans = (math.inf, math.inf)
+        assert (match_points(truth, extracted, spans)
+                == match_points_all_pairs(truth, extracted, spans))
+
+    def test_pairs_within_radius_only_from_nearby_cells(self, monkeypatch):
+        pairs_seen = []
+        greedy = evaluate._greedy
+
+        def counting(pairs, *args):
+            pairs_seen.append(len(pairs))
+            greedy(pairs, *args)
+
+        monkeypatch.setattr(evaluate, "_greedy", counting)
+        rng = random.Random(3)
+        truth = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3000)]
+        extracted = [(x + 1e-9, y) for x, y in truth[::-1]]
+        matches = match_points(truth, extracted, _spans(truth))
+        assert sorted(matches) == [(ti, len(truth) - 1 - ti) for ti in range(len(truth))]
+        # the grid pass finds a few pairs per point, the second pass none
+        assert pairs_seen[0] < 20 * len(truth) and pairs_seen[1] == 0
+
     def test_greedy_matches_optimal_small(self):
         rng = random.Random(13)
         for _ in range(60):
