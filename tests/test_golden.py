@@ -9,6 +9,7 @@ A digest may only change together with a deliberate behaviour change.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
 
@@ -59,6 +60,81 @@ def _per_circle_transforms(svg: bytes, rng: random.Random) -> bytes:
                   repl, svg)
 
 
+_LINE_RE = re.compile(rb'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"[^>]*/>')
+
+
+def _as_paths(svg: bytes, path_data) -> bytes:
+    """Each ``<line>`` redrawn as a ``<path>``; ``path_data(k, x1, y1, x2, y2)``
+    gives the path data of the k-th line."""
+    count = itertools.count()
+
+    def repl(m: re.Match) -> bytes:
+        x1, y1, x2, y2 = (float(v) for v in m.groups())
+        return (f'<path d="{path_data(next(count), x1, y1, x2, y2)}" stroke="black"/>'
+                .encode())
+    return _LINE_RE.sub(repl, svg)
+
+
+def _mixed_commands(k: int, x1: float, y1: float, x2: float, y2: float) -> str:
+    """Absolute, relative, H/V, h/v and implicit-lineto forms in turn."""
+    dx, dy = x2 - x1, y2 - y1
+    form = k % 5
+    if form == 0:
+        return f"M {x1!r} {y1!r} L {x2!r} {y2!r}"
+    if form == 1:
+        return f"m{x1!r},{y1!r} l{dx!r},{dy!r}"
+    if form == 2:
+        return f"M{x1!r} {y1!r}H{x2!r}" if dy == 0 else f"M{x1!r} {y1!r}V{y2!r}"
+    if form == 3:
+        return f"M {x1!r} {y1!r} h {dx!r}" if dy == 0 else f"M {x1!r} {y1!r} v {dy!r}"
+    return f"M {x1!r} {y1!r} {x2!r} {y2!r}"
+
+
+def _shallow_left_axis(k: int, x1: float, y1: float, x2: float, y2: float) -> str:
+    """The first line (the left axis) as a cubic bowed 0.1 off its chord."""
+    if k:
+        return f"M {x1!r} {y1!r} L {x2!r} {y2!r}"
+    dy = y2 - y1
+    return (f"M {x1!r} {y1!r} C {x1 + 0.1!r} {y1 + dy / 3!r} "
+            f"{x1 + 0.1!r} {y1 + 2 * dy / 3!r} {x2!r} {y2!r}")
+
+
+# Decorations around a figure whose axes run (60, 400)-(60, 25)-(575, 400):
+# a Z mid-path and an implicit lineto after L; a deep cubic and an arc, both
+# skipped; a top frame whose S piece is curved only through the reflected
+# control point (0.45 off each side: skipped, while an unreflected one would
+# pass), the same for Q/T down the right side, and S and T with no curve
+# before them, which reflect nothing.
+_STRAIGHT_DECORATIONS = ('<path d="M 480 40 h 60 v 20 h -60 Z m 10 10 l 20 0" stroke="black"/>'
+                         '<path d="M 100 432 L 140 432 160 436 l 20 0" stroke="black"/>')
+_CURVED_DECORATIONS = ('<path d="M 100 60 C 150 20 200 100 250 60" stroke="black"/>'
+                       '<path d="M 300 60 A 20 20 0 0 1 340 60 l 0 10" stroke="black"/>'
+                       '<path d="M 60 25 C 150 25 240 24.55 330 25 S 510 25.45 575 25"'
+                       ' stroke="black"/>'
+                       '<path d="M 575 400 Q 575.6 300 575 200 T 575 25" stroke="black"/>'
+                       '<path d="M 100 440 S 200 440 300 440 T 400 440 t 50 0"'
+                       ' stroke="black"/>')
+
+
+def _decorated(svg: bytes, decorations: str) -> bytes:
+    return svg.replace(b"</svg>", decorations.encode() + b"</svg>")
+
+
+def _rect_frame(svg: bytes) -> bytes:
+    """The two axis lines replaced by one ``<rect>`` frame, with an
+    ``<image>`` over less than half of the box."""
+    axes = _LINE_RE.finditer(svg)
+    left, bottom = next(axes), next(axes)
+    x0, y0, _, y1 = (float(v) for v in left.groups())
+    x1 = float(bottom.group(3))
+    frame = (f'<rect x="{x0!r}" y="{y1!r}" width="{x1 - x0!r}" height="{y0 - y1!r}" '
+             f'fill="none" stroke="black"/>'
+             f'<image x="{x0 + 40!r}" y="{y1 + 25!r}" width="200" height="150" '
+             f'xlink:href="data:image/png;base64,AAAA"/>')
+    return (svg[:left.start()] + frame.encode() + svg[left.end():bottom.start()]
+            + svg[bottom.end():])
+
+
 def golden_figures() -> dict[str, bytes]:
     figures = {}
     for style in AxisStyle:
@@ -76,6 +152,17 @@ def golden_figures() -> dict[str, bytes]:
     rng = random.Random("golden:per-circle")
     svg, _ = generate_scatter_svg(_spec(rng, 9, AxisStyle.STANDARD, 150))
     figures["per-circle-transforms"] = _per_circle_transforms(svg, rng)
+    rng = random.Random("golden:paths")
+    svg, _ = generate_scatter_svg(_spec(rng, 10, AxisStyle.STANDARD, 60))
+    figures["path-commands"] = _decorated(_as_paths(svg, _mixed_commands),
+                                          _STRAIGHT_DECORATIONS)
+    rng = random.Random("golden:curves")
+    svg, _ = generate_scatter_svg(_spec(rng, 11, AxisStyle.STANDARD, 60))
+    figures["path-curves"] = _decorated(_as_paths(svg, _shallow_left_axis),
+                                        _CURVED_DECORATIONS)
+    rng = random.Random("golden:rect")
+    svg, _ = generate_scatter_svg(_spec(rng, 12, AxisStyle.STANDARD, 60))
+    figures["rect-frame-image"] = _rect_frame(svg)
     return figures
 
 
@@ -183,6 +270,21 @@ GOLDEN: dict[str, dict[str, str]] = {
         "figure.csv": "51d0aae8e92343764abfaf93f8cb07e4ad1bc04dbed85c38aea6a0bffe3ffd2b",
         "report.json": "0fcf32ec1dc87bd284b0520e076d8949627a44d869673797bde6b41ad55fa7b9",
         "figure_annotated.svg": "c25864a15d341bf320c1d3f9a25561a7a4f0e5cc26a5b4966e3f0f49db3197e0",
+    },
+    "path-commands": {
+        "figure.csv": "e65539d90ad06c845b653e5fe6c8af4a8d0e1d80bc6e06dd77108303a7927c1a",
+        "report.json": "6102f3d6981e0cd652aea069517a08cc5646bfa16a912da9bcda7ff51b63c9b8",
+        "figure_annotated.svg": "bd2dd3f84f62c76871d39557e9b6bfa15c8fc34f0548c90f1017db61f909f6b1",
+    },
+    "path-curves": {
+        "figure.csv": "1f0d2c61ca6bc99f12bd66c9c3f019a858821e68ac02b5274eb67e73bb813a0c",
+        "report.json": "572915d44d7988bd1b3fd98e7efb70e4480bfef8780387eb9e5e34930c333557",
+        "figure_annotated.svg": "a5265c2a5fd64867273dfc5706f70ad7274d23e8fa5daf6ce468fe685f65fe26",
+    },
+    "rect-frame-image": {
+        "figure.csv": "4456aec1bf90a9973165abe88eacd9443bbacf6b6d1d003026ac9e272df3c02c",
+        "report.json": "d3594750de4806703dc2957068e48678b9970859a7630e888618b5888e8ffa58",
+        "figure_annotated.svg": "b3383ed015574aa5afc7113e0a0d9d2218f11947b92788048b29939975191571",
     },
 }
 

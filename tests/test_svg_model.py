@@ -16,7 +16,7 @@ from vecfig import svg_model
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
                               FigureDocument, Markers, Point, RasterGlyph,
-                              Rect, SegmentGlyph, TextRun, _parse_length,
+                              Rect, SegmentGlyph, Segments, TextRun, _parse_length,
                               compose_text_runs, flatten_path, parse_svg,
                               parse_transform)
 from vecfig.synth import SyntheticSpec, generate_scatter_svg
@@ -306,6 +306,218 @@ class TestFlattenPath:
     def test_implicit_lineto_after_moveto(self):
         segs = flatten_path("M 0 0 5 5 10 0")
         assert len(segs) == 2
+
+
+def _oracle_chord_deviation(points):
+    start, end = points[0], points[-1]
+    dx, dy = end.x - start.x, end.y - start.y
+    chord = math.hypot(dx, dy)
+    if chord == 0.0:
+        return max(math.hypot(p.x - start.x, p.y - start.y) for p in points)
+    return max(abs((p.x - start.x) * dy - (p.y - start.y) * dx) / chord
+               for p in points)
+
+
+def _oracle_sample_cubic(p0, p1, p2, p3, n=33):
+    pts = []
+    for i in range(n):
+        t = i / (n - 1)
+        u = 1.0 - t
+        x = u**3 * p0.x + 3 * u * u * t * p1.x + 3 * u * t * t * p2.x + t**3 * p3.x
+        y = u**3 * p0.y + 3 * u * u * t * p1.y + 3 * u * t * t * p2.y + t**3 * p3.y
+        pts.append(Point(x, y))
+    return pts
+
+
+def _oracle_sample_quadratic(p0, p1, p2, n=33):
+    pts = []
+    for i in range(n):
+        t = i / (n - 1)
+        u = 1.0 - t
+        x = u * u * p0.x + 2 * u * t * p1.x + t * t * p2.x
+        y = u * u * p0.y + 2 * u * t * p1.y + t * t * p2.y
+        pts.append(Point(x, y))
+    return pts
+
+
+def flatten_path_oracle(path_data, transform=IDENTITY, id_prefix="path", warnings=None):
+    """Oracle: path flattening with a Point per sample, as first written."""
+    tokens = svg_model._tokenize_path(path_data)
+    warnings = warnings if warnings is not None else []
+    segments = Segments()
+    ta, tb, tc, td, te, tf = (transform.a, transform.b, transform.c,
+                              transform.d, transform.e, transform.f)
+
+    def apply(p):
+        return Point(ta * p.x + tc * p.y + te, tb * p.x + td * p.y + tf)
+
+    cur = Point(0.0, 0.0)
+    start = Point(0.0, 0.0)
+    prev_cubic_ctrl = None
+    prev_quad_ctrl = None
+    cmd = None
+    i = 0
+    seg_n = 0
+
+    def emit(p1, p2):
+        nonlocal seg_n
+        x1 = ta * p1.x + tc * p1.y + te
+        y1 = tb * p1.x + td * p1.y + tf
+        x2 = ta * p2.x + tc * p2.y + te
+        y2 = tb * p2.x + td * p2.y + tf
+        if x1 != x2 or y1 != y2:
+            segments.append(f"{id_prefix}.{seg_n}", x1, y1, x2, y2)
+            seg_n += 1
+
+    def emit_curve(ctrl_points):
+        nonlocal seg_n
+        devpts = [apply(p) for p in ctrl_points]
+        if _oracle_chord_deviation(devpts) <= svg_model.CURVE_DEVIATION_TOL:
+            start, end = devpts[0], devpts[-1]
+            if start != end:
+                segments.append(f"{id_prefix}.{seg_n}", start.x, start.y, end.x, end.y)
+                seg_n += 1
+        else:
+            warnings.append(f"{id_prefix}: curve exceeds deviation bound, skipped")
+
+    def take(n):
+        nonlocal i
+        if i + n > len(tokens) or any(isinstance(t, str) for t in tokens[i:i + n]):
+            raise PathSyntax(f"command {cmd!r} needs {n} numbers")
+        vals = [float(tokens[j]) for j in range(i, i + n)]
+        i += n
+        return vals
+
+    while i < len(tokens):
+        tok = tokens[i]
+        if isinstance(tok, str):
+            cmd = tok
+            i += 1
+            if cmd.upper() == "Z":
+                if cur != start:
+                    emit(cur, start)
+                cur = start
+                prev_cubic_ctrl = prev_quad_ctrl = None
+                continue
+        elif cmd is None:
+            raise PathSyntax("path data does not start with a command")
+        elif cmd in ("M", "m"):
+            cmd = "L" if cmd == "M" else "l"
+        rel = cmd.islower()
+        op = cmd.upper()
+        if op == "Z":
+            raise PathSyntax("Z takes no arguments")
+        args = take(svg_model._PATH_ARITY[op])
+
+        if op == "M":
+            cur = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+            start = cur
+            prev_cubic_ctrl = prev_quad_ctrl = None
+        elif op == "L":
+            nxt = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+            emit(cur, nxt)
+            cur = nxt
+            prev_cubic_ctrl = prev_quad_ctrl = None
+        elif op == "H":
+            nxt = Point(cur.x + args[0] if rel else args[0], cur.y)
+            emit(cur, nxt)
+            cur = nxt
+            prev_cubic_ctrl = prev_quad_ctrl = None
+        elif op == "V":
+            nxt = Point(cur.x, cur.y + args[0] if rel else args[0])
+            emit(cur, nxt)
+            cur = nxt
+            prev_cubic_ctrl = prev_quad_ctrl = None
+        elif op in ("C", "S"):
+            if op == "C":
+                c1 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+                c2 = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
+                end = Point(cur.x + args[4], cur.y + args[5]) if rel else Point(args[4], args[5])
+            else:
+                c1 = (Point(2 * cur.x - prev_cubic_ctrl.x, 2 * cur.y - prev_cubic_ctrl.y)
+                      if prev_cubic_ctrl else cur)
+                c2 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+                end = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
+            emit_curve(_oracle_sample_cubic(cur, c1, c2, end))
+            prev_cubic_ctrl = c2
+            prev_quad_ctrl = None
+            cur = end
+        elif op in ("Q", "T"):
+            if op == "Q":
+                c1 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+                end = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
+            else:
+                c1 = (Point(2 * cur.x - prev_quad_ctrl.x, 2 * cur.y - prev_quad_ctrl.y)
+                      if prev_quad_ctrl else cur)
+                end = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
+            emit_curve(_oracle_sample_quadratic(cur, c1, end))
+            prev_quad_ctrl = c1
+            prev_cubic_ctrl = None
+            cur = end
+        elif op == "A":
+            end = Point(cur.x + args[5], cur.y + args[6]) if rel else Point(args[5], args[6])
+            warnings.append(f"{id_prefix}: elliptical arc skipped")
+            cur = end
+            prev_cubic_ctrl = prev_quad_ctrl = None
+    return segments
+
+
+# few distinct values, so that control points often fall on the chord and
+# curves are kept as well as skipped; the extremes overflow under a transform
+_PATH_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "2", "0.1", "10", ".5", "-3", "100",
+                     "1e999", "-1e999", "1e300", "-1e300"]),
+    st.floats(-500, 500).map(repr))
+
+
+@st.composite
+def path_data(draw):
+    """Path strings over all 20 command letters: implicit repeats, a number
+    missing or extra, an optional leading number, Z anywhere."""
+    parts = [draw(_PATH_NUMBERS)] if draw(st.integers(0, 9)) == 0 else []
+    for _ in range(draw(st.integers(0, 8))):
+        letter = draw(st.sampled_from("MmLlHhVvZzCcSsQqTtAa"))
+        n = (svg_model._PATH_ARITY[letter.upper()] * draw(st.sampled_from([1, 1, 1, 2, 3]))
+             + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])))
+        parts.append(letter)
+        parts += [draw(_PATH_NUMBERS) for _ in range(max(n, 0))]
+    return draw(st.sampled_from([" ", ",", ", ", "\n"])).join(parts)
+
+
+def _flatten_outcome(flatten, d, transform):
+    warnings: list[str] = []
+    try:
+        segs = flatten(d, transform, id_prefix="p", warnings=warnings)
+    except PathSyntax as exc:
+        return "PathSyntax", str(exc), warnings
+    return repr((segs.ids, segs.x1, segs.y1, segs.x2, segs.y2)), None, warnings
+
+
+class TestFlattenPathOracle:
+    @given(path_data(), st.sampled_from(["", "scale(2 3) translate(5 -7)", "rotate(30)",
+                                         "scale(1e300)"]))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_point_per_sample_flattening(self, d, transform_text):
+        transform = parse_transform(transform_text)
+        assert (_flatten_outcome(flatten_path, d, transform)
+                == _flatten_outcome(flatten_path_oracle, d, transform))
+
+    @pytest.mark.parametrize("d", [
+        "M 0 0 C 3 0.1 7 0.1 10 0 S 17 -0.1 20 0",  # S after C reflects
+        "M 0 0 S 5 0.4 10 0",                          # S with nothing to reflect
+        "M 0 0 Q 5 0.4 10 0 T 20 0 t 10 0",            # T after Q and after T
+        "M 0 0 T 10 0.5",                              # T with nothing to reflect
+        "M 0 0 C 5 0.1 5 0.1 10 0 T 20 0",             # T after C reflects nothing
+        "M 1e999 0 l -1e999 0 h 5 Z",                  # nan in user space
+        "M 0 1e999 m 0 -1e999 h 5 h -5 Z",             # the same nan at start and end
+        "M 0 0 L 10 0 Z L 5 5 z",                      # Z mid-path
+        "M 0 0 L 10", "10 0 L 1 1", "M 0 0 Z 1", "M 0 0 A 1 1 0 0 1 5",
+    ])
+    @pytest.mark.parametrize("transform_text", ["", "rotate(30)", "scale(1e300)"])
+    def test_pinned_cases(self, d, transform_text):
+        transform = parse_transform(transform_text)
+        assert (_flatten_outcome(flatten_path, d, transform)
+                == _flatten_outcome(flatten_path_oracle, d, transform))
 
 
 class TestComposeTextRuns:
