@@ -12,7 +12,7 @@ from .pipeline import (CorpusProject, CTree, ExtractionReport, Status,
 from .point_extraction import (DataPoint, RadiusCluster, detect_raster_body,
                                map_to_data, select_data_glyphs)
 from .svg_model import (AffineTransform, FigureDocument, Markers, Point,
-                        RasterGlyph, Rect, SegmentGlyph, Segments, TextRun,
+                        RasterGlyph, Rect, Segments, TextRun,
                         compose_text_runs, flatten_path, parse_svg)
 from .synth import (AxisStyle, SyntheticSpec, build_synthetic_project,
                     generate_scatter_svg)

@@ -18,7 +18,7 @@ from statistics import median
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import (CollocatedTicks, InsufficientMatches, NoAxesFound,
                      NonlinearScale, TooFewTicks)
-from .svg_model import FigureDocument, Point, Rect, SegmentGlyph, Segments, TextRun
+from .svg_model import FigureDocument, Point, Rect, Segments, TextRun
 
 
 class AxisSide(enum.Enum):
@@ -28,14 +28,12 @@ class AxisSide(enum.Enum):
 
 @dataclass(frozen=True)
 class PlotBox:
-    left_axis: SegmentGlyph
-    bottom_axis: SegmentGlyph
-    interior: Rect
-    score: float
-    # where the two axes sit in the document's segment columns; tick
-    # detection reads the axes from there
+    # the left and bottom axes, by their index in the document's segment
+    # columns; tick detection reads the axes from there
     left_index: int
     bottom_index: int
+    interior: Rect
+    score: float
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,6 @@ _CELL_SLACK = 1e-6
 # Grid coordinates are clamped to keep huge or infinite endpoints in an
 # integer cell; clamping only merges cells far beyond any real canvas.
 _CELL_LIMIT = 2.0 ** 62
-
-
-def _glyph(segments: Segments, i: int) -> SegmentGlyph:
-    return SegmentGlyph(segments.ids[i], Point(segments.x1[i], segments.y1[i]),
-                        Point(segments.x2[i], segments.y2[i]))
 
 
 def detect_plot_box(doc: FigureDocument,
@@ -207,8 +200,7 @@ def detect_plot_box(doc: FigureDocument,
     _, score, i, j, mx, my, v_far_y, h_far_x = candidates[0]
     interior = Rect(min(mx, h_far_x), min(my, v_far_y),
                     max(mx, h_far_x), max(my, v_far_y))
-    return PlotBox(left_axis=_glyph(segments, i), bottom_axis=_glyph(segments, j),
-                   interior=interior, score=score, left_index=i, bottom_index=j)
+    return PlotBox(left_index=i, bottom_index=j, interior=interior, score=score)
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,6 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
     return points, annotated, report
 
 
-# the root's end tag is the last match, since nested <svg> elements close
-# earlier; a match holds no "</" past its start, so the last match starts at
-# the last "</" where the pattern matches
 _ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
 
 # marker rings are encoded and written this many at a time, so the overlay
@@ -218,11 +215,31 @@ _RINGS_PER_WRITE = 1024
 
 
 def _root_end(svg_bytes: bytes) -> int:
-    """Offset of the root's end tag, searched back from the end; -1 if none."""
-    i = svg_bytes.rfind(b"</")
-    while i >= 0 and not _ROOT_END_RE.match(svg_bytes, i):
-        i = svg_bytes.rfind(b"</", 0, i)
-    return i
+    """Offset of the root's end tag; -1 when it cannot be told.
+
+    Only whitespace, comments and processing instructions may follow the
+    root, so they are stepped over from the end first: an end tag written
+    inside one of them is not the root's.  What is left must end with the
+    end tag itself.
+    """
+    end = len(svg_bytes)
+    while True:
+        while end and svg_bytes[end - 1] in b" \t\r\n":
+            end -= 1
+        if svg_bytes.endswith(b"-->", 0, end):
+            # a comment holds no "--", so it opens at the last "<!--"
+            end = svg_bytes.rfind(b"<!--", 0, end - 3)
+        elif svg_bytes.endswith(b"?>", 0, end):
+            # a PI holds no "?>" but may hold "<?": it opens at the first
+            # "<?" after the "?>" before it, if any
+            before = svg_bytes.rfind(b"?>", 0, end - 2)
+            end = svg_bytes.find(b"<?", before + 2 if before >= 0 else 0, end - 2)
+        else:
+            break
+        if end < 0:
+            return -1
+    start = svg_bytes.rfind(b"</", 0, end)
+    return start if start >= 0 and _ROOT_END_RE.fullmatch(svg_bytes, start, end) else -1
 
 
 def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:

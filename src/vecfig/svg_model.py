@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax
 
 SVG_NS = "http://www.w3.org/2000/svg"
-XLINK_NS = "http://www.w3.org/1999/xlink"
 
 # Curves whose sampled deviation from the chord stays below this bound are
 # treated as straight segments; anything more curved is skipped.
@@ -199,19 +198,6 @@ class Segments:
 
 
 @dataclass(frozen=True)
-class SegmentGlyph:
-    """One segment as an object: the form a detected axis is reported in."""
-
-    id: str
-    p1: Point
-    p2: Point
-
-    @property
-    def length(self) -> float:
-        return self.p1.distance_to(self.p2)
-
-
-@dataclass(frozen=True)
 class RasterGlyph:
     id: str
     bounds: Rect
@@ -322,37 +308,21 @@ def _tokenize_path(path_data: str) -> list[str | float]:
     return tokens
 
 
-def _chord_deviation(points: list[Point]) -> float:
+def _chord_deviation(points: list[tuple[float, float]]) -> float:
     """Max distance of sampled curve points from the start-end chord."""
-    start, end = points[0], points[-1]
-    dx, dy = end.x - start.x, end.y - start.y
+    (x0, y0), (xn, yn) = points[0], points[-1]
+    dx, dy = xn - x0, yn - y0
     chord = math.hypot(dx, dy)
     if chord == 0.0:
-        return max(p.distance_to(start) for p in points)
-    return max(abs((p.x - start.x) * dy - (p.y - start.y) * dx) / chord
-               for p in points)
+        return max(math.hypot(x - x0, y - y0) for x, y in points)
+    return max(abs((x - x0) * dy - (y - y0) * dx) / chord for x, y in points)
 
 
-def _sample_cubic(p0: Point, p1: Point, p2: Point, p3: Point, n: int = 33) -> list[Point]:
-    pts = []
-    for i in range(n):
-        t = i / (n - 1)
-        u = 1.0 - t
-        x = u**3 * p0.x + 3 * u * u * t * p1.x + 3 * u * t * t * p2.x + t**3 * p3.x
-        y = u**3 * p0.y + 3 * u * u * t * p1.y + 3 * u * t * t * p2.y + t**3 * p3.y
-        pts.append(Point(x, y))
-    return pts
-
-
-def _sample_quadratic(p0: Point, p1: Point, p2: Point, n: int = 33) -> list[Point]:
-    pts = []
-    for i in range(n):
-        t = i / (n - 1)
-        u = 1.0 - t
-        x = u * u * p0.x + 2 * u * t * p1.x + t * t * p2.x
-        y = u * u * p0.y + 2 * u * t * p1.y + t * t * p2.y
-        pts.append(Point(x, y))
-    return pts
+# (t, 1 - t) at the 33 curve samples, t = 0, 1/32, ..., 1, and the
+# Bernstein weights of the control points there
+_CURVE_T = [(i / 32, 1.0 - i / 32) for i in range(33)]
+_CUBIC_WEIGHTS = [(u**3, 3 * u * u * t, 3 * u * t * t, t**3) for t, u in _CURVE_T]
+_QUADRATIC_WEIGHTS = [(u * u, 2 * u * t, t * t) for t, u in _CURVE_T]
 
 
 def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
@@ -370,116 +340,80 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
     segments = Segments()
     ta, tb, tc, td, te, tf = (transform.a, transform.b, transform.c,
                               transform.d, transform.e, transform.f)
-
-    cur = Point(0.0, 0.0)
-    start = Point(0.0, 0.0)
-    prev_cubic_ctrl: Point | None = None
-    prev_quad_ctrl: Point | None = None
+    # current point, subpath start, and the control points S and T reflect
+    cx = cy = sx = sy = 0.0
+    prev_cubic: tuple[float, float] | None = None
+    prev_quad: tuple[float, float] | None = None
     cmd: str | None = None
     i = 0
-    seg_n = 0
-
-    def emit(p1: Point, p2: Point) -> None:
-        nonlocal seg_n
-        x1 = ta * p1.x + tc * p1.y + te
-        y1 = tb * p1.x + td * p1.y + tf
-        x2 = ta * p2.x + tc * p2.y + te
-        y2 = tb * p2.x + td * p2.y + tf
-        if x1 != x2 or y1 != y2:
-            segments.append(f"{id_prefix}.{seg_n}", x1, y1, x2, y2)
-            seg_n += 1
-
-    def emit_curve(ctrl_points: list[Point]) -> None:
-        nonlocal seg_n
-        devpts = [transform.apply(p) for p in ctrl_points]
-        if _chord_deviation(devpts) <= CURVE_DEVIATION_TOL:
-            start, end = devpts[0], devpts[-1]
-            if start != end:
-                segments.append(f"{id_prefix}.{seg_n}", start.x, start.y, end.x, end.y)
-                seg_n += 1
-        else:
-            warnings.append(f"{id_prefix}: curve exceeds deviation bound, skipped")
-
-    def take(n: int) -> list[float]:
-        nonlocal i
-        if i + n > len(tokens) or any(isinstance(t, str) for t in tokens[i:i + n]):
-            raise PathSyntax(f"command {cmd!r} needs {n} numbers")
-        vals = [float(tokens[j]) for j in range(i, i + n)]  # type: ignore[arg-type]
-        i += n
-        return vals
-
     while i < len(tokens):
         tok = tokens[i]
         if isinstance(tok, str):
             cmd = tok
             i += 1
-            if cmd.upper() == "Z":
-                if cur != start:
-                    emit(cur, start)
-                cur = start
-                prev_cubic_ctrl = prev_quad_ctrl = None
-                continue
         elif cmd is None:
             raise PathSyntax("path data does not start with a command")
-        elif cmd in ("M", "m"):
+        elif cmd in "Zz":
+            raise PathSyntax("Z takes no arguments")
+        elif cmd in "Mm":
             cmd = "L" if cmd == "M" else "l"  # implicit lineto after moveto
         rel = cmd.islower()
         op = cmd.upper()
         if op == "Z":
-            raise PathSyntax("Z takes no arguments")
-        args = take(_PATH_ARITY[op])
-
-        if op == "M":
-            cur = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-            start = cur
-            prev_cubic_ctrl = prev_quad_ctrl = None
-        elif op == "L":
-            nxt = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-            emit(cur, nxt)
-            cur = nxt
-            prev_cubic_ctrl = prev_quad_ctrl = None
-        elif op == "H":
-            nxt = Point(cur.x + args[0] if rel else args[0], cur.y)
-            emit(cur, nxt)
-            cur = nxt
-            prev_cubic_ctrl = prev_quad_ctrl = None
-        elif op == "V":
-            nxt = Point(cur.x, cur.y + args[0] if rel else args[0])
-            emit(cur, nxt)
-            cur = nxt
-            prev_cubic_ctrl = prev_quad_ctrl = None
-        elif op in ("C", "S"):
-            if op == "C":
-                c1 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-                c2 = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
-                end = Point(cur.x + args[4], cur.y + args[5]) if rel else Point(args[4], args[5])
+            # a tuple takes one float object as equal to itself, nan too,
+            # which is how the points compared when they were objects
+            piece = [(cx, cy), (sx, sy)] if (cx, cy) != (sx, sy) else []
+            cx, cy = sx, sy
+            prev_cubic = prev_quad = None
+        else:
+            n = _PATH_ARITY[op]
+            args = tokens[i:i + n]
+            if len(args) < n or any(isinstance(a, str) for a in args):
+                raise PathSyntax(f"command {cmd!r} needs {n} numbers")
+            i += n
+            if op == "A":
+                # elliptical arcs never approximate ticks or axes
+                args = args[5:]
+                warnings.append(f"{id_prefix}: elliptical arc skipped")
+            # the points the command names, made absolute
+            if op == "H":
+                pts = [(cx + args[0] if rel else args[0], cy)]
+            elif op == "V":
+                pts = [(cx, cy + args[0] if rel else args[0])]
             else:
-                c1 = (Point(2 * cur.x - prev_cubic_ctrl.x, 2 * cur.y - prev_cubic_ctrl.y)
-                      if prev_cubic_ctrl else cur)
-                c2 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-                end = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
-            emit_curve(_sample_cubic(cur, c1, c2, end))
-            prev_cubic_ctrl = c2
-            prev_quad_ctrl = None
-            cur = end
-        elif op in ("Q", "T"):
-            if op == "Q":
-                c1 = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-                end = Point(cur.x + args[2], cur.y + args[3]) if rel else Point(args[2], args[3])
+                pts = [(cx + x, cy + y) if rel else (x, y)
+                       for x, y in zip(args[0::2], args[1::2])]
+            if op == "S" or op == "T":
+                prev = prev_cubic if op == "S" else prev_quad
+                pts.insert(0, (2 * cx - prev[0], 2 * cy - prev[1]) if prev else (cx, cy))
+            if op == "C" or op == "S":
+                (x1, y1), (x2, y2), (x3, y3) = pts
+                piece = [(w0 * cx + w1 * x1 + w2 * x2 + w3 * x3,
+                          w0 * cy + w1 * y1 + w2 * y2 + w3 * y3)
+                         for w0, w1, w2, w3 in _CUBIC_WEIGHTS]
+                prev_cubic, prev_quad = pts[1], None
+            elif op == "Q" or op == "T":
+                (x1, y1), (x2, y2) = pts
+                piece = [(w0 * cx + w1 * x1 + w2 * x2, w0 * cy + w1 * y1 + w2 * y2)
+                         for w0, w1, w2 in _QUADRATIC_WEIGHTS]
+                prev_cubic, prev_quad = None, pts[0]
             else:
-                c1 = (Point(2 * cur.x - prev_quad_ctrl.x, 2 * cur.y - prev_quad_ctrl.y)
-                      if prev_quad_ctrl else cur)
-                end = Point(cur.x + args[0], cur.y + args[1]) if rel else Point(args[0], args[1])
-            emit_curve(_sample_quadratic(cur, c1, end))
-            prev_quad_ctrl = c1
-            prev_cubic_ctrl = None
-            cur = end
-        elif op == "A":
-            # elliptical arcs never approximate ticks/axes; skip to endpoint
-            end = Point(cur.x + args[5], cur.y + args[6]) if rel else Point(args[5], args[6])
-            warnings.append(f"{id_prefix}: elliptical arc skipped")
-            cur = end
-            prev_cubic_ctrl = prev_quad_ctrl = None
+                piece = [(cx, cy), pts[0]] if op in "LHV" else []
+                prev_cubic = prev_quad = None
+            cx, cy = pts[-1]
+            if op == "M":
+                sx, sy = cx, cy
+        if not piece:
+            continue
+        # one emitter for straight pieces and curve samples alike; only a
+        # curve, with its 33 samples, is held to the deviation bound
+        device = [(ta * x + tc * y + te, tb * x + td * y + tf) for x, y in piece]
+        if len(device) > 2 and not _chord_deviation(device) <= CURVE_DEVIATION_TOL:
+            warnings.append(f"{id_prefix}: curve exceeds deviation bound, skipped")
+            continue
+        (x1, y1), (x2, y2) = device[0], device[-1]
+        if x1 != x2 or y1 != y2:
+            segments.append(f"{id_prefix}.{len(segments)}", x1, y1, x2, y2)
     return segments
 
 
@@ -572,6 +506,8 @@ def _font_size(elem: ET.Element, inherited: float) -> float:
     return fs if fs is not None else inherited
 
 
+# elements whose children are walked as if they were the element's
+_CONTAINERS = ("g", "svg", "a", "switch")
 # elements that draw nothing themselves and are not descended into
 _NON_RENDERING = ("defs", "title", "desc", "metadata", "clipPath", "marker",
                   "symbol", "pattern", "linearGradient", "radialGradient",
@@ -603,13 +539,12 @@ class _Parser:
         return f"{kind}-{self._counter}"
 
     def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float) -> None:
-        """Hand each child its composed transform and the inherited font size.
+        """Read each child with its composed transform and inherited font size.
 
-        Circles, ellipses and lines, the bulk of a dense or gridded figure,
-        go straight into the marker and segment columns here, with no
-        handler call.
+        Every element is dispatched by one chain of tag tests.  Lines,
+        circles and ellipses, the bulk of a dense or gridded figure, come
+        first and go straight into the segment and marker columns.
         """
-        handlers = self._HANDLERS
         names = self.names
         doc = self.doc
         warn = doc.warnings.append
@@ -647,8 +582,7 @@ class _Parser:
                 s_y1(y1)
                 s_x2(x2)
                 s_y2(y2)
-                continue
-            if tag == "circle" or tag == "ellipse":
+            elif tag == "circle" or tag == "ellipse":
                 if tag == "circle":
                     rx = ry = _parse_length(get("r")) or 0.0
                 else:
@@ -687,65 +621,43 @@ class _Parser:
                 m_cx(t.a * cx + t.c * cy + t.e)
                 m_cy(t.b * cx + t.d * cy + t.f)
                 m_r(math.sqrt(s1 * s2))
-                continue
-            handler = handlers.get(tag)
-            if handler is not None:
-                handler(self, child, t, font_size)
-            else:
+            elif tag in _CONTAINERS:
+                self.walk(child, t, _font_size(child, font_size))
+            elif tag == "text":
+                self._collect_text(child, t, _font_size(child, font_size), None)
+            elif tag == "path":
+                d = get("d", "")
+                if not d.strip():
+                    warn("empty path skipped")
+                    continue
+                segments.extend(flatten_path(d, t, id_prefix=self._gen_id(child, "path"),
+                                             warnings=doc.warnings))
+            elif tag == "rect" or tag == "image":
+                x = _parse_length(get("x")) or 0.0
+                y = _parse_length(get("y")) or 0.0
+                w = _parse_length(get("width")) or 0.0
+                h = _parse_length(get("height")) or 0.0
+                if w <= 0 or h <= 0:
+                    warn(f"degenerate {tag} skipped")
+                    continue
+                corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
+                           t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
+                eid = self._gen_id(child, tag)
+                if tag == "rect":
+                    for k in range(4):
+                        p1, p2 = corners[k], corners[(k + 1) % 4]
+                        segments.append(f"{eid}.{k}", p1.x, p1.y, p2.x, p2.y)
+                else:
+                    xs = [p.x for p in corners]
+                    ys = [p.y for p in corners]
+                    doc.rasters.append(RasterGlyph(
+                        eid, Rect(min(xs), min(ys), max(xs), max(ys))))
+            elif tag == "use":
+                warn("<use> indirection not supported, skipped")
+            elif tag == "style":
+                warn("CSS stylesheet ignored")
+            elif tag not in _NON_RENDERING:
                 warn(f"unsupported element <{tag}> skipped")
-
-    # --- element handlers -------------------------------------------------
-
-    def _handle_container(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        self.walk(elem, t, _font_size(elem, fs))
-
-    def _handle_path(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        d = elem.get("d", "")
-        if not d.strip():
-            self.doc.warnings.append("empty path skipped")
-            return
-        self.doc.segments.extend(flatten_path(d, t, id_prefix=self._gen_id(elem, "path"),
-                                              warnings=self.doc.warnings))
-
-    def _handle_rect(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        x = _parse_length(elem.get("x")) or 0.0
-        y = _parse_length(elem.get("y")) or 0.0
-        w = _parse_length(elem.get("width")) or 0.0
-        h = _parse_length(elem.get("height")) or 0.0
-        if w <= 0 or h <= 0:
-            self.doc.warnings.append("degenerate rect skipped")
-            return
-        rid = self._gen_id(elem, "rect")
-        corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
-                   t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
-        for k in range(4):
-            p1, p2 = corners[k], corners[(k + 1) % 4]
-            self.doc.segments.append(f"{rid}.{k}", p1.x, p1.y, p2.x, p2.y)
-
-    def _handle_image(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        x = _parse_length(elem.get("x")) or 0.0
-        y = _parse_length(elem.get("y")) or 0.0
-        w = _parse_length(elem.get("width")) or 0.0
-        h = _parse_length(elem.get("height")) or 0.0
-        if w <= 0 or h <= 0:
-            self.doc.warnings.append("degenerate image skipped")
-            return
-        corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
-                   t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
-        xs = [p.x for p in corners]
-        ys = [p.y for p in corners]
-        self.doc.rasters.append(RasterGlyph(
-            self._gen_id(elem, "image"),
-            Rect(min(xs), min(ys), max(xs), max(ys))))
-
-    def _handle_text(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        self._collect_text(elem, t, _font_size(elem, fs), inherited_anchor=None)
-
-    def _handle_use(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        self.doc.warnings.append("<use> indirection not supported, skipped")
-
-    def _handle_style(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        self.doc.warnings.append("CSS stylesheet ignored")
 
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
                       inherited_anchor: Point | None) -> None:
@@ -771,29 +683,21 @@ class _Parser:
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
 
-    def _skip(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
-        pass
-
-    # plain functions, not bound methods: a table of bound methods on the
-    # instance would keep each parser, and its document, in a reference cycle
-    _HANDLERS = {
-        "path": _handle_path, "rect": _handle_rect,
-        "image": _handle_image, "text": _handle_text, "use": _handle_use,
-        "style": _handle_style, "g": _handle_container, "svg": _handle_container,
-        "a": _handle_container, "switch": _handle_container,
-        **dict.fromkeys(_NON_RENDERING, _skip),
-    }
-
 
 def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     viewbox = root.get("viewBox")
     if viewbox:
         nums = [float(m.group(0)) for m in _NUM_RE.finditer(viewbox)]
         if len(nums) == 4 and nums[2] > 0 and nums[3] > 0:
-            return Rect(nums[0], nums[1], nums[0] + nums[2], nums[1] + nums[3])
+            x0, y0 = nums[0], nums[1]
+            x1, y1 = x0 + nums[2], y0 + nums[3]
+            # a canvas with an infinite side would leave every primitive far
+            # out of it, so such a size is passed over like a missing one
+            if all(map(math.isfinite, (x0, y0, x1, y1))):
+                return Rect(x0, y0, x1, y1)
     w = _parse_length(root.get("width"))
     h = _parse_length(root.get("height"))
-    if w and h and w > 0 and h > 0:
+    if w and h and 0 < w < math.inf and 0 < h < math.inf:
         return Rect(0.0, 0.0, w, h)
     # fall back to content bounds
     xs: list[float] = []
@@ -832,9 +736,6 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
     half_h = canvas.height * CANVAS_OVERFLOW_FACTOR / 2.0
     x_lo, x_hi, y_lo, y_hi = cx - half_w, cx + half_w, cy - half_h, cy + half_h
 
-    def fits(x0: float, y0: float, x1: float, y1: float) -> bool:
-        return x_lo <= x0 and x1 <= x_hi and y_lo <= y0 and y1 <= y_hi
-
     circles = doc.circles
     fitting = [i for i, (x, y, r) in enumerate(zip(circles.cx, circles.cy, circles.r))
                if x_lo <= x - r and x + r <= x_hi and y_lo <= y - r and y + r <= y_hi]
@@ -852,17 +753,17 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
         doc.segments = segments.take(fitting)
         doc.warnings.append(
             f"{len(segments) - len(fitting)} far-out-of-canvas segments discarded")
-    # one test per other primitive kind, in the order warnings report them
-    tests = {
-        "rasters": lambda r: fits(r.bounds.x0, r.bounds.y0, r.bounds.x1, r.bounds.y1),
-        "texts": lambda t: fits(t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y),
-    }
-    for name, test in tests.items():
-        items = getattr(doc, name)
-        kept = [item for item in items if test(item)]
-        if len(kept) != len(items):
-            setattr(doc, name, kept)
-            doc.warnings.append(f"{len(items) - len(kept)} far-out-of-canvas {name} discarded")
+    rasters = doc.rasters
+    kept = [g for g in rasters if x_lo <= g.bounds.x0 and g.bounds.x1 <= x_hi
+            and y_lo <= g.bounds.y0 and g.bounds.y1 <= y_hi]
+    if len(kept) != len(rasters):
+        doc.rasters = kept
+        doc.warnings.append(f"{len(rasters) - len(kept)} far-out-of-canvas rasters discarded")
+    texts = doc.texts
+    kept = [t for t in texts if x_lo <= t.anchor.x <= x_hi and y_lo <= t.anchor.y <= y_hi]
+    if len(kept) != len(texts):
+        doc.texts = kept
+        doc.warnings.append(f"{len(texts) - len(kept)} far-out-of-canvas texts discarded")
 
 
 def parse_svg(data: bytes) -> FigureDocument:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import settings
 
-from vecfig.svg_model import FigureDocument, Markers, Point, SegmentGlyph, Segments
+from vecfig.svg_model import FigureDocument, Markers, Point, Segments
 
 # CI runs the property tests on a fixed example sequence (HYPOTHESIS_PROFILE=ci),
 # so a run fails only on a change; local runs draw fresh examples
@@ -59,16 +59,28 @@ def circles_of(markers: Markers) -> list[Circle]:
             for cid, x, y, r in zip(markers.ids, markers.cx, markers.cy, markers.r)]
 
 
-def segments_of(glyphs: list[SegmentGlyph]) -> Segments:
+@dataclass(frozen=True)
+class Segment:
+    """One segment as an object, the form the oracles below the columns use."""
+    id: str
+    p1: Point
+    p2: Point
+
+    @property
+    def length(self) -> float:
+        return self.p1.distance_to(self.p2)
+
+
+def segments_of(glyphs: list[Segment]) -> Segments:
     """The segment columns holding ``glyphs``, in order."""
     return Segments([g.id for g in glyphs], [g.p1.x for g in glyphs],
                     [g.p1.y for g in glyphs], [g.p2.x for g in glyphs],
                     [g.p2.y for g in glyphs])
 
 
-def glyphs_of(segments: Segments) -> list[SegmentGlyph]:
+def glyphs_of(segments: Segments) -> list[Segment]:
     """Segment columns back as one object per segment, in order."""
-    return [SegmentGlyph(sid, Point(x1, y1), Point(x2, y2))
+    return [Segment(sid, Point(x1, y1), Point(x2, y2))
             for sid, x1, y1, x2, y2 in zip(segments.ids, segments.x1, segments.y1,
                                            segments.x2, segments.y2)]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import glyphs_of, segments_of, svg_bytes
+from conftest import Segment, glyphs_of, segments_of, svg_bytes
 from vecfig import axis_detection, svg_model
 from vecfig.axis_detection import (AxisSide, PlotBox, TickLabel, TickMark,
                                    calibrate_axis, detect_plot_box, detect_ticks,
@@ -17,12 +17,11 @@ from vecfig.axis_detection import (AxisSide, PlotBox, TickLabel, TickMark,
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig
 from vecfig.errors import (CollocatedTicks, InsufficientMatches, NoAxesFound,
                            NonlinearScale, TooFewTicks)
-from vecfig.svg_model import (FigureDocument, Point, Rect, SegmentGlyph, TextRun,
-                              parse_svg)
+from vecfig.svg_model import FigureDocument, Point, Rect, TextRun, parse_svg
 
 
-def seg(id_, x1, y1, x2, y2) -> SegmentGlyph:
-    return SegmentGlyph(id_, Point(x1, y1), Point(x2, y2))
+def seg(id_, x1, y1, x2, y2) -> Segment:
+    return Segment(id_, Point(x1, y1), Point(x2, y2))
 
 
 def doc_with(segments, canvas=Rect(0, 0, 600, 450)) -> FigureDocument:
@@ -30,10 +29,10 @@ def doc_with(segments, canvas=Rect(0, 0, 600, 450)) -> FigureDocument:
 
 
 # the documents the tick tests build list these two axes first
-STD_BOX = PlotBox(left_axis=seg("v", 50, 400, 50, 50),
-                  bottom_axis=seg("h", 50, 400, 500, 400),
-                  interior=Rect(50, 50, 500, 400), score=1.0,
-                  left_index=0, bottom_index=1)
+STD_LEFT = seg("v", 50, 400, 50, 50)
+STD_BOTTOM = seg("h", 50, 400, 500, 400)
+STD_BOX = PlotBox(left_index=0, bottom_index=1, interior=Rect(50, 50, 500, 400),
+                  score=1.0)
 
 
 def index_of(glyphs, glyph) -> int:
@@ -114,21 +113,20 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
                                    -(c[2].length + c[3].length),
                                    c[2].id, c[3].id))
     score, _, v, h, interior = candidates[0]
-    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score,
-                   left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h))
+    return PlotBox(left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h),
+                   interior=interior, score=score)
 
 
 def box_outcome(detect, doc, cfg):
-    """The chosen axes (as whole segments and as indices), interior and score."""
+    """The chosen axes (as indices), interior and score."""
     try:
         box = detect(doc, cfg)
     except NoAxesFound:
         return None
-    return (box.left_axis, box.bottom_axis, box.left_index, box.bottom_index,
-            box.interior, box.score)
+    return box.left_index, box.bottom_index, box.interior, box.score
 
 
-def random_axis_segments(rng: random.Random, tol: float) -> list[SegmentGlyph]:
+def random_axis_segments(rng: random.Random, tol: float) -> list[Segment]:
     """Axis-like segments whose near ends crowd a few cells of the tol grid.
 
     Ends sit on anchors (negative ones included) shifted by 0, +-tol,
@@ -156,7 +154,7 @@ def random_axis_segments(rng: random.Random, tol: float) -> list[SegmentGlyph]:
     return out
 
 
-def gridded_segments(n: int, spacing: float, offset: float) -> list[SegmentGlyph]:
+def gridded_segments(n: int, spacing: float, offset: float) -> list[Segment]:
     """Axes meeting at (50, 400) plus n full-length gridlines each way.
 
     Gridlines start ``offset`` past the far side of the opposite axis and
@@ -218,7 +216,7 @@ class TestPlotBoxGridPairing:
         assert v.p1.distance_to(h.p1) == 3.0
         doc = doc_with([v, h])
         box = detect_plot_box(doc)
-        assert (box.left_axis, box.bottom_axis) == (v, h)
+        assert (box.left_index, box.bottom_index) == (0, 1)
         assert box_outcome(detect_plot_box, doc, DEFAULT_CONFIG) == \
             box_outcome(quadratic_plot_box, doc, DEFAULT_CONFIG)
 
@@ -230,7 +228,7 @@ class TestPlotBoxGridPairing:
         for doc, left in ((doc_with(segments), "v"), (doc_with(segments[1:]), "vfar")):
             assert box_outcome(detect_plot_box, doc, cfg) == \
                 box_outcome(quadratic_plot_box, doc, cfg)
-            assert detect_plot_box(doc, cfg).left_axis.id == left
+            assert doc.segments.ids[detect_plot_box(doc, cfg).left_index] == left
 
     def test_corner_calls_linear_in_gridlines(self, monkeypatch):
         calls = 0
@@ -243,8 +241,10 @@ class TestPlotBoxGridPairing:
 
         monkeypatch.setattr(axis_detection, "_corner", counting_corner)
         n = 500  # full-length gridlines each way, strictly inside the box
-        box = detect_plot_box(doc_with(gridded_segments(n, 350.0 / (n + 1), 0.0)))
-        assert (box.left_axis.id, box.bottom_axis.id) == ("v", "h")
+        doc = doc_with(gridded_segments(n, 350.0 / (n + 1), 0.0))
+        box = detect_plot_box(doc)
+        assert (doc.segments.ids[box.left_index],
+                doc.segments.ids[box.bottom_index]) == ("v", "h")
         # the full pairing makes (n + 1) ** 2 = 251001 calls here
         assert calls <= 2 * (2 * n + 2)
 
@@ -253,8 +253,8 @@ class TestDetectPlotBox:
     def test_unique_candidate(self):
         doc = doc_with([seg("v", 50, 400, 50, 50), seg("h", 50, 400, 500, 400)])
         box = detect_plot_box(doc)
-        assert box.left_axis.id == "v"
-        assert box.bottom_axis.id == "h"
+        assert doc.segments.ids[box.left_index] == "v"
+        assert doc.segments.ids[box.bottom_index] == "h"
         assert (box.interior.x0, box.interior.x1) == (50, 500)
         assert (box.interior.y0, box.interior.y1) == (50, 400)
 
@@ -263,8 +263,9 @@ class TestDetectPlotBox:
                         seg("deco", 10, 10, 20, 10)])
         box = detect_plot_box(doc)
         oracle = brute_force_best_pair(doc)
-        assert (box.left_axis.id, box.bottom_axis.id) == (oracle[0].id, oracle[1].id)
-        assert box.left_axis.id == "v"
+        ids = doc.segments.ids
+        assert (ids[box.left_index], ids[box.bottom_index]) == (oracle[0].id, oracle[1].id)
+        assert ids[box.left_index] == "v"
 
     def test_nested_boxes_outer_wins(self):
         doc = doc_with([
@@ -273,7 +274,8 @@ class TestDetectPlotBox:
         ])
         box = detect_plot_box(doc)
         oracle = brute_force_best_pair(doc)
-        assert (box.left_axis.id, box.bottom_axis.id) == ("v_out", "h_out")
+        ids = doc.segments.ids
+        assert (ids[box.left_index], ids[box.bottom_index]) == ("v_out", "h_out")
         assert (oracle[0].id, oracle[1].id) == ("v_out", "h_out")
 
     def test_no_axes(self):
@@ -289,14 +291,17 @@ class TestDetectPlotBox:
     def test_argmax_invariance_under_short_segments(self):
         rng = random.Random(7)
         base = [seg("v", 50, 400, 50, 50), seg("h", 50, 400, 500, 400)]
-        chosen = detect_plot_box(doc_with(base))
+        base_doc = doc_with(base)
+        chosen = detect_plot_box(base_doc)
         extras = [seg(f"s{i}", x := rng.uniform(0, 600), y := rng.uniform(0, 450),
                       x + rng.uniform(-4, 4), y + rng.uniform(-4, 4))
                   for i in range(30)]
         extras = [s for s in extras if s.p1 != s.p2 and s.length < DEFAULT_CONFIG.min_axis_length]
-        box = detect_plot_box(doc_with(base + extras))
-        assert (box.left_axis.id, box.bottom_axis.id) == \
-            (chosen.left_axis.id, chosen.bottom_axis.id)
+        doc = doc_with(base + extras)
+        box = detect_plot_box(doc)
+        assert (doc.segments.ids[box.left_index], doc.segments.ids[box.bottom_index]) == \
+            (base_doc.segments.ids[chosen.left_index],
+             base_doc.segments.ids[chosen.bottom_index])
 
 
 def point_axis_gap(seg_, axis):
@@ -310,7 +315,7 @@ def point_axis_gap(seg_, axis):
 
 class TestDetectTicks:
     def test_three_x_ticks(self):
-        segments = [STD_BOX.left_axis, STD_BOX.bottom_axis]
+        segments = [STD_LEFT, STD_BOTTOM]
         for x in (50, 150, 250):
             segments.append(seg(f"t{x}", x, 400, x, 404))
         ticks = detect_ticks(doc_with(segments), STD_BOX)
@@ -320,30 +325,26 @@ class TestDetectTicks:
 
     def test_detached_stub_excluded(self):
         stub = seg("far", 100, 405, 100, 409)  # gap 5 > 1.0
-        assert point_axis_gap(stub, STD_BOX.bottom_axis) == pytest.approx(5.0)
-        ticks = detect_ticks(doc_with([STD_BOX.left_axis, STD_BOX.bottom_axis, stub]),
-                             STD_BOX)
+        assert point_axis_gap(stub, STD_BOTTOM) == pytest.approx(5.0)
+        ticks = detect_ticks(doc_with([STD_LEFT, STD_BOTTOM, stub]), STD_BOX)
         assert not ticks
 
     def test_gridline_excluded_by_length(self):
         # 0.4 * box height = 140 > 0.15 * 350
         grid = seg("grid", 100, 330, 100, 470)
         assert grid.length == pytest.approx(0.4 * STD_BOX.interior.height)
-        ticks = detect_ticks(doc_with([STD_BOX.left_axis, STD_BOX.bottom_axis, grid]),
-                             STD_BOX)
+        ticks = detect_ticks(doc_with([STD_LEFT, STD_BOTTOM, grid]), STD_BOX)
         assert not ticks
 
     def test_y_axis_ticks(self):
-        segments = [STD_BOX.left_axis, STD_BOX.bottom_axis,
-                    seg("ty", 45, 100, 50, 100)]
+        segments = [STD_LEFT, STD_BOTTOM, seg("ty", 45, 100, 50, 100)]
         ticks = detect_ticks(doc_with(segments), STD_BOX)
         assert len(ticks) == 1
         assert ticks[0].side is AxisSide.Y_AXIS
         assert ticks[0].position == 100
 
     def test_axes_themselves_not_ticks(self):
-        ticks = detect_ticks(doc_with([STD_BOX.left_axis, STD_BOX.bottom_axis]),
-                             STD_BOX)
+        ticks = detect_ticks(doc_with([STD_LEFT, STD_BOTTOM]), STD_BOX)
         assert not ticks
 
 
@@ -351,7 +352,7 @@ class TestDetectTicks:
 # the column passes against the object-based versions they replaced
 
 def object_plot_box(doc, cfg=DEFAULT_CONFIG):
-    """Oracle: the endpoint-grid pairing over one SegmentGlyph per segment."""
+    """Oracle: the endpoint-grid pairing over one Segment object per segment."""
     def from_vert(s):
         return math.degrees(math.atan2(abs(s.p2.x - s.p1.x), abs(s.p2.y - s.p1.y)))
 
@@ -414,8 +415,8 @@ def object_plot_box(doc, cfg=DEFAULT_CONFIG):
                                    -(c[2].length + c[3].length),
                                    c[2].id, c[3].id))
     score, _, v, h, interior = candidates[0]
-    return PlotBox(left_axis=v, bottom_axis=h, interior=interior, score=score,
-                   left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h))
+    return PlotBox(left_index=index_of(glyphs, v), bottom_index=index_of(glyphs, h),
+                   interior=interior, score=score)
 
 
 def object_ticks(doc, box, cfg=DEFAULT_CONFIG):
@@ -511,11 +512,11 @@ def axis_layouts(draw):
         ends = [Point(x, y), Point(*end)]
         if draw(st.booleans()):
             ends.reverse()
-        out.append(SegmentGlyph(draw(_IDS), *ends))
+        out.append(Segment(draw(_IDS), *ends))
     for k, flip in draw(st.lists(st.tuples(st.integers(0, len(out) - 1), st.booleans()),
                                  max_size=3)):
         s = out[k]
-        twin = SegmentGlyph(s.id, s.p2, s.p1) if flip else s
+        twin = Segment(s.id, s.p2, s.p1) if flip else s
         out.insert(draw(st.integers(0, len(out))), twin)
     return cfg, out
 
@@ -526,7 +527,7 @@ def same(got, want) -> bool:
 
 
 class TestColumnarSegmentsMatchObjectOracle:
-    """The column passes give what one SegmentGlyph per segment gave."""
+    """The column passes give what one Segment object per segment gave."""
 
     @given(axis_layouts())
     # two boxes tied on score, the lower corner further right
@@ -581,12 +582,12 @@ class TestColumnarSegmentsMatchObjectOracle:
                 ends = [Point(50 + gap, y), Point(50 + gap + way * length, y + tilt * length)]
             if flip:
                 ends.reverse()
-            glyphs.append(SegmentGlyph(sid, *ends))
-        left, bottom = STD_BOX.left_axis, STD_BOX.bottom_axis
+            glyphs.append(Segment(sid, *ends))
+        left, bottom = STD_LEFT, STD_BOTTOM
         glyphs.insert(min(left_at, len(glyphs)), left)
         glyphs.insert(min(bottom_at, len(glyphs)), bottom)
         if twins:
-            glyphs += [SegmentGlyph(left.id, left.p2, left.p1), bottom]
+            glyphs += [Segment(left.id, left.p2, left.p1), bottom]
         doc = doc_with(glyphs)
         box = detect_plot_box(doc, cfg)
         assert same(box_outcome(detect_plot_box, doc, cfg),
@@ -609,7 +610,7 @@ class TestColumnarSegmentsMatchObjectOracle:
             ends = [Point(a, c), Point(d, b)]
             if flip:
                 ends.reverse()
-            glyphs.append(SegmentGlyph(f"s{i % 3}", *ends))
+            glyphs.append(Segment(f"s{i % 3}", *ends))
         doc = FigureDocument(segments=segments_of(glyphs), canvas=Rect(0, 0, 100, 100))
         # a nan coordinate at either end drops the segment
         want = [s for s in glyphs
@@ -666,7 +667,7 @@ class TestColumnarSegmentsMatchObjectOracle:
                 ends = [Point(x, y), Point(far, y)]
             if data.draw(st.booleans()):
                 ends.reverse()
-            glyphs.append(SegmentGlyph(data.draw(_IDS), *ends))
+            glyphs.append(Segment(data.draw(_IDS), *ends))
         cfg = PipelineConfig(corner_gap_tol=tol)
         doc = doc_with(glyphs, canvas=Rect(-100, -100, 100, 100))
         assert same(box_outcome(detect_plot_box, doc, cfg),

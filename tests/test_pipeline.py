@@ -9,7 +9,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
@@ -259,6 +259,27 @@ class TestExtractFigure:
         path.write_bytes(re.sub(drop, b"", svg))
         points, _, report = extract_figure(path)
         assert (points, report.status, report.warnings[-1]) == ([], status, warning)
+
+    @pytest.mark.parametrize("edit,warnings", [
+        (lambda svg: svg.replace(b'viewBox="0 0 600 450"', b'viewBox="0 0 1e999 450"'), []),
+        (lambda svg: svg.replace(b'viewBox="0 0 600 450"', b'viewBox="1e308 0 1e308 450"'), []),
+        (lambda svg: svg.replace(b' viewBox="0 0 600 450"', b"")
+         .replace(b'width="600"', b'width="1e999"'),
+         ["no viewBox/width/height; canvas from content bounds"]),
+    ], ids=["infinite_viewbox_width", "viewbox_end_overflows", "infinite_width"])
+    def test_non_finite_canvas_size_passed_over(self, tmp_path, edit, warnings):
+        # an infinite canvas used to leave every primitive far out of it
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
+        plain, edited = tmp_path / "plain.svg", tmp_path / "edited.svg"
+        plain.write_bytes(svg)
+        edited.write_bytes(edit(svg))
+        want, _, _ = extract_figure(plain)
+        got, _, report = extract_figure(edited)
+        assert (report.status, report.warnings) == (Status.OK, warnings)
+        write_csv(want, tmp_path / "plain.csv")
+        write_csv(got, tmp_path / "edited.csv")
+        assert (tmp_path / "edited.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert len(got) == 6
 
     @pytest.mark.parametrize("hostile", [
         # math.cos / math.tan of an infinite angle raise a bare ValueError
@@ -587,15 +608,59 @@ class TestAnnotateSplice:
         annotated = pipeline._annotate_svg(svg, detected)
         assert annotated == annotate_svg_oracle(svg, detected)
 
+    @pytest.mark.parametrize("tail", [
+        b"<!-- closes </svg> -->",
+        b"<?note ends </svg>?>",
+        b"<?note a <? b </svg>?>\n<!-- </svg -->",
+    ], ids=["comment", "pi", "pi_holding_pi_start"])
+    def test_end_tag_inside_trailing_comment_or_pi(self, tmp_path, monkeypatch, tail):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
+        status, detected = detected_of(tmp_path, monkeypatch, svg + tail)
+        assert status is Status.OK
+        annotated = pipeline._annotate_svg(svg + tail, detected)
+        # the overlay goes before the root's own end tag, the tail stays as it was
+        assert annotated == annotate_svg_oracle(svg, detected) + tail
+        overlay = ET.fromstring(annotated).find(f"{{{SVG_NS}}}g[@id='vecfig-overlay']")
+        assert overlay is not None and len(overlay) > 6
+
+    def test_pi_after_comment_holding_pi_start_left_unchanged(self, tmp_path, monkeypatch):
+        # the PI could open at either "<?"; when the first is inside a comment
+        # the root end tag is not found, and the source is kept as it is
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
+        source = svg + b"<!-- <? --><?note x?>"
+        _, detected = detected_of(tmp_path, monkeypatch, source)
+        assert pipeline._annotate_svg(source, detected) == source
+
+    _FRAGMENTS = [b"</svg>", b"</svg >", b"</s:svg>", b"</svg", b"</g>", b"</", b"<", b"/",
+                  b">", b"svg", b"x", b" ", b"\n", b"<!-- ", b" -->", b"</svgz>", b"</:svg>"]
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([
-        b"</svg>", b"</svg >", b"</s:svg>", b"</svg", b"</g>", b"</", b"<", b"/",
-        b">", b"svg", b"x", b" ", b"\n", b"<!-- ", b" -->", b"</svgz>", b"</:svg>"]),
-        max_size=12))
-    def test_root_end_is_last_pattern_match(self, fragments):
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12),
+           st.sampled_from([b"</svg>", b"</svg >", b"</s:svg>", b"</svg\n\t>"]),
+           st.lists(st.one_of(
+               st.sampled_from([b" ", b"\n", b"\t\r\n"]),
+               st.lists(st.sampled_from(_FRAGMENTS), max_size=6)
+               .map(lambda body: b"<!--" + b"".join(body) + b"-->"),
+               st.lists(st.sampled_from(_FRAGMENTS + [b"<?", b"?"]), max_size=6)
+               .map(lambda body: b"<?note " + b"".join(body) + b"?>")), max_size=4))
+    def test_root_end_is_last_pattern_match(self, head, end_tag, tail):
+        # the last match outside a trailing comment or PI; the tail is
+        # well-formed: no "--" in a comment (nor "-" at its end), no "?>"
+        # inside a PI
+        for item in tail:
+            if item.startswith(b"<!--"):
+                assume(b"--" not in item[4:-3] and not item[4:-3].endswith(b"-"))
+            elif item.startswith(b"<?"):
+                assume(b"?>" not in item[2:-2])
+        data = b"".join(head) + end_tag + b"".join(tail)
+        assert pipeline._root_end(data) == len(b"".join(head))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS + [b"<?", b"?>", b"-->"]), max_size=12))
+    def test_root_end_is_a_pattern_match_or_none(self, fragments):
         data = b"".join(fragments)
-        ends = [m.start() for m in pipeline._ROOT_END_RE.finditer(data)]
-        assert pipeline._root_end(data) == (ends[-1] if ends else -1)
+        end = pipeline._root_end(data)
+        assert end == -1 or pipeline._ROOT_END_RE.match(data, end)
 
     def test_peak_memory_near_the_result(self, tmp_path, monkeypatch):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20000, seed=5))

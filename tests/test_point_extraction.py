@@ -14,13 +14,10 @@ from vecfig.config import DEFAULT_CONFIG
 from vecfig.errors import NoDataGlyphs
 from vecfig.point_extraction import (DataPoint, RadiusCluster, detect_raster_body,
                                      map_to_data, select_data_glyphs)
-from vecfig.svg_model import (FigureDocument, Point, RasterGlyph, Rect,
-                              SegmentGlyph)
+from vecfig.svg_model import FigureDocument, Point, RasterGlyph, Rect
 
-BOX = PlotBox(
-    left_axis=SegmentGlyph("v", Point(50, 400), Point(50, 50)),
-    bottom_axis=SegmentGlyph("h", Point(50, 400), Point(500, 400)),
-    interior=Rect(50, 50, 500, 400), score=1.0, left_index=0, bottom_index=1)
+# selection and mapping read only the interior; no axis segments are built
+BOX = PlotBox(left_index=0, bottom_index=1, interior=Rect(50, 50, 500, 400), score=1.0)
 
 
 def circle(id_, x, y, r) -> Circle:
@@ -284,9 +281,7 @@ class TestColumnarMarkersMatchObjectOracle:
                 == map_object_oracle(circles, xcal, ycal))
 
     @pytest.mark.parametrize("box", [BOX, PlotBox(
-        left_axis=SegmentGlyph("v", Point(0, 0), Point(0, -100)),
-        bottom_axis=SegmentGlyph("h", Point(0, 0), Point(100, 0)),
-        interior=Rect(0, -100, 100, 0), score=1.0, left_index=0, bottom_index=1)])
+        left_index=0, bottom_index=1, interior=Rect(0, -100, 100, 0), score=1.0)])
     def test_signed_zero_ties_and_ids_against_document_order(self, box):
         # -0.0 == 0.0, so such centres tie and the id decides; equal centres
         # whose ids run against document order come out in id order

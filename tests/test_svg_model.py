@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (Circle, circles_of, glyphs_of, markers_of, segments_of,
-                      serialize_model, svg_bytes)
+from conftest import (Circle, Segment, circles_of, glyphs_of, markers_of,
+                      segments_of, serialize_model, svg_bytes)
 from vecfig import svg_model
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
                               FigureDocument, Markers, Point, RasterGlyph,
-                              Rect, SegmentGlyph, Segments, TextRun, _parse_length,
+                              Rect, Segments, TextRun, _parse_length,
                               compose_text_runs, flatten_path, parse_svg,
                               parse_transform)
 from vecfig.synth import SyntheticSpec, generate_scatter_svg
@@ -152,6 +152,18 @@ class TestParseOtherElements:
         assert doc.canvas == Rect(0.0, 0.0, 1.0, 1.0)
         assert doc.warnings == ["no canvas information; unit canvas assumed",
                                 "1 far-out-of-canvas segments discarded"]
+
+    @pytest.mark.parametrize("head,canvas", [
+        ('width="600" height="450" viewBox="0 0 1e999 450"', Rect(0.0, 0.0, 600.0, 450.0)),
+        ('width="600" height="450" viewBox="0 1e308 10 1e308"', Rect(0.0, 0.0, 600.0, 450.0)),
+        ('width="600" height="450" viewBox="0 0 1e308 1e308"', Rect(0.0, 0.0, 1e308, 1e308)),
+        ('width="1e999" height="450"', Rect(0.0, 100.0, 100.0, 101.0)),
+    ])
+    def test_canvas_size_taken_only_when_finite(self, head, canvas):
+        doc = parse_svg(f'<svg xmlns="http://www.w3.org/2000/svg" {head}>'
+                        '<line x1="0" y1="100" x2="100" y2="100"/></svg>'.encode())
+        assert doc.canvas == canvas
+        assert len(doc.segments) == 1
 
     def test_line_ids_and_zero_length(self):
         # generated ids count every primitive without an id of its own, in
@@ -800,7 +812,7 @@ class TestMarkerPathOracles:
             if kind == "circles":
                 circles.append(Circle(f"c{i}", Point(x, y), size))
             elif kind == "segments":
-                segments.append(SegmentGlyph(f"s{i}", Point(x, y),
+                segments.append(Segment(f"s{i}", Point(x, y),
                                              Point(x + size, y - size)))
             elif kind == "rasters":
                 doc.rasters.append(RasterGlyph(f"r{i}", Rect(x, y, x + size, y + size)))
@@ -831,7 +843,7 @@ class TestMarkerPathOracles:
         if kind == "circles":
             doc.circles = Markers(["c"], [x - 2 if edge > 0 else x + 2], [50], [2.0])
         elif kind == "segments":
-            doc.segments = segments_of([SegmentGlyph("s", Point(x, 50), Point(50, x))])
+            doc.segments = segments_of([Segment("s", Point(x, 50), Point(50, x))])
         elif kind == "rasters":
             doc.rasters.append(RasterGlyph("r", Rect(min(x, 50), 50, max(x, 50), 60)))
         else:
@@ -852,7 +864,7 @@ class TestMarkerPathOracles:
         assert added < 200
 
     def test_segments_held_without_an_object_each(self):
-        # a SegmentGlyph and two Points per line were 3,074 GC-tracked
+        # a segment object and two Points per line were 3,074 GC-tracked
         # objects for this figure
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=50, seed=5))
         grid = "".join(f'<line x1="{60 + i * 1.03}" y1="25" x2="{60 + i * 1.03}" y2="400"/>'
