@@ -201,6 +201,13 @@ class TestParseErrors:
             parse_svg(svg_bytes('<g transform="matrix(0,0,0,0,1,1)">'
                                 '<circle cx="1" cy="1" r="1"/></g>'))
 
+    @pytest.mark.parametrize("element", ["defs", "title", "use", "polygon"])
+    def test_degenerate_transform_on_element_drawing_nothing(self, element):
+        # the transform is composed before the element is dispatched
+        from vecfig.errors import DegenerateTransform
+        with pytest.raises(DegenerateTransform):
+            parse_svg(svg_bytes(f'<{element} transform="scale(0)"/>'))
+
     @pytest.mark.parametrize("transform", [
         "rotate(1e400)", "skewX(1e400)", "skewY(-1e400)", "translate(1e400, 0)",
         "matrix(1,0,0,1,0,1e999)"])
