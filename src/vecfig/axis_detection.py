@@ -139,8 +139,12 @@ def detect_plot_box(doc: FigureDocument,
         if degrees(atan2(dy, dx)) <= angle_tol:
             h_index.append(i)
             h_length.append(length)
-    canvas = doc.canvas
-    norm = max(canvas.width * canvas.height, 1e-12)
+    # a pair scores sqrt(min(1, v/W * h/H) * proximity), the root of each
+    # factor taken apart: on a finite but huge canvas W * H overflows and
+    # v/W * h/H underflows, and either scored every pair 0
+    width = max(doc.canvas.width, 1e-6)
+    height = max(doc.canvas.height, 1e-6)
+    sqrt = math.sqrt
     tol = cfg.corner_gap_tol
     floor = math.floor
     # a grid coordinate is value / tol clamped to +-limit; nan clamps to
@@ -191,7 +195,8 @@ def detect_plot_box(doc: FigureDocument,
                 continue
             h_len = h_length[k]
             proximity = 1.0 - gap / (tol + 1e-12)
-            score = min(1.0, v_len * h_len / norm) * max(proximity, 1e-6)
+            score = (min(1.0, sqrt(v_len / width) * sqrt(h_len / height))
+                     * sqrt(max(proximity, 1e-6)))
             key = (-score, -my, mx, -(v_len + h_len), ids[i], ids[j])
             candidates.append((key, score, i, j, mx, my, v_far_y, h_far_x))
     if not candidates:

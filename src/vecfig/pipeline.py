@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import shutil
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import starmap
 from pathlib import Path
 
 from . import axis_detection, point_extraction, svg_model
@@ -218,28 +220,38 @@ def _root_end(svg_bytes: bytes) -> int:
     """Offset of the root's end tag; -1 when it cannot be told.
 
     Only whitespace, comments and processing instructions may follow the
-    root, so they are stepped over from the end first: an end tag written
-    inside one of them is not the root's.  What is left must end with the
-    end tag itself.
+    root, so they are read from the end first: an end tag written inside
+    one of them is not the root's.  A comment holds no "--", so it opens at
+    the last "<!--" before it.  A PI holds no "?>" but may hold "<?", so it
+    may open at any "<?" after the "?>" before it: those openings are tried
+    from the first, and the first reading whose remainder ends with an end
+    tag gives it.  Each offset is read once.
     """
-    end = len(svg_bytes)
-    while True:
+    pending, seen = [len(svg_bytes)], set()
+    while pending:
+        end = pending.pop()
         while end and svg_bytes[end - 1] in b" \t\r\n":
             end -= 1
+        if end in seen:
+            continue
+        seen.add(end)
         if svg_bytes.endswith(b"-->", 0, end):
-            # a comment holds no "--", so it opens at the last "<!--"
-            end = svg_bytes.rfind(b"<!--", 0, end - 3)
+            start = svg_bytes.rfind(b"<!--", 0, end - 3)
+            if start >= 0:
+                pending.append(start)
         elif svg_bytes.endswith(b"?>", 0, end):
-            # a PI holds no "?>" but may hold "<?": it opens at the first
-            # "<?" after the "?>" before it, if any
+            opens = []
             before = svg_bytes.rfind(b"?>", 0, end - 2)
-            end = svg_bytes.find(b"<?", before + 2 if before >= 0 else 0, end - 2)
+            start = before + 2 if before >= 0 else 0
+            while (start := svg_bytes.find(b"<?", start, end - 2)) >= 0:
+                opens.append(start)
+                start += 2
+            pending += reversed(opens)
         else:
-            break
-        if end < 0:
-            return -1
-    start = svg_bytes.rfind(b"</", 0, end)
-    return start if start >= 0 and _ROOT_END_RE.fullmatch(svg_bytes, start, end) else -1
+            start = svg_bytes.rfind(b"</", 0, end)
+            if start >= 0 and _ROOT_END_RE.fullmatch(svg_bytes, start, end):
+                return start
+    return -1
 
 
 def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
@@ -350,12 +362,15 @@ def run_project(project: CorpusProject, figure_filter: str,
     """Extract every enumerated figure; one failure never stops the batch.
 
     Outputs mirror the input tree layout under ``output_root``; a summary
-    JSON aggregating statuses lands at the output root.
+    JSON aggregating statuses lands at the output root.  Figures run in one
+    worker process per CPU this process may run on (see ``_map_guarded``);
+    the reports come back in enumeration order, so the outputs and the
+    reports are those of a serial run.
     """
     output_root = Path(output_root)
-    reports = [_run_guarded(tree, index, svg, config,
-                            output_root / svg.parent.relative_to(project.root))
-               for tree, index, svg in enumerate_figures(project, figure_filter)]
+    reports = _map_guarded(
+        [(tree, index, svg, config, output_root / svg.parent.relative_to(project.root))
+         for tree, index, svg in enumerate_figures(project, figure_filter)])
     summary = {
         "n_figures": len(reports),
         "statuses": {s.value: sum(1 for r in reports if r.status is s)
@@ -371,6 +386,41 @@ def run_project(project: CorpusProject, figure_filter: str,
     except OSError as exc:
         raise IoFailure(f"cannot write summary: {exc}") from exc
     return reports
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_guarded(jobs: list[tuple]) -> list[ExtractionReport]:
+    """``_run_guarded`` over each job's arguments, the reports in job order.
+
+    The jobs run in forked worker processes, one per CPU and at most one
+    per job, each writing its own figure's outputs.  With one CPU or one
+    job, where ``fork`` is not offered, or where this process runs other
+    threads (which ``fork`` cannot safely copy), they run here, one after
+    another, and no pool starts.  A worker that dies raises
+    ``BrokenProcessPool`` here.
+    """
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1:
+        # imported here: the pool modules take tens of ms to import, which
+        # an import of vecfig and a serial run should not pay
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            # fork starts a worker in milliseconds with vecfig imported;
+            # spawn and forkserver import it again in every worker
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_run_guarded, *zip(*jobs),
+                                     chunksize=max(1, len(jobs) // (8 * workers))))
+    return list(starmap(_run_guarded, jobs))
 
 
 def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,

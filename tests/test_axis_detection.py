@@ -93,7 +93,8 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
                  and from_vert(s) <= cfg.axis_angle_tol_deg]
     horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
                    and from_horiz(s) <= cfg.axis_angle_tol_deg]
-    norm = max(doc.canvas.width * doc.canvas.height, 1e-12)
+    width = max(doc.canvas.width, 1e-6)
+    height = max(doc.canvas.height, 1e-6)
     candidates = []
     for v in verticals:
         for h in horizontals:
@@ -103,7 +104,8 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
             if v_far.y > corner.y or h_far.x < corner.x:
                 continue
             proximity = 1.0 - gap / (cfg.corner_gap_tol + 1e-12)
-            score = min(1.0, v.length * h.length / norm) * max(proximity, 1e-6)
+            score = (min(1.0, math.sqrt(v.length / width) * math.sqrt(h.length / height))
+                     * math.sqrt(max(proximity, 1e-6)))
             interior = Rect(min(corner.x, h_far.x), min(corner.y, v_far.y),
                             max(corner.x, h_far.x), max(corner.y, v_far.y))
             candidates.append((score, corner, v, h, interior))
@@ -384,7 +386,8 @@ def object_plot_box(doc, cfg=DEFAULT_CONFIG):
                  and from_vert(s) <= cfg.axis_angle_tol_deg]
     horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
                    and from_horiz(s) <= cfg.axis_angle_tol_deg]
-    norm = max(doc.canvas.width * doc.canvas.height, 1e-12)
+    width = max(doc.canvas.width, 1e-6)
+    height = max(doc.canvas.height, 1e-6)
     tol = cfg.corner_gap_tol
     grid = {}
     for i, h in enumerate(horizontals):
@@ -405,7 +408,8 @@ def object_plot_box(doc, cfg=DEFAULT_CONFIG):
             if v_far.y > corner.y or h_far.x < corner.x:
                 continue
             proximity = 1.0 - gap / (tol + 1e-12)
-            score = min(1.0, v.length * h.length / norm) * max(proximity, 1e-6)
+            score = (min(1.0, math.sqrt(v.length / width) * math.sqrt(h.length / height))
+                     * math.sqrt(max(proximity, 1e-6)))
             interior = Rect(min(corner.x, h_far.x), min(corner.y, v_far.y),
                             max(corner.x, h_far.x), max(corner.y, v_far.y))
             candidates.append((score, corner, v, h, interior))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vecfig
 from vecfig.cli import run
 from vecfig.synth import AxisStyle, SyntheticSpec, build_synthetic_project
 
@@ -120,3 +125,14 @@ def test_extract_with_bad_config_value(tmp_path, capsys, value):
                 "--outputDir", str(tmp_path / "out"), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool modules take tens of ms to import: run_project imports them
+    # only when it starts a pool, so that importing the command line does not
+    code = ("import sys, vecfig.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(vecfig.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout == "[]\n"

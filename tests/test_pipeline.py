@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import shutil
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
@@ -280,6 +287,23 @@ class TestExtractFigure:
         write_csv(got, tmp_path / "edited.csv")
         assert (tmp_path / "edited.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert len(got) == 6
+
+    @pytest.mark.parametrize("size", [b"1e155", b"1e308"],
+                             ids=["area_overflows", "fractions_underflow"])
+    def test_huge_canvas_keeps_the_longest_axes(self, tmp_path, size):
+        # a 20 x 30 legend corner below the axes: when every pair scored 0,
+        # the tie-break picked it for its lower corner
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
+        svg = svg.replace(b"</svg>", b'<line x1="500" y1="440" x2="500" y2="410"/>'
+                          b'<line x1="500" y1="440" x2="520" y2="440"/></svg>')
+        plain, edited = tmp_path / "plain.svg", tmp_path / "edited.svg"
+        plain.write_bytes(svg)
+        edited.write_bytes(svg.replace(b'viewBox="0 0 600 450"',
+                                       b'viewBox="0 0 ' + size + b" " + size + b'"'))
+        want, _, _ = extract_figure(plain)
+        got, _, report = extract_figure(edited)
+        assert (report.status, report.warnings) == (Status.OK, [])
+        assert got == want and len(got) == 6
 
     @pytest.mark.parametrize("hostile", [
         # math.cos / math.tan of an infinite angle raise a bare ValueError
@@ -612,7 +636,8 @@ class TestAnnotateSplice:
         b"<!-- closes </svg> -->",
         b"<?note ends </svg>?>",
         b"<?note a <? b </svg>?>\n<!-- </svg -->",
-    ], ids=["comment", "pi", "pi_holding_pi_start"])
+        b"<?note </svg><?x?>",
+    ], ids=["comment", "pi", "pi_holding_pi_start", "pi_holding_end_tag_and_pi_start"])
     def test_end_tag_inside_trailing_comment_or_pi(self, tmp_path, monkeypatch, tail):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
         status, detected = detected_of(tmp_path, monkeypatch, svg + tail)
@@ -623,13 +648,16 @@ class TestAnnotateSplice:
         overlay = ET.fromstring(annotated).find(f"{{{SVG_NS}}}g[@id='vecfig-overlay']")
         assert overlay is not None and len(overlay) > 6
 
-    def test_pi_after_comment_holding_pi_start_left_unchanged(self, tmp_path, monkeypatch):
-        # the PI could open at either "<?"; when the first is inside a comment
-        # the root end tag is not found, and the source is kept as it is
+    def test_pi_after_comment_holding_pi_start_spliced(self, tmp_path, monkeypatch):
+        # the PI could open at either "<?"; read from the first, which is
+        # inside the comment, nothing before it ends with an end tag, so the
+        # second is the opening and the overlay goes before the root's end tag
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=3))
-        source = svg + b"<!-- <? --><?note x?>"
-        _, detected = detected_of(tmp_path, monkeypatch, source)
-        assert pipeline._annotate_svg(source, detected) == source
+        tail = b"<!-- <? --><?note x?>"
+        status, detected = detected_of(tmp_path, monkeypatch, svg + tail)
+        assert status is Status.OK
+        annotated = pipeline._annotate_svg(svg + tail, detected)
+        assert annotated == annotate_svg_oracle(svg, detected) + tail
 
     _FRAGMENTS = [b"</svg>", b"</svg >", b"</s:svg>", b"</svg", b"</g>", b"</", b"<", b"/",
                   b">", b"svg", b"x", b" ", b"\n", b"<!-- ", b" -->", b"</svgz>", b"</:svg>"]
@@ -675,6 +703,22 @@ class TestAnnotateSplice:
         # concatenating the whole overlay onto source slices peaks at about
         # 3.15 times the result
         assert peak <= 1.5 * len(annotated)
+
+
+def _overflow_a_data_value(svg: Path) -> None:
+    """Relabel the seed-1, 5-point standard figure so that one marker maps
+    past the largest double, which the CSV cannot hold.
+
+    The x labels 0, 5e307, 1e308 and 1.5e308 calibrate exactly, and the
+    marker moves near the axis end.
+    """
+    text = svg.read_text(encoding="utf-8")
+    for old, new in [(">2.5<", ">5e307<"), (">5<", ">1e308<"),
+                     (">7.5<", ">1.5e308<"), ('font-size="10">10<', 'font-size="10"><'),
+                     ('cx="453.343929"', 'cx="570"')]:
+        assert old in text
+        text = text.replace(old, new)
+    svg.write_text(text, encoding="utf-8")
 
 
 class TestRunProject:
@@ -732,7 +776,6 @@ class TestRunProject:
         out_all = tmp_path / "all"
         run_project(scan_project(root), DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out_all)
         # drop the failing figure and rerun
-        import shutil
         shutil.rmtree(root / "fig-0002")
         out_rest = tmp_path / "rest"
         run_project(scan_project(root), DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out_rest)
@@ -771,17 +814,8 @@ class TestRunProject:
         assert summary["statuses"]["write_error"] == 0
 
     def test_non_finite_data_value_does_not_stop_batch(self, tmp_path):
-        # x labels 0, 5e307, 1e308, 1.5e308 calibrate exactly; a marker near
-        # the axis end maps past the largest double, which the CSV cannot hold
         root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
-        svg = root / "fig-0001" / "figures" / "figure1" / "figure.svg"
-        text = svg.read_text(encoding="utf-8")
-        for old, new in [(">2.5<", ">5e307<"), (">5<", ">1e308<"),
-                         (">7.5<", ">1.5e308<"), ('font-size="10">10<', 'font-size="10"><'),
-                         ('cx="453.343929"', 'cx="570"')]:
-            assert old in text
-            text = text.replace(old, new)
-        svg.write_text(text, encoding="utf-8")
+        _overflow_a_data_value(root / "fig-0001" / "figures" / "figure1" / "figure.svg")
         out = tmp_path / "out"
         reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
                               DEFAULT_CONFIG, out)
@@ -792,6 +826,94 @@ class TestRunProject:
         assert not (first / "figure_annotated.svg").exists()
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["statuses"]["parse_error"] == 1
+
+
+class TestRunProjectWorkers:
+    """A batch gives the same outputs and reports in one process or in two."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every pool that run_project starts."""
+        started = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return started
+
+    def test_one_and_two_workers_agree(self, tmp_path, monkeypatch, pools):
+        styles = [AxisStyle.STANDARD, AxisStyle.RASTER_BODY, AxisStyle.STANDARD,
+                  AxisStyle.LOG_X, AxisStyle.REVERSED_X, AxisStyle.STANDARD,
+                  AxisStyle.REVERSED_Y]
+        root = build_synthetic_project(tmp_path / "proj", [
+            SyntheticSpec(seed=i + 1, n_points=5, axis_style=style)
+            for i, style in enumerate(styles)])
+        _overflow_a_data_value(root / "fig-0001" / "figures" / "figure1" / "figure.svg")
+        (root / "fig-0003" / "figures" / "figure1" / "figure.svg").write_bytes(b"<svg")
+        project = scan_project(root)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda n=workers: n)
+            # one output path: the write failure's warning names it
+            out = tmp_path / "out"
+            # a directory where the sixth figure's CSV goes: both writes of it fail
+            (out / "fig-0006" / "figures" / "figure1" / "figure.csv").mkdir(parents=True)
+            reports = run_project(project, DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out)
+            runs.append((reports, TestRunProject._hash_outputs(out)))
+            shutil.rmtree(out)
+        assert pools == [2]
+        assert runs[0] == runs[1]
+        assert [r.status for r in runs[0][0]] == [
+            Status.PARSE_ERROR, Status.RASTER_BODY, Status.PARSE_ERROR,
+            Status.NONLINEAR_SCALE, Status.OK, Status.WRITE_ERROR, Status.OK]
+
+    @pytest.mark.parametrize("n_figures", [0, 1])
+    def test_no_pool_for_fewer_than_two_figures(self, tmp_path, monkeypatch, pools,
+                                                 n_figures):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        root = tmp_path / "proj"
+        root.mkdir()
+        build_synthetic_project(root, [SyntheticSpec(seed=1, n_points=5)][:n_figures])
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, tmp_path / "out")
+        assert [r.status for r in reports] == [Status.OK] * n_figures
+        assert pools == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers start only by fork")
+    def test_dead_worker_raises(self, tmp_path):
+        # run in a child interpreter, so that a hang fails the timeout
+        root = build_synthetic_project(tmp_path / "proj", [
+            SyntheticSpec(seed=seed, n_points=5) for seed in (1, 2, 3, 4)])
+        script = textwrap.dedent("""
+            import os, sys
+            from concurrent.futures.process import BrokenProcessPool
+            from vecfig import pipeline
+            from vecfig.config import DEFAULT_CONFIG
+
+            extract = pipeline.extract_figure
+
+            def extract_or_die(svg, *args, **kwargs):
+                if "fig-0002" in str(svg):
+                    os._exit(1)
+                return extract(svg, *args, **kwargs)
+
+            pipeline.extract_figure = extract_or_die
+            pipeline._cpu_count = lambda: 2
+            try:
+                pipeline.run_project(pipeline.scan_project(sys.argv[1]),
+                                     pipeline.DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG,
+                                     sys.argv[2])
+            except BrokenProcessPool:
+                print("broken pool")
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(root), str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "broken pool\n"), done.stderr
 
 
 class TestConfigFile:
