@@ -10,7 +10,7 @@ from pathlib import Path
 from . import evaluate as evaluate_mod
 from . import pipeline, synth
 from .config import DEFAULT_CONFIG, load_config
-from .errors import VecfigError
+from .errors import VecfigError, WorkerDied
 from .pipeline import DEFAULT_FIGURE_FILTER, Status
 from .synth import AxisStyle, SyntheticSpec
 
@@ -98,7 +98,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     project = pipeline.scan_project(args.project)
-    reports = pipeline.run_project(project, args.fileFilter, cfg, args.outputDir)
+    try:
+        reports = pipeline.run_project(project, args.fileFilter, cfg, args.outputDir)
+    except WorkerDied as exc:  # no summary.json: the batch did not finish
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     for r in reports:
         print(f"{r.tree_id}/figure{r.figure_index}: {r.status.value} "
               f"({r.n_points} points)")

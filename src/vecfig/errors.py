@@ -96,6 +96,10 @@ class IoFailure(VecfigError):
     status = Status.WRITE_ERROR
 
 
+class WorkerDied(VecfigError):
+    """A batch's worker process died, so the batch stopped unfinished."""
+
+
 # --- Evaluation ---
 
 class MissingTruth(VecfigError):

@@ -15,14 +15,13 @@ import os
 import re
 import shutil
 from dataclasses import asdict, astuple, dataclass, field, fields
-from itertools import starmap
 from pathlib import Path
 
 from . import axis_detection, point_extraction, svg_model
 from .axis_detection import AxisSide, PlotBox, TickLabel, TickMark
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import (BadFilter, DestinationCollision, IoFailure, Status,
-                     TemplateGroupOutOfRange, VecfigError)
+                     TemplateGroupOutOfRange, VecfigError, WorkerDied)
 from .point_extraction import DataPoint
 from .svg_model import IDENTITY, AffineTransform, Markers
 
@@ -221,11 +220,13 @@ def _root_end(svg_bytes: bytes) -> int:
 
     Only whitespace, comments and processing instructions may follow the
     root, so they are read from the end first: an end tag written inside
-    one of them is not the root's.  A comment holds no "--", so it opens at
-    the last "<!--" before it.  A PI holds no "?>" but may hold "<?", so it
-    may open at any "<?" after the "?>" before it: those openings are tried
-    from the first, and the first reading whose remainder ends with an end
-    tag gives it.  Each offset is read once.
+    one of them is not the root's.  A comment holds no "--", so it opens
+    just before the last "--" before its end.  A PI holds no "?>" but may
+    hold "<?", so it may open at any "<?" after the "?>" before it: those
+    openings are tried from the first, and the first reading whose
+    remainder ends with an end tag gives it; an end tag holds no other "<".
+    Each offset is read once, and each search stops at the "--", "?>" or
+    "<" before it, so the work is linear in the length.
     """
     pending, seen = [len(svg_bytes)], set()
     while pending:
@@ -236,8 +237,8 @@ def _root_end(svg_bytes: bytes) -> int:
             continue
         seen.add(end)
         if svg_bytes.endswith(b"-->", 0, end):
-            start = svg_bytes.rfind(b"<!--", 0, end - 3)
-            if start >= 0:
+            start = svg_bytes.rfind(b"--", 0, end - 3) - 2
+            if start >= 0 and svg_bytes.startswith(b"<!", start):
                 pending.append(start)
         elif svg_bytes.endswith(b"?>", 0, end):
             opens = []
@@ -248,7 +249,7 @@ def _root_end(svg_bytes: bytes) -> int:
                 start += 2
             pending += reversed(opens)
         else:
-            start = svg_bytes.rfind(b"</", 0, end)
+            start = svg_bytes.rfind(b"<", 0, end)
             if start >= 0 and _ROOT_END_RE.fullmatch(svg_bytes, start, end):
                 return start
     return -1
@@ -398,29 +399,67 @@ def _cpu_count() -> int:
 def _map_guarded(jobs: list[tuple]) -> list[ExtractionReport]:
     """``_run_guarded`` over each job's arguments, the reports in job order.
 
-    The jobs run in forked worker processes, one per CPU and at most one
-    per job, each writing its own figure's outputs.  With one CPU or one
-    job, where ``fork`` is not offered, or where this process runs other
-    threads (which ``fork`` cannot safely copy), they run here, one after
-    another, and no pool starts.  A worker that dies raises
-    ``BrokenProcessPool`` here.
+    Jobs whose outputs go to one directory write the same three files, so
+    they make one task and run in job order: the last one's files stay, as
+    in a serial run.  The tasks run in forked worker processes, one per CPU
+    and at most one per task (see ``_pool_map``).  With one CPU or one
+    task, or where no pool can be used, the jobs run here, one after
+    another.
     """
-    workers = min(_cpu_count(), len(jobs))
-    if workers > 1:
-        # imported here: the pool modules take tens of ms to import, which
-        # an import of vecfig and a serial run should not pay
-        import multiprocessing
-        import threading
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            from concurrent.futures import ProcessPoolExecutor
-            # fork starts a worker in milliseconds with vecfig imported;
-            # spawn and forkserver import it again in every worker
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_run_guarded, *zip(*jobs),
-                                     chunksize=max(1, len(jobs) // (8 * workers))))
-    return list(starmap(_run_guarded, jobs))
+    tasks: dict[Path, list[int]] = {}
+    for i, job in enumerate(jobs):
+        tasks.setdefault(job[-1], []).append(i)
+    workers = min(_cpu_count(), len(tasks))
+    done = (_pool_map([[jobs[i] for i in task] for task in tasks.values()], workers)
+            if workers > 1 else None)
+    if done is None:
+        return _run_in_order(jobs)
+    reports: list = [None] * len(jobs)
+    for task, task_reports in zip(tasks.values(), done):
+        for i, report in zip(task, task_reports):
+            reports[i] = report
+    return reports
+
+
+def _pool_map(tasks: list[list[tuple]], workers: int,
+              ) -> list[list[ExtractionReport]] | None:
+    """``_run_in_order`` over the tasks in forked worker processes, in task order.
+
+    None where ``fork`` is not offered, where this process runs other
+    threads (which ``fork`` cannot safely copy) or where the pool cannot
+    start (a fork or a pipe refused); the caller then runs the jobs itself.
+    A worker that dies raises ``WorkerDied``.
+    """
+    # imported here: the pool modules take tens of ms to import, which an
+    # import of vecfig and a serial run should not pay
+    import multiprocessing
+    import threading
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # fork starts a worker in milliseconds with vecfig imported; spawn and
+    # forkserver import it again in every worker
+    context = multiprocessing.get_context("fork")
+    children = set(multiprocessing.active_children())
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(_run_in_order, tasks,
+                                 chunksize=max(1, len(tasks) // (8 * workers))))
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a worker process died: {exc}") from exc
+    except OSError:
+        # the workers that did start are stopped: the serial run after
+        # this writes every figure's files afresh
+        for child in set(multiprocessing.active_children()) - children:
+            child.terminate()
+            child.join()
+        return None
+
+
+def _run_in_order(jobs: list[tuple]) -> list[ExtractionReport]:
+    return [_run_guarded(*job) for job in jobs]
 
 
 def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
@@ -20,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
-from vecfig import axis_detection, pipeline
+from vecfig import axis_detection, cli, pipeline
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
@@ -659,6 +661,7 @@ class TestAnnotateSplice:
         annotated = pipeline._annotate_svg(svg + tail, detected)
         assert annotated == annotate_svg_oracle(svg, detected) + tail
 
+    _HEAD = b'<svg xmlns="http://www.w3.org/2000/svg"><g/></svg>'
     _FRAGMENTS = [b"</svg>", b"</svg >", b"</s:svg>", b"</svg", b"</g>", b"</", b"<", b"/",
                   b">", b"svg", b"x", b" ", b"\n", b"<!-- ", b" -->", b"</svgz>", b"</:svg>"]
 
@@ -689,6 +692,17 @@ class TestAnnotateSplice:
         data = b"".join(fragments)
         end = pipeline._root_end(data)
         assert end == -1 or pipeline._ROOT_END_RE.match(data, end)
+
+    @pytest.mark.parametrize("data, expected", [
+        (_HEAD + b"<!-- " + b"<?a " * 100_000 + b" --><?x?>", len(_HEAD) - 6),
+        (b"<svg><?" + b" --><?" * 100_000 + b"?>", -1),
+    ], ids=["pi_starts_in_comment", "comment_ends_in_pi"])
+    def test_root_end_linear_in_tail(self, data, expected):
+        # each "<?" is a PI opening to try; one search back to the end tag
+        # or to the file's start per try took minutes at this size
+        start = time.perf_counter()
+        assert pipeline._root_end(data) == expected
+        assert time.perf_counter() - start < 3.0
 
     def test_peak_memory_near_the_result(self, tmp_path, monkeypatch):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20000, seed=5))
@@ -882,17 +896,75 @@ class TestRunProjectWorkers:
         assert [r.status for r in reports] == [Status.OK] * n_figures
         assert pools == []
 
+    def test_figures_sharing_a_directory_keep_the_last_outputs(
+            self, tmp_path, monkeypatch, pools):
+        # figure.svg and figure_2.svg write the same three files, and serially
+        # figure_2.svg's stay; figure.svg is the slower to extract, so in two
+        # workers taking one each its files would land last
+        root = build_synthetic_project(tmp_path / "proj", [
+            SyntheticSpec(seed=1, n_points=3000), SyntheticSpec(seed=2, n_points=5)])
+        shared = root / "fig-0001" / "figures" / "figure1"
+        second, _ = generate_scatter_svg(SyntheticSpec(seed=3, n_points=7))
+        (shared / "figure_2.svg").write_bytes(second)
+        project = scan_project(root)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda n=workers: n)
+            out = tmp_path / f"out{workers}"
+            reports = run_project(project, DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out)
+            runs.append((reports, TestRunProject._hash_outputs(out)))
+        assert pools == [2]
+        assert runs[0] == runs[1]
+        reports = runs[0][0]
+        assert [r.n_points for r in reports[:2]] == [3000, 7]
+        kept = json.loads((tmp_path / "out2" / "fig-0001" / "figures" / "figure1"
+                           / "report.json").read_text())
+        assert kept["n_points"] == 7
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="workers start only by fork")
-    def test_dead_worker_raises(self, tmp_path):
+    @pytest.mark.parametrize("forks_allowed", [0, 1])
+    def test_pool_that_cannot_start_runs_serially(self, tmp_path, monkeypatch, capsys,
+                                                  forks_allowed):
+        root = build_synthetic_project(tmp_path / "proj", [
+            SyntheticSpec(seed=seed, n_points=5) for seed in (1, 2, 3, 4)])
+        argv = ["extract", "--project", str(root), "--outputDir"]
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+        assert cli.run(argv + [str(tmp_path / "serial")]) == 0
+        serial = capsys.readouterr().out
+        fork, calls = os.fork, []
+
+        def refusing_fork():
+            calls.append(None)
+            if len(calls) > forks_allowed:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        assert cli.run(argv + [str(tmp_path / "pool")]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(calls) == forks_allowed + 1
+        # a worker that did start was stopped, not left waiting for a task
+        # (which would also hang this process's exit)
+        stray = multiprocessing.active_children()
+        for child in stray:
+            child.kill()
+        assert stray == []
+        assert (TestRunProject._hash_outputs(tmp_path / "pool")
+                == TestRunProject._hash_outputs(tmp_path / "serial"))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers start only by fork")
+    def test_dead_worker_stops_the_batch(self, tmp_path):
         # run in a child interpreter, so that a hang fails the timeout
         root = build_synthetic_project(tmp_path / "proj", [
             SyntheticSpec(seed=seed, n_points=5) for seed in (1, 2, 3, 4)])
         script = textwrap.dedent("""
             import os, sys
-            from concurrent.futures.process import BrokenProcessPool
-            from vecfig import pipeline
+            from vecfig import cli, pipeline
             from vecfig.config import DEFAULT_CONFIG
+            from vecfig.errors import WorkerDied
 
             extract = pipeline.extract_figure
 
@@ -907,13 +979,19 @@ class TestRunProjectWorkers:
                 pipeline.run_project(pipeline.scan_project(sys.argv[1]),
                                      pipeline.DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG,
                                      sys.argv[2])
-            except BrokenProcessPool:
-                print("broken pool")
+            except WorkerDied:
+                print("worker died")
+            print(cli.run(["extract", "--project", sys.argv[1],
+                           "--outputDir", sys.argv[3]]))
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", script, str(root), str(tmp_path / "out")],
+        done = subprocess.run([sys.executable, "-c", script, str(root),
+                               str(tmp_path / "lib"), str(tmp_path / "cli")],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert (done.returncode, done.stdout) == (0, "broken pool\n"), done.stderr
+        assert (done.returncode, done.stdout) == (0, "worker died\n3\n"), done.stderr
+        assert done.stderr.startswith("error: a worker process died: ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "cli" / "summary.json").exists()
 
 
 class TestConfigFile:
