@@ -208,7 +208,14 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
     return points, annotated, report
 
 
-_ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
+# every kind of markup that may hold an end tag's text, skipped whole, and
+# the end tag of an element named svg, captured; all open with the one "<"
+# in front, which keeps the search for it fast
+_MARKUP_RE = re.compile(
+    rb"<(?:(/(?:[\w.-]+:)?svg\s*)|!--.*?--|!\[CDATA\[.*?\]\]|\?.*?\?"
+    rb"|!DOCTYPE(?:[^\[>\"']|\"[^\"]*\"|'[^']*')*"
+    rb"(?:\[[^\]\"'<]*(?:(?:\"[^\"]*\"|'[^']*'|<!--.*?-->|<\?.*?\?>|<)[^\]\"'<]*)*\]\s*)?"
+    rb")>", re.DOTALL)
 
 # marker rings are encoded and written this many at a time, so the overlay
 # never exists whole as text; a smaller overlay is one join and one encode
@@ -216,43 +223,20 @@ _RINGS_PER_WRITE = 1024
 
 
 def _root_end(svg_bytes: bytes) -> int:
-    """Offset of the root's end tag; -1 when it cannot be told.
+    """Offset of the root's end tag; -1 when it has none.
 
-    Only whitespace, comments and processing instructions may follow the
-    root, so they are read from the end first: an end tag written inside
-    one of them is not the root's.  A comment holds no "--", so it opens
-    just before the last "--" before its end.  A PI holds no "?>" but may
-    hold "<?", so it may open at any "<?" after the "?>" before it: those
-    openings are tried from the first, and the first reading whose
-    remainder ends with an end tag gives it; an end tag holds no other "<".
-    Each offset is read once, and each search stops at the "--", "?>" or
-    "<" before it, so the work is linear in the length.
+    The source is well-formed, as ET.fromstring accepted it, and its root
+    is an svg element, as parse_svg accepted it.  Outside markup XML never
+    writes "<" literally, so a scan from the front that skips comments,
+    CDATA sections, PIs and the DOCTYPE whole sees every end tag, and the
+    root's is the last.  A self-closing root has none, and an encoding that
+    is not ASCII-compatible shows none.
     """
-    pending, seen = [len(svg_bytes)], set()
-    while pending:
-        end = pending.pop()
-        while end and svg_bytes[end - 1] in b" \t\r\n":
-            end -= 1
-        if end in seen:
-            continue
-        seen.add(end)
-        if svg_bytes.endswith(b"-->", 0, end):
-            start = svg_bytes.rfind(b"--", 0, end - 3) - 2
-            if start >= 0 and svg_bytes.startswith(b"<!", start):
-                pending.append(start)
-        elif svg_bytes.endswith(b"?>", 0, end):
-            opens = []
-            before = svg_bytes.rfind(b"?>", 0, end - 2)
-            start = before + 2 if before >= 0 else 0
-            while (start := svg_bytes.find(b"<?", start, end - 2)) >= 0:
-                opens.append(start)
-                start += 2
-            pending += reversed(opens)
-        else:
-            start = svg_bytes.rfind(b"<", 0, end)
-            if start >= 0 and _ROOT_END_RE.fullmatch(svg_bytes, start, end):
-                return start
-    return -1
+    end = -1
+    for m in _MARKUP_RE.finditer(svg_bytes):
+        if m.group(1):
+            end = m.start()
+    return end
 
 
 def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:

@@ -721,7 +721,9 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     xs = list(filter(math.isfinite, xs))
     ys = list(filter(math.isfinite, ys))
     if xs and ys and (max(xs) > min(xs) or max(ys) > min(ys)):
-        doc.warnings.append("no viewBox/width/height; canvas from content bounds")
+        cause = ("non-finite width/height" if math.isinf(w or 0) or math.isinf(h or 0)
+                 else "no viewBox/width/height")
+        doc.warnings.append(f"{cause}; canvas from content bounds")
         return Rect(min(xs), min(ys), max(max(xs), min(xs) + 1.0),
                     max(max(ys), min(ys) + 1.0))
     doc.warnings.append("no canvas information; unit canvas assumed")
