@@ -295,8 +295,8 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
             out.write("".join(parts).encode("ascii"))
             parts.clear()
         stop = start + _RINGS_PER_WRITE
-        parts += [f'<circle cx="{_num(x)}" cy="{_num(y)}"{tails[r]}'
-                  for x, y, r in zip(cx[start:stop], cy[start:stop], radii[start:stop])]
+        parts += [f'<circle cx="{x}" cy="{y}"{tails[r]}' for x, y, r
+                  in zip(_nums(cx[start:stop]), _nums(cy[start:stop]), radii[start:stop])]
     parts.append("</g>")
     out.write("".join(parts).encode("ascii"))
     out.write(source[end:])
@@ -319,11 +319,25 @@ def _num(value: float) -> str:
     return repr(target)
 
 
+def _nums(values: list[float]) -> list[str]:
+    """``[_num(v) for v in values]``, in one %-operation where that is the same.
+
+    The 9-digit text of a value is already its _num text, except with an
+    exponent, for nan and inf (where _num raises) and for -0: one search
+    of the whole block for "e", "n" and the token "-0" rules those out.
+    """
+    text = ("%.9g " * len(values)) % tuple(values)
+    if "e" in text or "n" in text or "-0 " in text:
+        return [_num(v) for v in values]
+    return text.split()
+
+
 def write_csv(points: list[DataPoint], destination: str | Path) -> None:
     """Write ``x,y,device_radius`` rows as UTF-8 CSV with LF endings."""
     lines = ["x,y,device_radius"]
-    for p in points:
-        lines.append(f"{_num(p.x)},{_num(p.y)},{_num(p.device_radius)}")
+    lines += [f"{x},{y},{r}" for x, y, r in zip(_nums([p.x for p in points]),
+                                                _nums([p.y for p in points]),
+                                                _nums([p.device_radius for p in points]))]
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

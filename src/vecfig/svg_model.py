@@ -16,6 +16,8 @@ bulk.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -431,16 +433,25 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
         return []
     pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x, r.id))
 
-    # group by shared baseline
+    # group by shared baseline: each run joins the first group, in creation
+    # order, whose first run is close enough.  Groups are made in y order, so
+    # only those whose first run lies within RUN_BASELINE_TOL times the
+    # largest glyph height above the run can take it; bisect finds the
+    # first of them, by the same subtraction the test makes.
+    reach = RUN_BASELINE_TOL * max(run.glyph_height for run in pending)
     baselines: list[list[TextRun]] = []
+    first_ys: list[float] = []
     for run in pending:
-        for group in baselines:
+        y = run.anchor.y
+        k = bisect.bisect_left(first_ys, -reach, key=lambda first_y: first_y - y)
+        for group in itertools.islice(baselines, k, None):
             h = max(run.glyph_height, group[0].glyph_height)
-            if abs(run.anchor.y - group[0].anchor.y) <= RUN_BASELINE_TOL * h:
+            if abs(y - group[0].anchor.y) <= RUN_BASELINE_TOL * h:
                 group.append(run)
                 break
         else:
             baselines.append([run])
+            first_ys.append(y)
 
     # chain left-to-right within each baseline
     merged: list[TextRun] = []
@@ -522,14 +533,46 @@ class _LocalNames(dict):
         return name
 
 
+def _marker_run(t: AffineTransform, rx_text: str | None, ry_text: str | None,
+                ) -> tuple:
+    """What every marker of one run shares.
+
+    A run is a row of circles and ellipses under the transform ``t`` whose
+    radius texts are ``rx_text`` and ``ry_text`` (a circle's ``r`` twice).
+    Returns ``(t, rx_text, ry_text, skip, a, b, c, d, e, f, radius)``:
+    ``skip`` is the warning each marker of the run is skipped with, or None;
+    ``a`` to ``f`` are the entries of ``t`` and ``radius`` the device radius.
+    """
+    rx = _parse_length(rx_text) or 0.0
+    ry = _parse_length(ry_text) or 0.0
+    skip = None
+    radius = 0.0
+    # an overflowing radius is degenerate too: times the transform's zero
+    # entries it would give nan semi-axes
+    if not (0 < rx < math.inf and 0 < ry < math.inf):
+        skip = f"degenerate circle/ellipse skipped (r={rx},{ry})"
+    else:
+        # image of the ellipse under the linear part; semi-axes are the
+        # singular values of L * diag(rx, ry)
+        s1, s2 = _singular_values(t.a * rx, t.b * rx, t.c * ry, t.d * ry)
+        # finite radii can still overflow under the transform; s1 is the
+        # larger semi-axis and never nan
+        if s1 == math.inf:
+            skip = f"degenerate circle/ellipse skipped (r={rx},{ry})"
+        elif s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
+            skip = f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})"
+        else:
+            radius = math.sqrt(s1 * s2)
+    return (t, rx_text, ry_text, skip, t.a, t.b, t.c, t.d, t.e, t.f, radius)
+
+
 class _Parser:
     def __init__(self) -> None:
         self.doc = FigureDocument()
         self._counter = 0
         self.names = _LocalNames()
-        # (transform, rx, ry) of the last circle or ellipse, and its semi-axes
-        self._shape: tuple[AffineTransform | None, float, float] = (None, 0.0, 0.0)
-        self._semi_axes = (0.0, 0.0)
+        # the run of circles and ellipses the last marker belonged to
+        self._run = _marker_run(IDENTITY, None, None)
 
     def _gen_id(self, elem: ET.Element, kind: str) -> str:
         eid = elem.get("id")
@@ -543,7 +586,11 @@ class _Parser:
 
         Every element is dispatched by one chain of tag tests.  Lines,
         circles and ellipses, the bulk of a dense or gridded figure, come
-        first and go straight into the segment and marker columns.
+        first and go straight into the segment and marker columns.  Their
+        coordinates are read by float() where it reads them as
+        _parse_length does (a plain finite number without "_"), and by
+        _parse_length otherwise.  A marker's radius, checks and transform
+        entries are worked out once per run (see _marker_run).
         """
         names = self.names
         doc = self.doc
@@ -555,17 +602,30 @@ class _Parser:
         s_id, s_x1, s_y1, s_x2, s_y2 = (segments.ids.append, segments.x1.append,
                                         segments.y1.append, segments.x2.append,
                                         segments.y2.append)
-        inf = math.inf
+        run_t, run_rx, run_ry, skip, ma, mb, mc, md, me, mf, radius = self._run
+        nan = math.nan
         for child in elem:
             tag = names[child.tag]
             get = child.get
             t_attr = get("transform")
             t = _compose(transform, t_attr) if t_attr else transform
             if tag == "line":
-                px1 = _parse_length(get("x1")) or 0.0
-                py1 = _parse_length(get("y1")) or 0.0
-                px2 = _parse_length(get("x2")) or 0.0
-                py2 = _parse_length(get("y2")) or 0.0
+                x1_text, y1_text = get("x1"), get("y1")
+                x2_text, y2_text = get("x2"), get("y2")
+                try:
+                    px1 = float(x1_text) or 0.0
+                    py1 = float(y1_text) or 0.0
+                    px2 = float(x2_text) or 0.0
+                    py2 = float(y2_text) or 0.0
+                except (TypeError, ValueError):
+                    px1 = py1 = px2 = py2 = nan
+                # a nan or an infinity among them makes the sum nan
+                if (px1 - px1 + py1 - py1 + px2 - px2 + py2 - py2 != 0.0 or "_" in x1_text
+                        or "_" in y1_text or "_" in x2_text or "_" in y2_text):
+                    px1 = _parse_length(x1_text) or 0.0
+                    py1 = _parse_length(y1_text) or 0.0
+                    px2 = _parse_length(x2_text) or 0.0
+                    py2 = _parse_length(y2_text) or 0.0
                 x1 = t.a * px1 + t.c * py1 + t.e
                 y1 = t.b * px1 + t.d * py1 + t.f
                 x2 = t.a * px2 + t.c * py2 + t.e
@@ -584,43 +644,32 @@ class _Parser:
                 s_y2(y2)
             elif tag == "circle" or tag == "ellipse":
                 if tag == "circle":
-                    rx = ry = _parse_length(get("r")) or 0.0
+                    rx_text = ry_text = get("r")
                 else:
-                    rx = _parse_length(get("rx")) or 0.0
-                    ry = _parse_length(get("ry")) or 0.0
-                # an overflowing radius is degenerate too: times the transform's
-                # zero entries it would give nan semi-axes
-                if not (0 < rx < inf and 0 < ry < inf):
-                    warn(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+                    rx_text, ry_text = get("rx"), get("ry")
+                if t is not run_t or rx_text != run_rx or ry_text != run_ry:
+                    self._run = _marker_run(t, rx_text, ry_text)
+                    run_t, run_rx, run_ry, skip, ma, mb, mc, md, me, mf, radius = self._run
+                if skip:
+                    warn(skip)
                     continue
-                # image of the ellipse under the linear part; semi-axes are the
-                # singular values of L * diag(rx, ry).  Markers in a row mostly
-                # share the transform and the radii, so the solve is redone
-                # only when one of them changes.
-                shape_t, shape_rx, shape_ry = self._shape
-                if t is not shape_t or rx != shape_rx or ry != shape_ry:
-                    self._shape = (t, rx, ry)
-                    self._semi_axes = _singular_values(t.a * rx, t.b * rx,
-                                                       t.c * ry, t.d * ry)
-                s1, s2 = self._semi_axes
-                # finite radii can still overflow under the transform; s1 is
-                # the larger semi-axis and never nan
-                if s1 == inf:
-                    warn(f"degenerate circle/ellipse skipped (r={rx},{ry})")
-                    continue
-                if s1 <= 0 or (s1 - s2) / s1 > ELLIPSE_CIRCLE_TOL:
-                    warn(f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
-                    continue
-                cx = _parse_length(get("cx")) or 0.0
-                cy = _parse_length(get("cy")) or 0.0
+                cx_text, cy_text = get("cx"), get("cy")
+                try:
+                    cx = float(cx_text) or 0.0
+                    cy = float(cy_text) or 0.0
+                except (TypeError, ValueError):
+                    cx = cy = nan
+                if cx - cx + cy - cy != 0.0 or "_" in cx_text or "_" in cy_text:
+                    cx = _parse_length(cx_text) or 0.0
+                    cy = _parse_length(cy_text) or 0.0
                 eid = get("id")
                 if not eid:
                     self._counter += 1
                     eid = f"circle-{self._counter}"
                 m_id(eid)
-                m_cx(t.a * cx + t.c * cy + t.e)
-                m_cy(t.b * cx + t.d * cy + t.f)
-                m_r(math.sqrt(s1 * s2))
+                m_cx(ma * cx + mc * cy + me)
+                m_cy(mb * cx + md * cy + mf)
+                m_r(radius)
             elif tag in _CONTAINERS:
                 self.walk(child, t, _font_size(child, font_size))
             elif tag == "text":
@@ -685,20 +734,24 @@ class _Parser:
 
 
 def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
+    # a canvas with an infinite side would leave every primitive far out of
+    # it, so such a size is passed over like a missing one, and named
+    non_finite: list[str] = []
     viewbox = root.get("viewBox")
     if viewbox:
         nums = [float(m.group(0)) for m in _NUM_RE.finditer(viewbox)]
         if len(nums) == 4 and nums[2] > 0 and nums[3] > 0:
             x0, y0 = nums[0], nums[1]
             x1, y1 = x0 + nums[2], y0 + nums[3]
-            # a canvas with an infinite side would leave every primitive far
-            # out of it, so such a size is passed over like a missing one
             if all(map(math.isfinite, (x0, y0, x1, y1))):
                 return Rect(x0, y0, x1, y1)
+            non_finite.append("viewBox")
     w = _parse_length(root.get("width"))
     h = _parse_length(root.get("height"))
     if w and h and 0 < w < math.inf and 0 < h < math.inf:
         return Rect(0.0, 0.0, w, h)
+    if math.isinf(w or 0) or math.isinf(h or 0):
+        non_finite.append("width/height")
     # fall back to content bounds
     xs: list[float] = []
     ys: list[float] = []
@@ -721,7 +774,7 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
     xs = list(filter(math.isfinite, xs))
     ys = list(filter(math.isfinite, ys))
     if xs and ys and (max(xs) > min(xs) or max(ys) > min(ys)):
-        cause = ("non-finite width/height" if math.isinf(w or 0) or math.isinf(h or 0)
+        cause = ("non-finite " + "/".join(non_finite) if non_finite
                  else "no viewBox/width/height")
         doc.warnings.append(f"{cause}; canvas from content bounds")
         return Rect(min(xs), min(ys), max(max(xs), min(xs) + 1.0),

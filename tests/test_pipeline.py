@@ -4,6 +4,7 @@ import concurrent.futures
 import errno
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -28,7 +29,7 @@ from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
-                             _num, enumerate_figures, extract_figure,
+                             _num, _nums, enumerate_figures, extract_figure,
                              make_project, read_csv_points, run_project,
                              scan_project, write_csv)
 from vecfig.point_extraction import DataPoint
@@ -201,18 +202,47 @@ def old_num(value: float) -> str:
     return repr(target)
 
 
-class TestNumFormat:
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=2000, deadline=None)
-    def test_equals_round_trip_formula(self, value):
-        assert _num(value) == old_num(value)
+_NUM_EDGES = [
+    0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 1e-5, 1.5e-5, 0.0001234, 123456789.0,
+    999999999.5, 1e9 - 0.5, 1e9 + 1, 1234567891.0, 1e16, 1e16 - 2, -1e16, 1e17,
+    9999999995.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
-    @pytest.mark.parametrize("value", [
-        0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 1e-5, 1.5e-5, 0.0001234, 123456789.0,
-        999999999.5, 1e9 - 0.5, 1e9 + 1, 1234567891.0, 1e16, 1e16 - 2, -1e16, 1e17,
-        9999999995.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+def assert_nums_equal_num(values):
+    """_nums gives _num's text of every value, or raises where _num does."""
+    try:
+        want = [_num(v) for v in values]
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _nums(values)
+    else:
+        assert _nums(values) == want
+
+
+class TestNumFormat:
+    # blocks _nums formats at once, and blocks mixing every kind of value:
+    # nan, infinities, exponents, -0, integral floats around 1e16, 9- and
+    # 10-digit integers and subnormals
+    @given(st.one_of(
+        st.lists(st.one_of(st.floats(-1e6, 1e6).map(lambda v: round(v, 4)),
+                           st.integers(-10**9 + 1, 10**9 - 1).map(float))),
+        st.lists(st.one_of(
+            st.floats(), st.sampled_from(_NUM_EDGES),
+            st.integers(-2 * 10**16, 2 * 10**16).map(float),
+            st.integers(10**8, 10**10 - 1).map(float),
+            st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)))))
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_round_trip_formula(self, values):
+        for value in filter(math.isfinite, values):
+            assert _num(value) == old_num(value)
+        assert_nums_equal_num(values)
+
+    @pytest.mark.parametrize("value", _NUM_EDGES + [math.nan, math.inf, -math.inf])
     def test_edge_values(self, value):
-        assert _num(value) == old_num(value)
+        if math.isfinite(value):
+            assert _num(value) == old_num(value)
+        assert_nums_equal_num([value])
+        assert_nums_equal_num([0.5, value, 2.0])
 
 
 class TestExtractFigure:

@@ -5,6 +5,7 @@ import math
 import re
 import weakref
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,20 @@ class TestParseOtherElements:
                         '<line x1="0" y1="100" x2="100" y2="100"/></svg>'.encode())
         assert doc.canvas == canvas
         assert len(doc.segments) == 1
+
+    @pytest.mark.parametrize("head,cause", [
+        ('viewBox="0 0 1e999 450"', "non-finite viewBox"),
+        ('viewBox="0 1e308 10 1e308"', "non-finite viewBox"),
+        ('width="1e999" height="450"', "non-finite width/height"),
+        ('viewBox="0 0 1e999 450" height="1e999"', "non-finite viewBox/width/height"),
+        ('viewBox="0 0 0 450" width="600"', "no viewBox/width/height"),
+    ])
+    def test_content_bounds_warning_names_the_cause(self, head, cause):
+        doc = parse_svg(f'<svg xmlns="http://www.w3.org/2000/svg" {head}>'
+                        '<line x1="0" y1="100" x2="0" y2="0"/>'
+                        '<line x1="0" y1="100" x2="100" y2="100"/></svg>'.encode())
+        assert doc.canvas == Rect(0.0, 0.0, 100.0, 100.0)
+        assert doc.warnings == [f"{cause}; canvas from content bounds"]
 
     def test_line_ids_and_zero_length(self):
         # generated ids count every primitive without an id of its own, in
@@ -539,7 +554,75 @@ class TestFlattenPathOracle:
                 == _flatten_outcome(flatten_path_oracle, d, transform))
 
 
+def compose_text_runs_oracle(raw_glyph_texts):
+    """Oracle: each run compared with the first run of every group made so far."""
+    if not raw_glyph_texts:
+        return []
+    pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x, r.id))
+    baselines = []
+    for run in pending:
+        for group in baselines:
+            h = max(run.glyph_height, group[0].glyph_height)
+            if abs(run.anchor.y - group[0].anchor.y) <= svg_model.RUN_BASELINE_TOL * h:
+                group.append(run)
+                break
+        else:
+            baselines.append([run])
+    merged = []
+    for group in baselines:
+        group.sort(key=lambda r: (r.anchor.x, r.id))
+        chain = [group[0]]
+        for run in group[1:]:
+            last = chain[-1]
+            h = max(run.glyph_height, last.glyph_height)
+            if run.anchor.x - last.anchor.x <= svg_model.RUN_GAP_TOL * h:
+                chain.append(run)
+            else:
+                merged.append(svg_model._join_chain(chain))
+                chain = [run]
+        merged.append(svg_model._join_chain(chain))
+    merged.sort(key=lambda r: (r.anchor.y, r.anchor.x))
+    return merged
+
+
 class TestComposeTextRuns:
+    # tied and nearly tied baselines, glyph heights that are zero, negative
+    # (a negative font-size) or infinite (an overflowing one)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0, 10.0, 10.2]),
+                  st.floats(-50, 50)),
+        st.one_of(st.sampled_from([0.0, 4.0, 4.8, 8.0]), st.floats(-50, 50)),
+        st.one_of(st.sampled_from([0.0, 1.0, 5.0, 8.0, 8.5, 20.0, -3.0, math.inf]),
+                  st.floats(0.1, 30)))))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_all_groups_oracle(self, glyphs):
+        runs = [TextRun(f"t{i}", Point(x, y), str(i), h)
+                for i, (y, x, h) in enumerate(glyphs)]
+        assert compose_text_runs(runs) == compose_text_runs_oracle(runs)
+
+    def test_baseline_comparisons_near_linear(self):
+        calls = 0
+
+        class CountingFloat(float):
+            def __sub__(self, other):
+                nonlocal calls
+                calls += 1
+                return float(self) - float(other)
+
+            def __rsub__(self, other):
+                nonlocal calls
+                calls += 1
+                return float(other) - float(self)
+
+        for n in (1000, 4000):
+            calls = 0
+            # one glyph per baseline, each far from the next
+            runs = [TextRun(f"t{i}", Point(5.0, CountingFloat(10.0 * i)), "1", 8.0)
+                    for i in range(n)]
+            assert len(compose_text_runs(runs)) == n
+            # comparing with every group made so far takes n * (n - 1) / 2
+            assert calls <= n * (n.bit_length() + 2)
+
     def test_adjacent_glyphs_merge(self):
         # gap 4 <= 0.6 * 8 = 4.8
         runs = [TextRun("a", Point(10, 100), "1", 8.0),
@@ -667,7 +750,7 @@ def regex_parse_length(text):
 
 def rounded_oracle(t, cx, cy, rx, ry, warnings):
     """Oracle: a circle or ellipse through a per-marker scaled matrix."""
-    if rx <= 0 or ry <= 0:
+    if not (0 < rx < math.inf and 0 < ry < math.inf):
         warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
         return None
     a, b, c, d = t.a * rx, t.b * rx, t.c * ry, t.d * ry
@@ -676,10 +759,52 @@ def rounded_oracle(t, cx, cy, rx, ry, warnings):
     root = math.sqrt(max(0.0, s * s - 4.0 * det * det))
     s1 = math.sqrt(max(0.0, (s + root) / 2.0))
     s2 = math.sqrt(max(0.0, (s - root) / 2.0))
+    if s1 == math.inf:
+        warnings.append(f"degenerate circle/ellipse skipped (r={rx},{ry})")
+        return None
     if s1 <= 0 or (s1 - s2) / s1 > 0.05:
         warnings.append(f"non-circular ellipse skipped (semi-axes {s1:.3g}, {s2:.3g})")
         return None
     return t.apply_xy(cx, cy), math.sqrt(s1 * s2)
+
+
+def walk_oracle(elem, t, doc, counter):
+    """Oracle: the lines, circles and ellipses under ``elem``, each attribute
+    read with ``_parse_length(text) or 0.0`` and each marker solved alone."""
+    for child in elem:
+        tag = child.tag.rsplit("}", 1)[-1]
+        own = child.get("transform")
+        ct = t.then(parse_transform(own)) if own else t
+
+        def length(name):
+            return _parse_length(child.get(name)) or 0.0
+
+        def new_id(kind):
+            if child.get("id"):
+                return child.get("id")
+            counter[0] += 1
+            return f"{kind}-{counter[0]}"
+
+        if tag == "g":
+            walk_oracle(child, ct, doc, counter)
+        elif tag == "line":
+            p1 = ct.apply_xy(length("x1"), length("y1"))
+            p2 = ct.apply_xy(length("x2"), length("y2"))
+            if p1.x == p2.x and p1.y == p2.y:
+                doc.warnings.append("zero-length line skipped")
+            else:
+                doc.segments.append(new_id("line"), p1.x, p1.y, p2.x, p2.y)
+        else:
+            rx = length("r" if tag == "circle" else "rx")
+            ry = length("r" if tag == "circle" else "ry")
+            got = rounded_oracle(ct, length("cx"), length("cy"), rx, ry, doc.warnings)
+            if got is not None:
+                (x, y), radius = astuple(got[0]), got[1]
+                markers = doc.circles
+                markers.ids.append(new_id("circle"))
+                markers.cx.append(x)
+                markers.cy.append(y)
+                markers.r.append(radius)
 
 
 def canvas_filter_oracle(doc):
@@ -716,6 +841,41 @@ _TRANSFORM_STEPS = st.one_of(
     st.tuples(st.just("skewY"), st.floats(-30, 30)),
     st.tuples(st.just("translate"), st.floats(-100, 100), st.floats(-100, 100)),
 )
+
+
+# attribute texts for the walk's number reads: plain numbers, texts float()
+# reads otherwise than _parse_length, units, junk and missing attributes
+_WALK_NUMBERS = st.one_of(
+    st.floats(-500, 500).map(repr),
+    st.sampled_from(["1_0", "inf", "nan", "1e999", "-1e999", "-0", "5px", "", None]),
+    st.lists(_LENGTH_PIECES, max_size=8).map("".join))
+# radius texts repeat, so that runs of markers share them
+_WALK_RADII = st.sampled_from(["2", "2.0", "2.05", "3", "0", "-2", "1e999", "1e200",
+                               "1_0", "-0", "5px", "", None])
+_WALK_ELEMENTS = st.one_of(
+    st.tuples(st.just("line"), st.tuples(*[_WALK_NUMBERS] * 4)),
+    st.tuples(st.just("circle"), st.tuples(_WALK_RADII, _WALK_NUMBERS, _WALK_NUMBERS)),
+    st.tuples(st.just("ellipse"),
+              st.tuples(_WALK_RADII, _WALK_RADII, _WALK_NUMBERS, _WALK_NUMBERS)),
+    st.tuples(st.sampled_from(["circle", "ellipse"]),
+              st.tuples(_WALK_RADII, _WALK_RADII, _WALK_NUMBERS, _WALK_NUMBERS),
+              st.sampled_from(["", "skewX(35)", "scale(1e200)", "rotate(90)"]),
+              st.sampled_from(["", "m"])))
+_WALK_ATTRIBUTES = {"line": ("x1", "y1", "x2", "y2"), "circle": ("r", "cx", "cy"),
+                    "ellipse": ("rx", "ry", "cx", "cy")}
+
+
+def _walk_element(element) -> str:
+    tag, texts, *own = element
+    if own and tag == "circle":
+        texts = texts[1:]
+    attributes = [f'{name}="{text}"' for name, text in zip(_WALK_ATTRIBUTES[tag], texts)
+                  if text is not None]
+    if own:
+        transform, eid = own
+        attributes += [f'transform="{transform}"'] if transform else []
+        attributes += [f'id="{eid}"']
+    return f'<{tag} {" ".join(attributes)}/>'
 
 
 def _transform_text(steps) -> str:
@@ -804,6 +964,51 @@ class TestMarkerPathOracles:
                        for k in (1, 2, 3))
         assert len(parse_svg(svg_bytes(body)).circles) == 150
         assert len(calls) == 3
+
+    @given(st.lists(st.one_of(_WALK_ELEMENTS, st.tuples(
+        st.sampled_from(["scale(2)", "rotate(30)", "scale(3,1)", "translate(-0, 5)"]),
+        st.lists(_WALK_ELEMENTS, max_size=6))), min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_reads_numbers_as_parse_length(self, items):
+        """Runs broken by a new radius text or transform, groups, own transforms."""
+        body = ""
+        for item in items:
+            if isinstance(item[1], list):
+                group_t, elements = item
+                body += f'<g transform="{group_t}">' + "".join(map(_walk_element, elements))
+                body += "</g>"
+            else:
+                body += _walk_element(item)
+        data = svg_bytes(body, 1e308, 1e308)
+        want = FigureDocument(canvas=Rect(0.0, 0.0, 1e308, 1e308))
+        walk_oracle(ET.fromstring(data), IDENTITY, want, [0])
+        svg_model._drop_out_of_canvas(want)
+        got = parse_svg(data)
+        # repr tells -0.0 from 0.0
+        for column in ("ids", "cx", "cy", "r"):
+            assert (list(map(repr, getattr(got.circles, column)))
+                    == list(map(repr, getattr(want.circles, column))))
+        for column in ("ids", "x1", "y1", "x2", "y2"):
+            assert (list(map(repr, getattr(got.segments, column)))
+                    == list(map(repr, getattr(want.segments, column))))
+        assert got.warnings == want.warnings
+
+    def test_number_reads_do_not_grow_with_markers(self, monkeypatch):
+        calls = {"_parse_length": 0, "_singular_values": 0}
+        for name in calls:
+            def counting(*args, real=getattr(svg_model, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(svg_model, name, counting)
+        counts = []
+        for n in (1000, 4000):
+            calls.update(dict.fromkeys(calls, 0))
+            svg, _ = generate_scatter_svg(SyntheticSpec(n_points=n, seed=5))
+            assert len(parse_svg(svg).circles) == n
+            counts.append(dict(calls))
+        # one radius and plain numbers: the calls read the axes and labels
+        assert counts[0] == counts[1]
+        assert counts[0]["_singular_values"] == 1
 
     @given(st.lists(st.tuples(st.sampled_from(["circles", "segments", "rasters", "texts"]),
                               st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
