@@ -12,7 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import le, sub
 from statistics import median
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -125,18 +128,25 @@ def detect_plot_box(doc: FigureDocument,
     v_length: list[float] = []
     h_index: list[int] = []
     h_length: list[float] = []
-    for i, (x1, y1, x2, y2) in enumerate(zip(xs1, ys1, xs2, ys2)):
-        dx = x1 - x2
-        dy = y1 - y2
+    for i, dx, dy in zip(count(), map(sub, xs1, xs2), map(sub, ys1, ys2)):
         length = hypot(dx, dy)
         if not length >= min_length:
             continue
-        dx = abs(dx)
-        dy = abs(dy)
-        if degrees(atan2(dx, dy)) <= angle_tol:
+        # an axis-aligned segment's angles are the ones atan2 gives it,
+        # 0.0 and 90.0, whatever its (nonzero) length, infinite too
+        if dx == 0.0:
+            v_angle, h_angle = 0.0, 90.0
+        elif dy == 0.0:
+            v_angle, h_angle = 90.0, 0.0
+        else:
+            dx = abs(dx)
+            dy = abs(dy)
+            v_angle = degrees(atan2(dx, dy))
+            h_angle = degrees(atan2(dy, dx))
+        if v_angle <= angle_tol:
             v_index.append(i)
             v_length.append(length)
-        if degrees(atan2(dy, dx)) <= angle_tol:
+        if h_angle <= angle_tol:
             h_index.append(i)
             h_length.append(length)
     # a pair scores sqrt(min(1, v/W * h/H) * proximity), the root of each
@@ -161,7 +171,7 @@ def detect_plot_box(doc: FigureDocument,
             qy = y / tol
             qy = limit if not qy <= limit else -limit if qy < -limit else qy
             grid.setdefault((floor(qx), floor(qy)), []).append(k)
-    columns = {cx for cx, _ in grid}
+    columns = sorted({cx for cx, _ in grid})
 
     candidates = []
     for i, v_len in zip(v_index, v_length):
@@ -170,9 +180,13 @@ def detect_plot_box(doc: FigureDocument,
             # the cells holding every coordinate within tol of the endpoint
             qx = x / tol
             qx = limit if not qx <= limit else -limit if qx < -limit else qx
-            cols = range(floor(qx - 1.0 - slack), floor(qx + 1.0 + slack) + 1)
-            if columns.isdisjoint(cols):
+            lo = floor(qx - 1.0 - slack)
+            hi = floor(qx + 1.0 + slack)
+            # the first column at or past lo; none lies in [lo, hi] unless it does
+            k = bisect_left(columns, lo)
+            if k == len(columns) or columns[k] > hi:
                 continue
+            cols = range(lo, hi + 1)
             qy = y / tol
             qy = limit if not qy <= limit else -limit if qy < -limit else qy
             rows = range(floor(qy - 1.0 - slack), floor(qy + 1.0 + slack) + 1)
@@ -214,17 +228,26 @@ def detect_plot_box(doc: FigureDocument,
 def detect_ticks(doc: FigureDocument, box: PlotBox,
                  cfg: PipelineConfig = DEFAULT_CONFIG) -> list[TickMark]:
     """Collect short perpendicular stubs touching either axis line."""
+    segments = doc.segments
+    # one length per segment, for both axes
+    lengths = list(map(math.hypot, map(sub, segments.x1, segments.x2),
+                       map(sub, segments.y1, segments.y2)))
     ticks: list[TickMark] = []
-    ticks += _ticks_on_axis(doc.segments, box.bottom_index, AxisSide.X_AXIS,
+    ticks += _ticks_on_axis(segments, lengths, box.bottom_index, AxisSide.X_AXIS,
                             box.interior.height, cfg)
-    ticks += _ticks_on_axis(doc.segments, box.left_index, AxisSide.Y_AXIS,
+    ticks += _ticks_on_axis(segments, lengths, box.left_index, AxisSide.Y_AXIS,
                             box.interior.width, cfg)
     return ticks
 
 
-def _ticks_on_axis(segments: Segments, axis_index: int, side: AxisSide,
-                   cross_side_length: float, cfg: PipelineConfig) -> list[TickMark]:
-    """Ticks off the axis at ``axis_index`` in the columns, the axis skipped."""
+def _ticks_on_axis(segments: Segments, lengths: list[float], axis_index: int,
+                   side: AxisSide, cross_side_length: float,
+                   cfg: PipelineConfig) -> list[TickMark]:
+    """Ticks off the axis at ``axis_index`` in the columns, the axis skipped.
+
+    ``lengths`` holds each segment's length; only the segments whose length
+    lies within the tick lengths are visited.
+    """
     ax, ay = segments.x1[axis_index], segments.y1[axis_index]
     vx, vy = segments.x2[axis_index] - ax, segments.y2[axis_index] - ay
     denom = vx * vx + vy * vy
@@ -241,13 +264,15 @@ def _ticks_on_axis(segments: Segments, axis_index: int, side: AxisSide,
     min_length = cfg.tick_min_length
     max_length = cfg.tick_max_length_frac * cross_side_length
     angle_tol = cfg.tick_angle_tol_deg
-    hypot, atan2, degrees = math.hypot, math.atan2, math.degrees
+    atan2, degrees = math.atan2, math.degrees
+    xs1, ys1, xs2, ys2 = segments.x1, segments.y1, segments.x2, segments.y2
     out: list[TickMark] = []
-    for i, (x1, y1, x2, y2) in enumerate(zip(segments.x1, segments.y1,
-                                              segments.x2, segments.y2)):
-        length = hypot(x1 - x2, y1 - y2)
-        if not (min_length <= length <= max_length) or i == axis_index:
+    # gridlines and axes fail the upper bound, so it picks the few to visit
+    for i in compress(count(), map(le, lengths, repeat(max_length))):
+        length = lengths[i]
+        if not min_length <= length or i == axis_index:
             continue
+        x1, y1, x2, y2 = xs1[i], ys1[i], xs2[i], ys2[i]
         dx = abs(x1 - x2)
         dy = abs(y1 - y2)
         if not degrees(atan2(dx, dy) if x_axis else atan2(dy, dx)) <= angle_tol:
@@ -292,33 +317,24 @@ def parse_numeric_label(run: TextRun) -> TickLabel | None:
 # ---------------------------------------------------------------------------
 # tick-label matching
 
-class _LabelSide:
-    """Where one axis's labels sit: outside the box, within a window of it."""
+def _nearest_gap(along: float, first: float, positions: list[float]) -> float:
+    """``min(abs(along - p) for p in ...)`` over one axis's tick positions.
 
-    def __init__(self, ticks: list[TickMark], box: PlotBox, side: AxisSide,
-                 cfg: PipelineConfig) -> None:
-        self.ticks = [t for t in ticks if t.side is side]
-        self.side = side
-        self.reach = (cfg.label_window_tick_factor
-                      * median(t.length for t in self.ticks)) if self.ticks else 0.0
-        self.glyph_factor = cfg.label_window_glyph_factor
-        # x labels hang below the bottom edge, y labels left of the left edge
-        self.axis_coord = box.interior.y1 if side is AxisSide.X_AXIS else box.interior.x0
-
-    def along(self, label: TickLabel) -> float:
-        return label.anchor.x if self.side is AxisSide.X_AXIS else label.anchor.y
-
-    def admits(self, label: TickLabel) -> bool:
-        if self.side is AxisSide.X_AXIS:
-            offset = label.anchor.y - self.axis_coord
-        else:
-            offset = self.axis_coord - label.anchor.x
-        return 0 < offset <= self.reach + self.glyph_factor * label.glyph_height
-
-    def tick_gap(self, label: TickLabel) -> float:
-        """Along-axis distance from the label to this axis's nearest tick."""
-        along = self.along(label)
-        return min(abs(along - t.position) for t in self.ticks)
+    ``first`` is the position of the axis's first tick, ``positions`` all
+    its positions but nan, sorted.  Starting from the first gap, as min()
+    does, keeps a nan first gap and passes over every later nan gap.  The
+    rounded ``along - p`` falls as ``p`` grows, so no gap is less than the
+    least of the two positions either side of ``along``.  An infinite
+    ``along`` is infinitely far from every position but its own, whose gap
+    is nan.
+    """
+    gap = abs(along - first)
+    k = bisect_left(positions, along)
+    for p in positions[max(k - 1, 0):k + 1]:
+        d = abs(along - p)
+        if d < gap:
+            gap = d
+    return gap
 
 
 def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
@@ -333,32 +349,72 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
     it is closer to along that axis.  Matches farther along the axis than
     half the median inter-tick spacing are dropped.  Raises
     InsufficientMatches when fewer than two pairs survive.
+
+    A label finds its nearest tick on either axis, and the ticks within
+    reach, by bisection in the axis's sorted positions.  The cost is
+    O((ticks + labels) log ticks) plus the pairs formed.
     """
-    own = _LabelSide(ticks, box, side, cfg)
-    axis_ticks = own.ticks
+    axis_ticks = [t for t in ticks if t.side is side]
     if len(axis_ticks) < 2:
         raise InsufficientMatches(f"{side.value}: fewer than 2 ticks")
-    other = _LabelSide(ticks, box, AxisSide.Y_AXIS if side is AxisSide.X_AXIS
-                       else AxisSide.X_AXIS, cfg)
-    along = own.along
-    candidates = [
-        l for l in labels
-        if own.admits(l) and not (other.ticks and other.admits(l)
-                                  and other.tick_gap(l) < own.tick_gap(l))
-    ]
+    other_ticks = [t for t in ticks if t.side is (
+        AxisSide.Y_AXIS if side is AxisSide.X_AXIS else AxisSide.X_AXIS)]
+    own_positions = [t.position for t in axis_ticks]
+    # the axis's ticks by position, nan left out: it is no distance from anything
+    order = sorted((ti for ti, p in enumerate(own_positions) if p == p),
+                   key=own_positions.__getitem__)
+    own_sorted = [own_positions[ti] for ti in order]
+    other_sorted = sorted(p for t in other_ticks if (p := t.position) == p)
+    window_factor = cfg.label_window_tick_factor
+    own_reach = window_factor * median(t.length for t in axis_ticks)
+    other_reach = (window_factor * median(t.length for t in other_ticks)
+                   if other_ticks else 0.0)
+    glyph_factor = cfg.label_window_glyph_factor
+    # x labels hang below the bottom edge, y labels left of the left edge
+    bottom, left = box.interior.y1, box.interior.x0
+    x_axis = side is AxisSide.X_AXIS
+    candidates: list[TickLabel] = []
+    alongs: list[float] = []
+    for label in labels:
+        x, y = label.anchor.x, label.anchor.y
+        if x_axis:
+            along, other_along, offset, other_offset = x, y, y - bottom, left - x
+        else:
+            along, other_along, offset, other_offset = y, x, left - x, y - bottom
+        window = glyph_factor * label.glyph_height
+        if not 0 < offset <= own_reach + window:
+            continue
+        if (other_ticks and 0 < other_offset <= other_reach + window
+                and _nearest_gap(other_along, other_ticks[0].position, other_sorted)
+                < _nearest_gap(along, own_positions[0], own_sorted)):
+            continue
+        candidates.append(label)
+        alongs.append(along)
 
-    positions = sorted(t.position for t in axis_ticks)
+    positions = sorted(own_positions)
     spacings = [b - a for a, b in zip(positions, positions[1:]) if b > a]
     max_along = (median(spacings) / 2.0) if spacings else math.inf
 
+    # the ticks within max_along of a label lie on both sides of it, in a
+    # run that ends at the first tick farther away; a tick at the label's
+    # own position is 0 away, or nan away when that position is infinite,
+    # and a nan label is nan away from every tick
+    pairs = []
+    n = len(own_sorted)
+    for li, along in enumerate(alongs):
+        if along != along:
+            continue
+        lo = bisect_left(own_sorted, along)
+        k = lo if along - along == 0.0 else bisect_right(own_sorted, along)
+        while k < n and (dist := abs(along - (p := own_sorted[k]))) <= max_along:
+            pairs.append((dist, along, p, order[k], li))
+            k += 1
+        k = lo - 1
+        while k >= 0 and (dist := abs(along - (p := own_sorted[k]))) <= max_along:
+            pairs.append((dist, along, p, order[k], li))
+            k -= 1
     # greedy by ascending along-axis distance; equidistant labels resolve
     # toward the smaller along-axis coordinate (leftward / upward)
-    pairs = []
-    for ti, tick in enumerate(axis_ticks):
-        for li, label in enumerate(candidates):
-            dist = abs(along(label) - tick.position)
-            if dist <= max_along:
-                pairs.append((dist, along(label), tick.position, ti, li))
     pairs.sort()
     used_ticks: set[int] = set()
     used_labels: set[int] = set()

@@ -205,6 +205,8 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
         report.warnings.append(str(exc))
 
     annotated = _annotate_svg(svg_bytes, detected)
+    if annotated is svg_bytes and detected.box is not None:
+        report.warnings.append("overlay not spliced: no root end tag")
     return points, annotated, report
 
 
@@ -246,8 +248,8 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     every source byte is kept.  It draws the plot box dashed red, ticks
     green, labels blue and markers orange, in device coordinates: the group
     undoes the root's own transform, which its children would otherwise
-    inherit a second time.  The source comes back unchanged when no plot
-    box was found, or when it has no root end tag to splice before (a
+    inherit a second time.  The source object itself comes back when no
+    plot box was found, or when it has no root end tag to splice before (a
     self-closing root, an encoding that is not ASCII-compatible).
 
     The result is written once, into one buffer: the source goes in as

@@ -590,7 +590,8 @@ class _Parser:
         coordinates are read by float() where it reads them as
         _parse_length does (a plain finite number without "_"), and by
         _parse_length otherwise.  A marker's radius, checks and transform
-        entries are worked out once per run (see _marker_run).
+        entries are worked out once per run (see _marker_run); a line's
+        transform entries are read once per transform.
         """
         names = self.names
         doc = self.doc
@@ -603,6 +604,8 @@ class _Parser:
                                         segments.y1.append, segments.x2.append,
                                         segments.y2.append)
         run_t, run_rx, run_ry, skip, ma, mb, mc, md, me, mf, radius = self._run
+        # the transform the last line was drawn under; its entries are la to lf
+        line_t = None
         nan = math.nan
         for child in elem:
             tag = names[child.tag]
@@ -626,10 +629,13 @@ class _Parser:
                     py1 = _parse_length(y1_text) or 0.0
                     px2 = _parse_length(x2_text) or 0.0
                     py2 = _parse_length(y2_text) or 0.0
-                x1 = t.a * px1 + t.c * py1 + t.e
-                y1 = t.b * px1 + t.d * py1 + t.f
-                x2 = t.a * px2 + t.c * py2 + t.e
-                y2 = t.b * px2 + t.d * py2 + t.f
+                if t is not line_t:
+                    line_t = t
+                    la, lb, lc, ld, le, lf = t.a, t.b, t.c, t.d, t.e, t.f
+                x1 = la * px1 + lc * py1 + le
+                y1 = lb * px1 + ld * py1 + lf
+                x2 = la * px2 + lc * py2 + le
+                y2 = lb * px2 + ld * py2 + lf
                 if x1 == x2 and y1 == y2:
                     warn("zero-length line skipped")
                     continue

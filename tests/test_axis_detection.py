@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import itertools
 import math
 import random
+from statistics import median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -678,6 +682,154 @@ class TestColumnarSegmentsMatchObjectOracle:
                     box_outcome(object_plot_box, doc, cfg))
 
 
+# ---------------------------------------------------------------------------
+# the segment passes: constant angles, sorted columns, one length pass
+
+def old_ticks_on_axis(segments, axis_index, side, cross_side_length, cfg):
+    """Oracle: the tick pass as it was, with a hypot and an atan2 per segment."""
+    ax, ay = segments.x1[axis_index], segments.y1[axis_index]
+    vx, vy = segments.x2[axis_index] - ax, segments.y2[axis_index] - ay
+    denom = vx * vx + vy * vy
+
+    def gap(px, py):
+        t = 0.0
+        if denom != 0:
+            t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / denom))
+        return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+
+    x_axis = side is AxisSide.X_AXIS
+    max_length = cfg.tick_max_length_frac * cross_side_length
+    out = []
+    for i, (x1, y1, x2, y2) in enumerate(zip(segments.x1, segments.y1,
+                                              segments.x2, segments.y2)):
+        length = math.hypot(x1 - x2, y1 - y2)
+        if not (cfg.tick_min_length <= length <= max_length) or i == axis_index:
+            continue
+        dx = abs(x1 - x2)
+        dy = abs(y1 - y2)
+        angle = math.atan2(dx, dy) if x_axis else math.atan2(dy, dx)
+        if not math.degrees(angle) <= cfg.tick_angle_tol_deg:
+            continue
+        d1 = gap(x1, y1)
+        d2 = gap(x2, y2)
+        if min(d1, d2) > cfg.tick_touch_tol:
+            continue
+        if d1 <= d2:
+            position = x1 if x_axis else y1
+        else:
+            position = x2 if x_axis else y2
+        out.append(TickMark(position=position, side=side, length=length))
+    out.sort(key=lambda t: t.position)
+    return out
+
+
+# zero, subnormal, normal, huge and infinite, of either sign
+_NONZERO = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1e300,
+                     math.inf, -math.inf]),
+    st.floats(-1e-307, 1e-307), st.floats(allow_nan=False),
+).filter(lambda v: v != 0.0)
+_LIMIT = 2 ** 62  # the clamp of a grid coordinate, as an integer column
+
+
+class TestSegmentPasses:
+    @given(st.sampled_from([0.0, -0.0]), _NONZERO)
+    @settings(max_examples=300)
+    def test_axis_aligned_angles_are_constants(self, zero, d):
+        # detect_plot_box gives a segment whose dx (dy) is zero the angles
+        # 0.0 and 90.0 (90.0 and 0.0) that atan2 gives it
+        assert math.degrees(math.atan2(abs(zero), abs(d))) == 0.0
+        assert math.degrees(math.atan2(abs(d), abs(zero))) == 90.0
+
+    @given(axis_layouts(), st.sampled_from([2.0, 90.0, 135.0]))
+    # a vertical with a subnormal run, and segments with both signs of zero
+    @example((DEFAULT_CONFIG, [seg("v", 0, 0, 5e-324, -20), seg("h", -0.0, 0, 30, 0.0),
+                               seg("v2", -0.0, 0, 0.0, -math.inf)]), 2.0)
+    @settings(max_examples=200, deadline=None)
+    def test_plot_box_at_angle_tolerances(self, layout, angle_tol):
+        cfg, glyphs = layout
+        cfg = dataclasses.replace(cfg, axis_angle_tol_deg=angle_tol)
+        doc = doc_with(glyphs, canvas=Rect(-10 * cfg.corner_gap_tol,
+                                           -10 * cfg.corner_gap_tol, 600, 450))
+        assert same(box_outcome(detect_plot_box, doc, cfg),
+                    box_outcome(quadratic_plot_box, doc, cfg))
+
+    @pytest.mark.parametrize("angle_tol", [2.0, 90.0, 135.0])
+    def test_gridlines_at_angle_tolerances(self, angle_tol):
+        cfg = PipelineConfig(axis_angle_tol_deg=angle_tol)
+        segments = gridded_segments(30, 1.0, 0.0)
+        for order in (segments, segments[::-1]):
+            doc = doc_with(order)
+            assert same(box_outcome(detect_plot_box, doc, cfg),
+                        box_outcome(quadratic_plot_box, doc, cfg))
+
+    @given(st.sets(st.one_of(st.integers(-6, 6),
+                             st.sampled_from([_LIMIT, _LIMIT - 1, _LIMIT - 3,
+                                              -_LIMIT, -_LIMIT - 1, -_LIMIT + 2]))),
+           st.one_of(st.integers(-8, 8), st.sampled_from([_LIMIT, _LIMIT - 2,
+                                                          -_LIMIT - 1, -_LIMIT - 3])),
+           st.integers(0, 3))
+    def test_sorted_columns_match_isdisjoint(self, columns, lo, width):
+        # the pre-check of a vertical endpoint's reach [lo, hi] of columns
+        hi = lo + width
+        ordered = sorted(columns)
+        k = bisect.bisect_left(ordered, lo)
+        skipped = k == len(ordered) or ordered[k] > hi
+        assert skipped == columns.isdisjoint(range(lo, hi + 1))
+
+    @given(axis_layouts())
+    @settings(max_examples=100, deadline=None)
+    def test_plot_box_searches_sorted_endpoint_columns(self, layout):
+        # every search runs over the sorted columns of the horizontal
+        # candidates' endpoints, clamped ones too
+        cfg, glyphs = layout
+        tol = cfg.corner_gap_tol
+        horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
+                       and math.degrees(math.atan2(abs(s.p2.y - s.p1.y),
+                                                   abs(s.p2.x - s.p1.x)))
+                       <= cfg.axis_angle_tol_deg]
+        want = sorted({math.floor(max(-2.0 ** 62, min(2.0 ** 62, p.x / tol)))
+                       for h in horizontals for p in (h.p1, h.p2)})
+        searched = []
+
+        def spy(columns, lo):
+            searched.append(list(columns))
+            return bisect.bisect_left(columns, lo)
+
+        doc = doc_with(glyphs, canvas=Rect(-10 * tol, -10 * tol, 600, 450))
+        with mock.patch.object(axis_detection, "bisect_left", spy):
+            got = box_outcome(detect_plot_box, doc, cfg)
+        assert all(columns == want for columns in searched)
+        assert same(got, box_outcome(object_plot_box, doc, cfg))
+
+    @given(st.lists(st.tuples(*[st.one_of(
+               st.sampled_from([50.0, 49.5, 50.5, 46.0, 54.0, 400.0, 399.5, 400.5,
+                                396.0, 404.0, 120.0, math.inf, -math.inf, math.nan]),
+               st.floats(40, 410))] * 4), max_size=14),
+           st.sampled_from([350.0, math.inf]), st.sampled_from([450.0, math.inf]),
+           st.integers(0, 14), st.integers(0, 14))
+    # stubs of infinite and nan length off each axis
+    @example([(100.0, 400.0, 100.0, math.inf), (50.0, 300.0, -math.inf, 300.0),
+              (100.0, 400.0, 100.0, math.nan), (math.nan, 300.0, 46.0, 300.0)],
+             math.inf, math.inf, 0, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_ticks_against_old_pass(self, rows, height, width, left_at, bottom_at):
+        glyphs = [Segment(f"s{i}", Point(x1, y1), Point(x2, y2))
+                  for i, (x1, y1, x2, y2) in enumerate(rows)]
+        glyphs.insert(min(left_at, len(glyphs)), STD_LEFT)
+        glyphs.insert(min(bottom_at, len(glyphs)), STD_BOTTOM)
+        box = PlotBox(left_index=index_of(glyphs, STD_LEFT),
+                      bottom_index=index_of(glyphs, STD_BOTTOM),
+                      interior=Rect(50.0, 400.0 - height, 50.0 + width, 400.0), score=1.0)
+        doc = doc_with(glyphs)
+        cfg = DEFAULT_CONFIG
+        want = (old_ticks_on_axis(doc.segments, box.bottom_index, AxisSide.X_AXIS,
+                                  box.interior.height, cfg)
+                + old_ticks_on_axis(doc.segments, box.left_index, AxisSide.Y_AXIS,
+                                    box.interior.width, cfg))
+        assert same(detect_ticks(doc, box, cfg), want)
+
+
 def run(content, x=0.0, y=0.0, h=8.0) -> TextRun:
     return TextRun("r", Point(x, y), content, h)
 
@@ -843,6 +995,178 @@ def random_matching_instance(rng: random.Random):
 
 def pair(pos, value):
     return (tick(pos), label(value, pos, 415))
+
+
+# ---------------------------------------------------------------------------
+# label matching against the all-pairs matcher it replaced
+
+class OldLabelSide:
+    """Where one axis's labels sit: outside the box, within a window of it."""
+
+    def __init__(self, ticks, box, side, cfg):
+        self.ticks = [t for t in ticks if t.side is side]
+        self.side = side
+        self.reach = (cfg.label_window_tick_factor
+                      * median(t.length for t in self.ticks)) if self.ticks else 0.0
+        self.glyph_factor = cfg.label_window_glyph_factor
+        self.axis_coord = box.interior.y1 if side is AxisSide.X_AXIS else box.interior.x0
+
+    def along(self, label):
+        return label.anchor.x if self.side is AxisSide.X_AXIS else label.anchor.y
+
+    def admits(self, label):
+        if self.side is AxisSide.X_AXIS:
+            offset = label.anchor.y - self.axis_coord
+        else:
+            offset = self.axis_coord - label.anchor.x
+        return 0 < offset <= self.reach + self.glyph_factor * label.glyph_height
+
+    def tick_gap(self, label):
+        along = self.along(label)
+        return min(abs(along - t.position) for t in self.ticks)
+
+
+def old_match_ticks_to_labels(ticks, labels, box, side, cfg=DEFAULT_CONFIG):
+    """Oracle: the matcher as it was, every tick against every label."""
+    own = OldLabelSide(ticks, box, side, cfg)
+    axis_ticks = own.ticks
+    if len(axis_ticks) < 2:
+        raise InsufficientMatches(f"{side.value}: fewer than 2 ticks")
+    other = OldLabelSide(ticks, box, AxisSide.Y_AXIS if side is AxisSide.X_AXIS
+                         else AxisSide.X_AXIS, cfg)
+    along = own.along
+    candidates = [
+        l for l in labels
+        if own.admits(l) and not (other.ticks and other.admits(l)
+                                  and other.tick_gap(l) < own.tick_gap(l))
+    ]
+    positions = sorted(t.position for t in axis_ticks)
+    spacings = [b - a for a, b in zip(positions, positions[1:]) if b > a]
+    max_along = (median(spacings) / 2.0) if spacings else math.inf
+    pairs = []
+    for ti, tick_ in enumerate(axis_ticks):
+        for li, label_ in enumerate(candidates):
+            dist = abs(along(label_) - tick_.position)
+            if dist <= max_along:
+                pairs.append((dist, along(label_), tick_.position, ti, li))
+    pairs.sort()
+    used_ticks, used_labels, matched = set(), set(), []
+    for _, _, _, ti, li in pairs:
+        if ti in used_ticks or li in used_labels:
+            continue
+        used_ticks.add(ti)
+        used_labels.add(li)
+        matched.append((axis_ticks[ti], candidates[li]))
+    if len(matched) < 2:
+        raise InsufficientMatches(
+            f"{side.value}: only {len(matched)} tick-label pair(s)")
+    matched.sort(key=lambda p: p[0].position)
+    return matched
+
+
+def match_outcome(match, ticks, labels, side):
+    """The pairs as the identities of their tick and label, or the error."""
+    try:
+        pairs = match(ticks, labels, STD_BOX, side)
+    except InsufficientMatches as exc:
+        return str(exc)
+    return [(id(t), id(l)) for t, l in pairs]
+
+
+def _near(base):
+    """Coordinates around ``base`` on a lattice of half-steps of 5, so that
+    positions repeat and labels fall midway between ticks, plus any float
+    near it, the infinities and nan."""
+    return st.one_of(st.integers(-4, 16).map(lambda k: base + 2.5 * k),
+                     st.floats(base - 10.0, base + 40.0),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def matching_inputs(draw):
+    """(ticks, labels) around the lower-left corner of STD_BOX.
+
+    x ticks sit along x near the left edge, y ticks along y near the
+    bottom edge, and labels range over both windows and the corner where
+    they overlap.  One axis may have a single distinct position (its
+    max_along is then inf), or no ticks at all.
+    """
+    xs, ys = _near(40.0), _near(370.0)
+    lengths = st.sampled_from([4.0, 4.0, 2.0, 10.0, math.inf])
+    ticks = []
+    for side, along in ((AxisSide.X_AXIS, xs), (AxisSide.Y_AXIS, ys)):
+        mode = draw(st.sampled_from(["spread", "spread", "spread", "single", "none"]))
+        if mode == "none":
+            continue
+        n = draw(st.integers(1, 8) if mode == "spread" else st.integers(2, 8))
+        if mode == "single":
+            position = draw(along)
+            positions = [position] * n
+        else:
+            positions = draw(st.lists(along, min_size=n, max_size=n))
+        ticks += [TickMark(p, side, draw(lengths)) for p in positions]
+    ticks = draw(st.permutations(ticks))
+    labels = [TickLabel(float(i), Point(draw(st.one_of(xs, st.floats(20.0, 50.0))),
+                                        draw(st.one_of(ys, st.floats(400.0, 430.0)))),
+                        str(i), draw(st.sampled_from([8.0, 8.0, 4.0, 0.0, math.inf])))
+              for i in range(draw(st.integers(0, 12)))]
+    return ticks, labels
+
+
+class TestMatchAgainstOldMatcher:
+    @given(matching_inputs(), st.sampled_from(list(AxisSide)))
+    # a label midway between two ticks
+    @example(([tick(100.0), tick(110.0)], [label(1, 105.0, 415.0)]), AxisSide.X_AXIS)
+    # one distinct position: every label is within reach of every tick
+    @example(([tick(100.0), tick(100.0)], [label(1, 90.0, 415.0), label(2, 150.0, 415.0)]),
+             AxisSide.X_AXIS)
+    # infinite positions and anchors, a corner label in both windows
+    @example(([tick(math.inf), tick(-math.inf), tick(60.0), tick(math.inf),
+               tick(380.0, AxisSide.Y_AXIS), tick(math.inf, AxisSide.Y_AXIS)],
+              [label(1, math.inf, 415.0), label(2, -math.inf, 415.0),
+               label(3, 45.0, 405.0), label(4, 45.0, math.inf)]), AxisSide.X_AXIS)
+    @settings(max_examples=400, deadline=None)
+    def test_same_pairs_as_old_matcher(self, inputs, side):
+        ticks, labels = inputs
+        assert (match_outcome(match_ticks_to_labels, ticks, labels, side)
+                == match_outcome(old_match_ticks_to_labels, ticks, labels, side))
+
+    @pytest.mark.parametrize("along", [math.nan, math.inf, -math.inf, 50.0])
+    @pytest.mark.parametrize("first", [math.nan, math.inf, -math.inf, 50.0, 70.0])
+    def test_nearest_gap_keeps_min_over_nan(self, along, first):
+        # min() keeps a nan first gap and skips later ones
+        positions = [first, -math.inf, 40.0, 60.0, math.inf, math.nan, 50.0]
+        want = min(abs(along - p) for p in positions)
+        got = axis_detection._nearest_gap(
+            along, first, sorted(p for p in positions if p == p))
+        assert same(got, want)
+
+    def test_distance_evaluations_linear(self, monkeypatch):
+        # every x label lies in both axes' windows, so each one also weighs
+        # its nearest tick on either axis
+        calls = 0
+
+        def counting_abs(value):
+            nonlocal calls
+            calls += 1
+            return abs(value)
+
+        monkeypatch.setattr(axis_detection, "abs", counting_abs, raising=False)
+        counts = {}
+        for n in (1000, 4000):
+            box = PlotBox(left_index=0, bottom_index=1,
+                          interior=Rect(n + 1.0, 0.0, 2.0 * n, n + 1.0), score=1.0)
+            ticks = [TickMark(float(i), side, 4.0)
+                     for side in AxisSide for i in range(1, n + 1)]
+            labels = ([label(i, float(i), n + 11.0, gh=n) for i in range(1, n + 1)]
+                      + [label(i, n - 9.0, float(i), gh=n) for i in range(1, n + 1)])
+            calls = 0
+            for side in AxisSide:
+                assert len(match_ticks_to_labels(ticks, labels, box, side)) == n
+            counts[n] = calls
+        # every tick against every label would be 2 * (2n)^2, 128M at n = 4000
+        assert counts[4000] <= 4.4 * counts[1000]
+        assert counts[1000] <= 20 * 2 * 1000
 
 
 class TestCalibrateAxis:

@@ -549,6 +549,9 @@ class TestAnnotatedSvg:
         points, annotated, report = self._extract(tmp_path, source)
         assert report.status is Status.OK and len(points) == 5
         assert annotated == source
+        # the figure is fine, but its overlay is missing: the report says so
+        assert report.warnings[-1] == "overlay not spliced: no root end tag"
+        assert report.warnings.count("overlay not spliced: no root end tag") == 1
 
 
 _ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")

@@ -860,7 +860,11 @@ _WALK_ELEMENTS = st.one_of(
     st.tuples(st.sampled_from(["circle", "ellipse"]),
               st.tuples(_WALK_RADII, _WALK_RADII, _WALK_NUMBERS, _WALK_NUMBERS),
               st.sampled_from(["", "skewX(35)", "scale(1e200)", "rotate(90)"]),
-              st.sampled_from(["", "m"])))
+              st.sampled_from(["", "m"])),
+    # a line under its own transform, between lines under the group's
+    st.tuples(st.just("line"), st.tuples(*[_WALK_NUMBERS] * 4),
+              st.sampled_from(["", "skewX(35)", "scale(1e200)", "rotate(90)"]),
+              st.sampled_from(["", "l"])))
 _WALK_ATTRIBUTES = {"line": ("x1", "y1", "x2", "y2"), "circle": ("r", "cx", "cy"),
                     "ellipse": ("rx", "ry", "cx", "cy")}
 
