@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import (Circle, Segment, circles_of, glyphs_of, markers_of,
                       segments_of, serialize_model, svg_bytes)
 from vecfig import svg_model
-from vecfig.errors import MalformedXml, NotSvg, PathSyntax
+from vecfig.errors import MalformedXml, NotSvg, PathSyntax, VecfigError
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
                               FigureDocument, Markers, Point, RasterGlyph,
                               Rect, Segments, TextRun, _parse_length,
@@ -1152,3 +1152,133 @@ class TestFontSize:
     def test_malformed_style_on_marker_ignored(self):
         doc = parse_svg(svg_bytes('<circle cx="5" cy="5" r="2" style="font-size: 1.2.3"/>'))
         assert len(doc.circles) == 1
+
+
+def parse_svg_oracle(data: bytes) -> FigureDocument:
+    """Oracle: the whole element tree built first, then walked from the root."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise MalformedXml(str(exc)) from exc
+    parser = svg_model._Parser()
+    root_name = parser.names[root.tag]
+    if root_name != "svg":
+        raise NotSvg(f"root element is <{root_name}>, not <svg>")
+    root_t_attr = root.get("transform")
+    root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
+    try:
+        parser.walk(root, root_t, svg_model.DEFAULT_FONT_SIZE)
+    except RecursionError:
+        raise MalformedXml("elements nested too deeply to walk") from None
+    doc = parser.doc
+    doc.root_transform = root_t
+    doc.canvas = svg_model._canvas_rect(root, doc)
+    svg_model._drop_out_of_canvas(doc)
+    doc.texts = compose_text_runs(doc.texts)
+    return doc
+
+
+def _parse_outcome(parse, data: bytes) -> tuple:
+    """The document's fields as text (repr tells -0.0 from 0.0 and shows
+    nan), or the type and message of the error the parse raised."""
+    try:
+        return ("doc", repr(parse(data)))
+    except VecfigError as exc:
+        return (type(exc), str(exc))
+
+
+_STREAM_TEXT = st.sampled_from(["", "1", "0.5", " 2 ", "é", "中文", "\n", "😀"])
+_STREAM_TRANSFORMS = st.sampled_from(
+    ["", "", "", "", "", "translate(3, 4)", "scale(2)", "rotate(30 5 5)", "skewX(20)",
+     "matrix(1 0 0 -1 0 400)", "translate(1e3) scale(0.5)", "scale(2, 2.1)",
+     "rotate(-90)", "scale(0)", "scale(1e200) scale(1e200) rotate(45)"])
+_STREAM_FONT_SIZES = st.sampled_from(
+    ["", ' font-size="14"', ' style="font-size: 7px"', ' font-size="large"'])
+_STREAM_LEAVES = st.one_of(
+    st.builds('<circle cx="{}" cy="{}" r="{}"/>'.format,
+              st.integers(-50, 700), st.integers(-50, 500), st.sampled_from([0, 2, 3])),
+    st.builds('<line id="{}" x1="{}" y1="5" x2="{}" y2="5"/>'.format,
+              st.sampled_from(["", "l", "ä"]), st.integers(0, 600), st.integers(0, 600)),
+    st.sampled_from([
+        '<rect x="1" y="2" width="30" height="40"/>', '<rect width="0" height="5"/>',
+        '<image x="5" y="5" width="10" height="10"/>',
+        '<path d="M 0 0 L 10 0 C 10 5 20 5 20 0 A 1 1 0 0 1 3 3 Z"/>',
+        '<path d="M 0 0 L 10 0 20"/>', '<path d=""/>', '<use href="#m"/>', '<polygon/>',
+        '<defs><circle id="m" cx="1" cy="1" r="2"/><g><line x1="0" x2="1"/></g></defs>',
+        '<style>circle { fill: red }</style>', "<!-- é </svg> -->", '<?pi <g/> ?>',
+        '<title>中 &amp; é</title>']),
+    st.builds('<text x="{}" y="{}"{}>{}{}</text>'.format,
+              st.integers(0, 600), st.integers(0, 450), _STREAM_FONT_SIZES, _STREAM_TEXT,
+              st.lists(st.builds('<tspan{}{}>{}<![CDATA[{}]]></tspan>{}'.format,
+                                 st.sampled_from(["", "", ' transform="scale(2)"', ' x="9"',
+                                                  ' transform="scale(0)"']),
+                                 _STREAM_FONT_SIZES, _STREAM_TEXT,
+                                 st.sampled_from(["", "<2>", "é"]), _STREAM_TEXT),
+                       max_size=3).map("".join)))
+_STREAM_BODIES = st.recursive(
+    st.lists(_STREAM_LEAVES, max_size=4).map("".join),
+    lambda bodies: st.lists(st.one_of(
+        _STREAM_LEAVES,
+        st.builds(lambda tag, t, fs, body: (f'<{tag}{f" transform={t!r}" if t else ""}'
+                                             f'{fs}>{body}</{tag}>'),
+                  st.sampled_from(["g", "g", "svg", "a", "switch"]), _STREAM_TRANSFORMS,
+                  _STREAM_FONT_SIZES, bodies),
+        bodies), max_size=6).map("".join),
+    max_leaves=60)
+
+
+@st.composite
+def streamed_documents(draw) -> bytes:
+    """Whole documents, now and then cut short or under another root."""
+    head = draw(st.sampled_from(
+        ["", '<?xml version="1.0" encoding="UTF-8"?>\n<!-- ü -->\n', "<?pi x?>"]))
+    root = draw(st.sampled_from(["svg"] * 7 + ["html"]))
+    root_t = draw(st.sampled_from(["", "", "", ' transform="scale(2)"',
+                                   ' transform="translate(-5 5) rotate(3)"',
+                                   ' transform="scale(0)"']))
+    canvas = draw(st.sampled_from(['width="600" height="450"', 'viewBox="0 0 600 450"', ""]))
+    data = (f'{head}<{root} xmlns="http://www.w3.org/2000/svg"{root_t} {canvas}>'
+            f'{draw(_STREAM_BODIES)}</{root}>\n').encode("utf-8")
+    if draw(st.sampled_from([False] * 7 + [True])):
+        data = data[:len(data) * draw(st.integers(1, 999)) // 1000]
+    return data
+
+
+class TestStreamedParse:
+    """parse_svg against the whole-tree oracle, the source fed in pieces
+    of several sizes, down to one byte (which splits multibyte text)."""
+
+    FEED_SIZES = (1, 7, 64, 4096, 1 << 30)
+
+    def _assert_as_oracle(self, monkeypatch, data: bytes) -> None:
+        want = _parse_outcome(parse_svg_oracle, data)
+        for feed in self.FEED_SIZES:
+            monkeypatch.setattr(svg_model, "_FEED_BYTES", feed, raising=False)
+            assert _parse_outcome(parse_svg, data) == want, feed
+
+    @given(streamed_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_whole_tree_oracle(self, data):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_as_oracle(monkeypatch, data)
+
+    @pytest.mark.parametrize("data", [
+        # a syntax error after a root that is not svg
+        b"<html><body/>" + b"<p>x</p>" * 40 + b"<p></q></html>",
+        # a degenerate transform, then a syntax error
+        svg_bytes('<g transform="scale(0)"><circle cx="1" cy="1" r="1"/></g>'
+                  + '<circle cx="5" cy="5" r="2"/>' * 40 + "<g></a>"),
+        svg_bytes('<circle cx="5" cy="5" r="2"/>' * 40 + "<g>").replace(
+            b"<svg ", b'<svg transform="scale(0)" ', 1),
+        svg_bytes('<path d="M 0 0 L"/>' + '<circle cx="5" cy="5" r="2"/>' * 40)[:-3],
+        # nesting deeper than the walk can recurse, closed one level at a time
+        svg_bytes("<g>" * 1200 + '<circle cx="1" cy="1" r="1"/>' + "</g>" * 1200),
+        svg_bytes("<g>" * 1200 + '<circle cx="1" cy="1" r="1"/>'
+                  + '</g><circle cx="2" cy="2" r="1"/>' * 1200),
+        svg_bytes("<g>" * 1200 + "</g>" * 1199),
+        svg_bytes("<g>" * 1200 + "</g>" * 1200)[:-1],
+        # an empty source, and one that ends inside the root's start tag
+        b"", svg_bytes("")[:20],
+    ])
+    def test_malformed_as_oracle(self, monkeypatch, data):
+        self._assert_as_oracle(monkeypatch, data)
