@@ -10,6 +10,7 @@ CSV, an annotated SVG and a JSON report next to each source figure.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import re
@@ -265,9 +266,6 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     def ring_tail(r: float, color: str) -> str:
         return f' r="{_num(r)}" stroke="{color}" stroke-width="0.8"/>'
 
-    def ring(x: float, y: float, r: float, color: str) -> str:
-        return f'<circle cx="{_num(x)}" cy="{_num(y)}"{ring_tail(r, color)}'
-
     inner = box.interior
     transform = ""
     if detected.root_transform != IDENTITY:
@@ -277,28 +275,31 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
              f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
              f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
              f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>']
-    for tick in detected.ticks:
-        if tick.side is AxisSide.X_AXIS:
-            parts.append(ring(tick.position, inner.y1, 2, "#2ca02c"))
-        else:
-            parts.append(ring(inner.x0, tick.position, 2, "#2ca02c"))
-    for _, label in detected.labels:
-        parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
+    # ticks, labels and markers are rings alike: centre columns and a tail
+    # per ring; markers mostly share a few radii, so each tail is made once
+    ticks = detected.ticks
+    on_x = [tick.side is AxisSide.X_AXIS for tick in ticks]
+    labels = [label.anchor for _, label in detected.labels]
+    markers = detected.markers
+    tails = {r: ring_tail(r + 1.5, "#ff7f0e") for r in set(markers.r)}
+    rings = [([tick.position if x else inner.x0 for tick, x in zip(ticks, on_x)],
+              [inner.y1 if x else tick.position for tick, x in zip(ticks, on_x)],
+              itertools.repeat(ring_tail(2, "#2ca02c"))),
+             ([p.x for p in labels], [p.y for p in labels],
+              itertools.repeat(ring_tail(3, "#1f77b4"))),
+             (markers.cx, markers.cy, map(tails.__getitem__, markers.r))]
 
     source = memoryview(svg_bytes)
     out = io.BytesIO()
     out.write(source[:end])
-    markers = detected.markers
-    cx, cy, radii = markers.cx, markers.cy, markers.r
-    # markers mostly share a few radii: format each ring's tail once
-    tails = {r: ring_tail(r + 1.5, "#ff7f0e") for r in set(radii)}
-    for start in range(0, len(markers), _RINGS_PER_WRITE):
-        if start:
-            out.write("".join(parts).encode("ascii"))
-            parts.clear()
-        stop = start + _RINGS_PER_WRITE
-        parts += [f'<circle cx="{x}" cy="{y}"{tails[r]}' for x, y, r
-                  in zip(_nums(cx[start:stop]), _nums(cy[start:stop]), radii[start:stop])]
+    for xs, ys, ring_tails in rings:
+        for start in range(0, len(xs), _RINGS_PER_WRITE):
+            if len(parts) >= _RINGS_PER_WRITE:
+                out.write("".join(parts).encode("ascii"))
+                parts.clear()
+            stop = start + _RINGS_PER_WRITE
+            parts += [f'<circle cx="{x}" cy="{y}"{tail}' for x, y, tail
+                      in zip(_nums(xs[start:stop]), _nums(ys[start:stop]), ring_tails)]
     parts.append("</g>")
     out.write("".join(parts).encode("ascii"))
     out.write(source[end:])

@@ -17,13 +17,13 @@ bulk.
 from __future__ import annotations
 
 import bisect
-import itertools
+import collections
 import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax
+from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax, VecfigError
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -40,6 +40,10 @@ RUN_BASELINE_TOL = 0.2
 RUN_GAP_TOL = 0.6
 
 DEFAULT_FONT_SIZE = 10.0
+
+# the source goes to the XML parser in pieces of this many bytes; what each
+# piece finishes is walked and dropped before the next one goes in
+_FEED_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -434,22 +438,29 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
     pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x, r.id))
 
     # group by shared baseline: each run joins the first group, in creation
-    # order, whose first run is close enough.  Groups are made in y order, so
-    # only those whose first run lies within RUN_BASELINE_TOL times the
-    # largest glyph height above the run can take it; bisect finds the
-    # first of them, by the same subtraction the test makes.
-    reach = RUN_BASELINE_TOL * max(run.glyph_height for run in pending)
+    # order, whose first run is close enough by the larger of their glyph
+    # heights.  Groups are made in y order, so every group whose first run
+    # lies within RUN_BASELINE_TOL times the run's own height above it can
+    # take the run; bisect finds the first of them, by the same subtraction
+    # the test makes.  An earlier group takes it only by its own, larger
+    # height: ``live`` holds (index, first y, reach) of the groups whose own
+    # reach may still take a run, in creation order, and one out of reach of
+    # a run is out of reach of every later one.
     baselines: list[list[TextRun]] = []
     first_ys: list[float] = []
+    live: collections.deque[tuple[int, float, float]] = collections.deque()
     for run in pending:
         y = run.anchor.y
-        k = bisect.bisect_left(first_ys, -reach, key=lambda first_y: first_y - y)
-        for group in itertools.islice(baselines, k, None):
-            h = max(run.glyph_height, group[0].glyph_height)
-            if abs(y - group[0].anchor.y) <= RUN_BASELINE_TOL * h:
-                group.append(run)
-                break
+        k = bisect.bisect_left(first_ys, -RUN_BASELINE_TOL * run.glyph_height,
+                               key=lambda first_y: first_y - y)
+        while live and not abs(y - live[0][1]) <= live[0][2]:
+            live.popleft()
+        if live and live[0][0] < k:
+            k = live[0][0]
+        if k < len(baselines):
+            baselines[k].append(run)
         else:
+            live.append((k, y, RUN_BASELINE_TOL * run.glyph_height))
             baselines.append([run])
             first_ys.append(y)
 
@@ -573,6 +584,8 @@ class _Parser:
         self.names = _LocalNames()
         # the run of circles and ellipses the last marker belonged to
         self._run = _marker_run(IDENTITY, None, None)
+        # the root's own transform, read when its children are first walked
+        self.root_t: AffineTransform | None = None
 
     def _gen_id(self, elem: ET.Element, kind: str) -> str:
         eid = elem.get("id")
@@ -581,7 +594,8 @@ class _Parser:
         self._counter += 1
         return f"{kind}-{self._counter}"
 
-    def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float) -> None:
+    def walk(self, elem: ET.Element | list[ET.Element], transform: AffineTransform,
+             font_size: float) -> None:
         """Read each child with its composed transform and inherited font size.
 
         Every element is dispatched by one chain of tag tests.  Lines,
@@ -714,6 +728,48 @@ class _Parser:
             elif tag not in _NON_RENDERING:
                 warn(f"unsupported element <{tag}> skipped")
 
+    def walk_finished(self, elem: ET.Element, transform: AffineTransform,
+                      font_size: float) -> None:
+        """Walk and drop the children of ``elem`` that the parser finished.
+
+        ``elem`` is in a tree still being parsed: every child but the last
+        is finished, and the last may still be open, so it waits.  A last
+        child that is a container is gone down into, one call per level as
+        walk recurses, so nesting too deep to walk fails here as it would
+        there; any other (<text>, <defs>) waits whole.
+        """
+        n = len(elem) - 1
+        if n > 0:
+            self.walk(elem[:n], transform, font_size)
+            del elem[:n]
+        if n >= 0 and self.names[elem[-1].tag] in _CONTAINERS:
+            last = elem[-1]
+            t_attr = last.get("transform")
+            self.walk_finished(last, _compose(transform, t_attr) if t_attr else transform,
+                               _font_size(last, font_size))
+
+    def walk_root(self, root: ET.Element, parsed: bool) -> VecfigError | None:
+        """Walk what is finished under ``root`` and drop it, or walk all that
+        is left once the source is ``parsed``; returns the error met instead
+        of raising it.
+
+        The first call checks the root and reads its transform.
+        """
+        try:
+            if self.root_t is None:
+                name = self.names[root.tag]
+                if name != "svg":
+                    raise NotSvg(f"root element is <{name}>, not <svg>")
+                t_attr = root.get("transform")
+                self.root_t = parse_transform(t_attr) if t_attr else IDENTITY
+            walk = self.walk if parsed else self.walk_finished
+            walk(root, self.root_t, DEFAULT_FONT_SIZE)
+        except RecursionError:
+            return MalformedXml("elements nested too deeply to walk")
+        except VecfigError as exc:
+            return exc
+        return None
+
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
                       inherited_anchor: Point | None) -> None:
         x = _parse_length(elem.get("x"))
@@ -830,26 +886,37 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
 def parse_svg(data: bytes) -> FigureDocument:
     """Parse SVG bytes into a flat device-space FigureDocument.
 
-    Raw per-glyph text elements are composed into runs before the document
-    is returned.  Raises MalformedXml (also for nesting too deep to walk) /
-    NotSvg / DegenerateTransform (also for non-finite arguments) / PathSyntax.
+    The source is fed to the XML parser _FEED_BYTES at a time, and after
+    each piece the elements it finished are walked and dropped, so the
+    whole element tree never exists.  Errors rank as if the whole source
+    were parsed before the walk: MalformedXml first, then the first error
+    the walk meets.  Raw per-glyph text elements are composed into runs
+    before the document is returned.  Raises MalformedXml (also for nesting
+    too deep to walk) / NotSvg / DegenerateTransform (also for non-finite
+    arguments) / PathSyntax.
     """
+    parser = _Parser()
+    pull = ET.XMLPullParser(events=("start",))
+    source = memoryview(data)
+    root = failure = None
     try:
-        root = ET.fromstring(data)
+        for start in range(0, len(source), _FEED_BYTES):
+            pull.feed(source[start:start + _FEED_BYTES])
+            # a queued event keeps its element alive
+            for _, elem in pull.read_events():
+                if root is None:
+                    root = elem
+            if root is not None and failure is None and start + _FEED_BYTES < len(source):
+                failure = parser.walk_root(root, parsed=False)
+        pull.close()
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    parser = _Parser()
-    root_name = parser.names[root.tag]
-    if root_name != "svg":
-        raise NotSvg(f"root element is <{root_name}>, not <svg>")
-    root_t_attr = root.get("transform")
-    root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
-    try:
-        parser.walk(root, root_t, DEFAULT_FONT_SIZE)
-    except RecursionError:
-        raise MalformedXml("elements nested too deeply to walk") from None
+    if failure is None:
+        failure = parser.walk_root(root, parsed=True)
+    if failure is not None:
+        raise failure
     doc = parser.doc
-    doc.root_transform = root_t
+    doc.root_transform = parser.root_t
     doc.canvas = _canvas_rect(root, doc)
     _drop_out_of_canvas(doc)
     doc.texts = compose_text_runs(doc.texts)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
-from vecfig import axis_detection, cli, pipeline
+from vecfig import axis_detection, cli, pipeline, svg_model
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import BadFilter, DestinationCollision
@@ -504,18 +504,26 @@ class TestAnnotatedSvg:
             assert [*got[0], *got[1]] == pytest.approx([*exp[0], *exp[1]], abs=1e-6)
 
     def test_source_parsed_once(self, tmp_path, monkeypatch):
-        calls = []
-        fromstring = ET.fromstring
+        fed = []
+        feed = ET.XMLPullParser.feed
 
-        def counting(data, *args, **kwargs):
-            calls.append(len(data))
-            return fromstring(data, *args, **kwargs)
+        def counting(pull, data):
+            fed.append(len(data))
+            return feed(pull, data)
 
-        monkeypatch.setattr(ET, "fromstring", counting)
+        def no_whole_parse(*args, **kwargs):
+            raise AssertionError("source parsed whole")
+
+        monkeypatch.setattr(ET.XMLPullParser, "feed", counting)
+        monkeypatch.setattr(ET, "fromstring", no_whole_parse)
+        # several pieces, so that the walk runs between them
+        monkeypatch.setattr(svg_model, "_FEED_BYTES", 256)
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
         _, _, report = self._extract(tmp_path, svg)
         assert report.status is Status.OK
-        assert calls == [len(svg)]
+        # every source byte goes to the parser once, and the overlay parses nothing
+        assert sum(fed) == len(svg)
+        assert len(fed) == -(-len(svg) // 256)
 
     @pytest.mark.parametrize("style", list(AxisStyle))
     def test_overlay_spliced_before_root_end_tag(self, tmp_path, style):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import re
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
@@ -592,7 +594,7 @@ class TestComposeTextRuns:
         st.one_of(st.sampled_from([0.0, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0, 10.0, 10.2]),
                   st.floats(-50, 50)),
         st.one_of(st.sampled_from([0.0, 4.0, 4.8, 8.0]), st.floats(-50, 50)),
-        st.one_of(st.sampled_from([0.0, 1.0, 5.0, 8.0, 8.5, 20.0, -3.0, math.inf]),
+        st.one_of(st.sampled_from([0.0, 1.0, 5.0, 8.0, 8.5, 20.0, -3.0, 8e6, math.inf]),
                   st.floats(0.1, 30)))))
     @settings(max_examples=300, deadline=None)
     def test_equals_all_groups_oracle(self, glyphs):
@@ -614,12 +616,18 @@ class TestComposeTextRuns:
                 calls += 1
                 return float(other) - float(self)
 
-        for n in (1000, 4000):
+        # one glyph per baseline, each far from the next; then, below them
+        # all, one glyph tall enough to reach every baseline
+        for n, tall in itertools.product((1000, 4000), (None, 8e6, math.inf)):
             calls = 0
-            # one glyph per baseline, each far from the next
             runs = [TextRun(f"t{i}", Point(5.0, CountingFloat(10.0 * i)), "1", 8.0)
                     for i in range(n)]
-            assert len(compose_text_runs(runs)) == n
+            if tall:
+                runs.append(TextRun("tall", Point(5.0, CountingFloat(10.0 * n)), "2", tall))
+            merged = compose_text_runs(runs)
+            # the tall glyph joins the first baseline
+            assert len(merged) == n
+            assert merged[0].content == ("12" if tall else "1")
             # comparing with every group made so far takes n * (n - 1) / 2
             assert calls <= n * (n.bit_length() + 2)
 
@@ -1253,7 +1261,7 @@ class TestStreamedParse:
     def _assert_as_oracle(self, monkeypatch, data: bytes) -> None:
         want = _parse_outcome(parse_svg_oracle, data)
         for feed in self.FEED_SIZES:
-            monkeypatch.setattr(svg_model, "_FEED_BYTES", feed, raising=False)
+            monkeypatch.setattr(svg_model, "_FEED_BYTES", feed)
             assert _parse_outcome(parse_svg, data) == want, feed
 
     @given(streamed_documents())
@@ -1279,6 +1287,22 @@ class TestStreamedParse:
         svg_bytes("<g>" * 1200 + "</g>" * 1200)[:-1],
         # an empty source, and one that ends inside the root's start tag
         b"", svg_bytes("")[:20],
-    ])
+    ], ids=["not-svg-then-syntax", "bad-transform-then-syntax", "bad-root-transform-then-syntax",
+            "bad-path-then-truncated", "deep", "deep-with-trailing-siblings",
+            "deep-unclosed", "deep-truncated", "empty", "root-tag-cut"])
     def test_malformed_as_oracle(self, monkeypatch, data):
         self._assert_as_oracle(monkeypatch, data)
+
+    def test_peak_memory_follows_the_columns(self):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        tracemalloc.start()
+        try:
+            doc = parse_svg(svg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(doc.circles) == 20_000
+        # the whole element tree, built before the walk, peaked at about 8.0
+        # times the source; streamed, the columns, one piece and the open
+        # elements take about 1.6 times
+        assert peak <= 2.5 * len(svg)
