@@ -1237,7 +1237,8 @@ _STREAM_BODIES = st.recursive(
 
 @st.composite
 def streamed_documents(draw) -> bytes:
-    """Whole documents, now and then cut short or under another root."""
+    """Whole documents, now and then cut short, under another root or in
+    UTF-16 (whose declared encoding, when there is one, is UTF-8)."""
     head = draw(st.sampled_from(
         ["", '<?xml version="1.0" encoding="UTF-8"?>\n<!-- ü -->\n', "<?pi x?>"]))
     root = draw(st.sampled_from(["svg"] * 7 + ["html"]))
@@ -1246,7 +1247,8 @@ def streamed_documents(draw) -> bytes:
                                    ' transform="scale(0)"']))
     canvas = draw(st.sampled_from(['width="600" height="450"', 'viewBox="0 0 600 450"', ""]))
     data = (f'{head}<{root} xmlns="http://www.w3.org/2000/svg"{root_t} {canvas}>'
-            f'{draw(_STREAM_BODIES)}</{root}>\n').encode("utf-8")
+            f'{draw(_STREAM_BODIES)}</{root}>\n').encode(
+                draw(st.sampled_from(["utf-8"] * 7 + ["utf-16"])))
     if draw(st.sampled_from([False] * 7 + [True])):
         data = data[:len(data) * draw(st.integers(1, 999)) // 1000]
     return data
