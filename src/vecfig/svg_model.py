@@ -444,23 +444,27 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
     # take the run; bisect finds the first of them, by the same subtraction
     # the test makes.  An earlier group takes it only by its own, larger
     # height: ``live`` holds (index, first y, reach) of the groups whose own
-    # reach may still take a run, in creation order, and one out of reach of
-    # a run is out of reach of every later one.
+    # reach may still take a run, in creation order, and one that a run is
+    # past is out of reach of every later one.  Two equal infinite y
+    # subtract to nan, which is neither near nor past.
     baselines: list[list[TextRun]] = []
     first_ys: list[float] = []
     live: collections.deque[tuple[int, float, float]] = collections.deque()
     for run in pending:
         y = run.anchor.y
-        k = bisect.bisect_left(first_ys, -RUN_BASELINE_TOL * run.glyph_height,
-                               key=lambda first_y: first_y - y)
-        while live and not abs(y - live[0][1]) <= live[0][2]:
+        reach = RUN_BASELINE_TOL * run.glyph_height
+        k = bisect.bisect_left(first_ys, -reach, key=lambda first_y: first_y - y)
+        # bisect takes a nan distance as near
+        if k < len(first_ys) and not y - first_ys[k] <= reach:
+            k = len(first_ys)
+        while live and y - live[0][1] > live[0][2]:
             live.popleft()
-        if live and live[0][0] < k:
+        if live and live[0][0] < k and y - live[0][1] <= live[0][2]:
             k = live[0][0]
         if k < len(baselines):
             baselines[k].append(run)
         else:
-            live.append((k, y, RUN_BASELINE_TOL * run.glyph_height))
+            live.append((k, y, reach))
             baselines.append([run])
             first_ys.append(y)
 
@@ -900,15 +904,19 @@ def parse_svg(data: bytes) -> FigureDocument:
     source = memoryview(data)
     root = failure = None
     try:
-        for start in range(0, len(source), _FEED_BYTES):
-            pull.feed(source[start:start + _FEED_BYTES])
+        # the pass after the last piece closes the parser: expat may hold
+        # back an unfinished token, the root's start tag too, until then
+        for start in range(0, len(source) + _FEED_BYTES, _FEED_BYTES):
+            if start < len(source):
+                pull.feed(source[start:start + _FEED_BYTES])
+            else:
+                pull.close()
             # a queued event keeps its element alive
             for _, elem in pull.read_events():
                 if root is None:
                     root = elem
             if root is not None and failure is None and start + _FEED_BYTES < len(source):
                 failure = parser.walk_root(root, parsed=False)
-        pull.close()
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
     if failure is None:

@@ -591,7 +591,8 @@ class TestComposeTextRuns:
     # tied and nearly tied baselines, glyph heights that are zero, negative
     # (a negative font-size) or infinite (an overflowing one)
     @given(st.lists(st.tuples(
-        st.one_of(st.sampled_from([0.0, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0, 10.0, 10.2]),
+        st.one_of(st.sampled_from([0.0, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0, 10.0, 10.2,
+                                   math.inf, -math.inf]),
                   st.floats(-50, 50)),
         st.one_of(st.sampled_from([0.0, 4.0, 4.8, 8.0]), st.floats(-50, 50)),
         st.one_of(st.sampled_from([0.0, 1.0, 5.0, 8.0, 8.5, 20.0, -3.0, 8e6, math.inf]),
@@ -630,6 +631,21 @@ class TestComposeTextRuns:
             assert merged[0].content == ("12" if tall else "1")
             # comparing with every group made so far takes n * (n - 1) / 2
             assert calls <= n * (n.bit_length() + 2)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf])
+    def test_infinite_baselines_stay_apart(self, y):
+        # inf - inf is nan, which is no distance within the tolerance
+        runs = [TextRun("a", Point(10, y), "1", 8.0), TextRun("b", Point(14, y), "2", 8.0)]
+        assert [r.content for r in compose_text_runs(runs)] == ["1", "2"]
+
+    def test_infinite_height_reaches_past_an_equal_baseline(self):
+        # the second -inf glyph is no distance from the first, which still
+        # reaches the finite baseline by its infinite height
+        runs = [TextRun("a", Point(0, -math.inf), "1", math.inf),
+                TextRun("b", Point(0, -math.inf), "2", 8.0), TextRun("c", Point(0, 0), "3", 8.0)]
+        merged = compose_text_runs(runs)
+        assert merged == compose_text_runs_oracle(runs)
+        assert [r.content for r in merged] == ["13", "2"]
 
     def test_adjacent_glyphs_merge(self):
         # gap 4 <= 0.6 * 8 = 4.8
@@ -1293,6 +1309,25 @@ class TestStreamedParse:
             "bad-path-then-truncated", "deep", "deep-with-trailing-siblings",
             "deep-unclosed", "deep-truncated", "empty", "root-tag-cut"])
     def test_malformed_as_oracle(self, monkeypatch, data):
+        self._assert_as_oracle(monkeypatch, data)
+
+    @pytest.mark.parametrize("data", [
+        svg_bytes(""), svg_bytes('<circle cx="5" cy="5" r="2"/>' * 40), b"<html/>"],
+        ids=["empty-body", "markers", "not-svg"])
+    def test_events_held_until_close(self, monkeypatch, data):
+        # expat from 2.6 may hold back an unfinished token, the root's start
+        # tag too, until close(): no event may then come before it
+        class HoldingPullParser(ET.XMLPullParser):
+            closed = False
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+            def read_events(self):
+                return super().read_events() if self.closed else iter(())
+
+        monkeypatch.setattr(svg_model.ET, "XMLPullParser", HoldingPullParser)
         self._assert_as_oracle(monkeypatch, data)
 
     def test_peak_memory_follows_the_columns(self):
