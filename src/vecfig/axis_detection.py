@@ -202,7 +202,8 @@ def detect_plot_box(doc: FigureDocument,
             j = h_index[k]
             mx, my, v_far_x, v_far_y, h_far_x, h_far_y, gap = _corner(
                 v, (xs1[j], ys1[j], xs2[j], ys2[j]))
-            if gap > tol:
+            # a nan gap (two near ends at one infinite point) is no corner
+            if not gap <= tol:
                 continue
             # left axis goes up from the corner, bottom axis goes right
             if v_far_y > my or h_far_x < mx:

@@ -327,11 +327,13 @@ def _nums(values: list[float]) -> list[str]:
 
     The 9-digit text of a value is already its _num text, except with an
     exponent, for nan and inf (where _num raises) and for -0: one search
-    of the whole block for "e", "n" and the token "-0" rules those out.
+    of the whole block for "e", "n" and the token "-0" rules those out, and
+    only the tokens that hold one go through _num.
     """
     text = ("%.9g " * len(values)) % tuple(values)
     if "e" in text or "n" in text or "-0 " in text:
-        return [_num(v) for v in values]
+        return [_num(v) if "e" in t or "n" in t or t == "-0" else t
+                for t, v in zip(text.split(), values)]
     return text.split()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ class Segment:
 
     @property
     def length(self) -> float:
-        return self.p1.distance_to(self.p2)
+        return math.dist((self.p1.x, self.p1.y), (self.p2.x, self.p2.y))
 
 
 def segments_of(glyphs: list[Segment]) -> Segments:

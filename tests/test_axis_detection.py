@@ -62,7 +62,8 @@ def brute_force_best_pair(doc, cfg=DEFAULT_CONFIG):
             if h.length < cfg.min_axis_length or from_horiz(h) > cfg.axis_angle_tol_deg:
                 continue
             gap, corner = min(
-                ((ve.distance_to(he), Point((ve.x + he.x) / 2, (ve.y + he.y) / 2))
+                ((math.dist((ve.x, ve.y), (he.x, he.y)),
+                  Point((ve.x + he.x) / 2, (ve.y + he.y) / 2))
                  for ve in (v.p1, v.p2) for he in (h.p1, h.p2)),
                 key=lambda t: t[0])
             if gap > cfg.corner_gap_tol:
@@ -86,7 +87,7 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
         best = None
         for ve, v_far in ((v.p1, v.p2), (v.p2, v.p1)):
             for he, h_far in ((h.p1, h.p2), (h.p2, h.p1)):
-                gap = ve.distance_to(he)
+                gap = math.dist((ve.x, ve.y), (he.x, he.y))
                 if best is None or gap < best[3]:
                     mid = Point((ve.x + he.x) / 2.0, (ve.y + he.y) / 2.0)
                     best = (mid, v_far, h_far, gap)
@@ -103,7 +104,7 @@ def quadratic_plot_box(doc, cfg=DEFAULT_CONFIG):
     for v in verticals:
         for h in horizontals:
             corner, v_far, h_far, gap = corner_of(v, h)
-            if gap > cfg.corner_gap_tol:
+            if not gap <= cfg.corner_gap_tol:
                 continue
             if v_far.y > corner.y or h_far.x < corner.x:
                 continue
@@ -219,7 +220,7 @@ class TestPlotBoxGridPairing:
         # apart with vx / 3 - 1 rounding up onto the cell boundary (second)
         v = seg("v", vx, 0, vx, -100)
         h = seg("h", hx, 0, hx + 100, 0)
-        assert v.p1.distance_to(h.p1) == 3.0
+        assert math.dist((v.p1.x, v.p1.y), (h.p1.x, h.p1.y)) == 3.0
         doc = doc_with([v, h])
         box = detect_plot_box(doc)
         assert (box.left_index, box.bottom_index) == (0, 1)
@@ -369,7 +370,7 @@ def object_plot_box(doc, cfg=DEFAULT_CONFIG):
         best = None
         for ve, v_far in ((v.p1, v.p2), (v.p2, v.p1)):
             for he, h_far in ((h.p1, h.p2), (h.p2, h.p1)):
-                gap = ve.distance_to(he)
+                gap = math.dist((ve.x, ve.y), (he.x, he.y))
                 if best is None or gap < best[3]:
                     mid = Point((ve.x + he.x) / 2.0, (ve.y + he.y) / 2.0)
                     best = (mid, v_far, h_far, gap)
@@ -407,7 +408,7 @@ def object_plot_box(doc, cfg=DEFAULT_CONFIG):
         for i in sorted(near):
             h = horizontals[i]
             corner, v_far, h_far, gap = corner_of(v, h)
-            if gap > tol:
+            if not gap <= tol:
                 continue
             if v_far.y > corner.y or h_far.x < corner.x:
                 continue
@@ -753,6 +754,18 @@ class TestSegmentPasses:
                                            -10 * cfg.corner_gap_tol, 600, 450))
         assert same(box_outcome(detect_plot_box, doc, cfg),
                     box_outcome(quadratic_plot_box, doc, cfg))
+
+    def test_pair_with_a_nan_gap_is_no_corner(self):
+        # the near ends of the first and the last segment sit at one
+        # infinite point, so their gap is nan: that pair would score nan,
+        # and a nan score must not sort before the pair that scores 1
+        cfg = dataclasses.replace(DEFAULT_CONFIG, axis_angle_tol_deg=90.0)
+        doc = doc_with([seg("a", -math.inf, 3, 0, 3), seg("b", 0, 0, 0, -10),
+                        seg("c", 0, -6, 0, -16), seg("d", -math.inf, -6, 0, -6)],
+                       canvas=Rect(-30, -30, 600, 450))
+        for detect in (detect_plot_box, quadratic_plot_box, object_plot_box):
+            assert same(box_outcome(detect, doc, cfg),
+                        (3, 2, Rect(0.0, -6.0, 0.0, -6.0), 1.0)), detect
 
     @pytest.mark.parametrize("angle_tol", [2.0, 90.0, 135.0])
     def test_gridlines_at_angle_tolerances(self, angle_tol):

@@ -490,7 +490,7 @@ class TestAnnotatedSvg:
         centers = {c.id: c.center for c in circles_of(before.circles)}
         for p in points:
             center = centers[p.source_id]
-            assert any(ring.center.distance_to(center) < 1e-6
+            assert any(math.dist((ring.center.x, ring.center.y), (center.x, center.y)) < 1e-6
                        and ring.radius == pytest.approx(p.device_radius + 1.5, abs=1e-6)
                        for ring in rings)
         inner = detect_plot_box(before, DEFAULT_CONFIG).interior

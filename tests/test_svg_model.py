@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (Circle, Segment, circles_of, glyphs_of, markers_of,
                       segments_of, serialize_model, svg_bytes)
-from vecfig import svg_model
+from vecfig import svg_model, synth
 from vecfig.errors import MalformedXml, NotSvg, PathSyntax, VecfigError
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
                               FigureDocument, Markers, Point, RasterGlyph,
@@ -693,13 +693,13 @@ class TestComposeTextRuns:
 class TestTransformParsing:
     def test_rotate_about_point(self):
         t = parse_transform("rotate(90, 10, 10)")
-        p = t.apply(Point(20, 10))
+        p = t.apply_xy(20, 10)
         assert p.x == pytest.approx(10)
         assert p.y == pytest.approx(20)
 
     def test_sequence_composes_left_to_right(self):
         t = parse_transform("translate(10,0) scale(2)")
-        assert t.apply(Point(1, 1)) == Point(12, 2)
+        assert t.apply_xy(1, 1) == Point(12, 2)
 
     @pytest.mark.parametrize("text", ["translate(10,5) scale(1.2)",
                                       "rotate(30, 4, -7) skewX(12)",
@@ -708,7 +708,7 @@ class TestTransformParsing:
         t = parse_transform(text)
         for composed in (t.then(t.inverse()), t.inverse().then(t)):
             for p in (Point(0, 0), Point(13.5, -8), Point(-250, 400)):
-                q = composed.apply(p)
+                q = composed.apply_xy(p.x, p.y)
                 assert (q.x, q.y) == pytest.approx((p.x, p.y), abs=1e-9)
 
 
@@ -723,12 +723,13 @@ class TestInvariants:
             f'<g transform="translate({tx},{ty}) scale({sx},{sx})">{inner}</g>'))
         t = AffineTransform(a=sx, d=sx, e=tx, f=ty)
         # uniform scale keeps circles circular
-        expect = t.apply(circles_of(plain.circles)[0].center)
+        center = circles_of(plain.circles)[0].center
+        expect = t.apply_xy(center.x, center.y)
         got = circles_of(wrapped.circles)[0].center
         assert math.hypot(expect.x - got.x, expect.y - got.y) < 1e-9 * max(1, abs(tx), abs(ty))
         for ps, ws in zip(glyphs_of(plain.segments), glyphs_of(wrapped.segments)):
             for pp, wp in ((ps.p1, ws.p1), (ps.p2, ws.p2)):
-                ep = t.apply(pp)
+                ep = t.apply_xy(pp.x, pp.y)
                 assert math.hypot(ep.x - wp.x, ep.y - wp.y) < 1e-9 * 100
         del sy, ty  # scale must stay uniform for circles; sy unused by design
 
@@ -1330,16 +1331,40 @@ class TestStreamedParse:
         monkeypatch.setattr(svg_model.ET, "XMLPullParser", HoldingPullParser)
         self._assert_as_oracle(monkeypatch, data)
 
-    def test_peak_memory_follows_the_columns(self):
-        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+    @staticmethod
+    def _traced_parse(svg: bytes) -> tuple[FigureDocument, int]:
+        """The document and the peak traced memory while parsing it."""
         tracemalloc.start()
         try:
             doc = parse_svg(svg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return doc, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_follows_the_columns(self):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        doc, peak = self._traced_parse(svg)
         assert len(doc.circles) == 20_000
         # the whole element tree, built before the walk, peaked at about 8.0
         # times the source; streamed, the columns, one piece and the open
-        # elements take about 1.6 times
-        assert peak <= 2.5 * len(svg)
+        # elements take about 1.3 times
+        assert peak <= 2.0 * len(svg)
+
+    def test_peak_memory_of_a_gridded_figure(self):
+        spec = SyntheticSpec(n_points=50, seed=5)
+        svg, _ = generate_scatter_svg(spec)
+        width, height = spec.canvas
+        x0, x1 = synth.MARGIN_LEFT, width - synth.MARGIN_RIGHT
+        y0, y1 = synth.MARGIN_TOP, height - synth.MARGIN_BOTTOM
+        n = 500
+        lines = [f'<line x1="{x:.4f}" y1="{y0:g}" x2="{x:.4f}" y2="{y1:g}" stroke="#ddd"/>'
+                 for x in (x0 + i * (x1 - x0) / (n + 1) for i in range(1, n + 1))]
+        lines += [f'<line x1="{x0:g}" y1="{y:.4f}" x2="{x1:g}" y2="{y:.4f}" stroke="#ddd"/>'
+                  for y in (y0 + i * (y1 - y0) / (n + 1) for i in range(1, n + 1))]
+        svg = svg.replace(b"</svg>", "\n".join(lines).encode() + b"</svg>")
+        doc, peak = self._traced_parse(svg)
+        assert len(doc.segments) >= 2 * n
+        # a figure this small fits in a few pieces, so the elements of one
+        # piece, not the columns, set the peak: about 12 times the source in
+        # 64 KiB pieces, about 5 times in 16 KiB
+        assert peak <= 7 * len(svg)
