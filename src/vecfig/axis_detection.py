@@ -462,7 +462,10 @@ def calibrate_axis(pairs: list[tuple[TickMark, TickLabel]], side: AxisSide,
     span = max(ys) - min(ys)
     if span == 0.0 or slope == 0.0:
         raise NonlinearScale(f"{side.value}: constant tick values, no usable scale")
-    if rms > cfg.residual_gate_frac * abs(span):
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise NonlinearScale(f"{side.value}: non-finite fit, no usable scale")
+    # a nan rms fails the gate, not passes it
+    if not rms <= cfg.residual_gate_frac * abs(span):
         raise NonlinearScale(
             f"{side.value}: rms residual {rms:.4g} exceeds "
             f"{cfg.residual_gate_frac:.0%} of span {span:.4g}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import evaluate as evaluate_mod
@@ -42,9 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--count", type=int, default=1,
                        help="number of figures (seeds seed..seed+count-1)")
-    p_gen.add_argument("--style", choices=[s.value for s in AxisStyle],
-                       default=AxisStyle.STANDARD.value)
-    p_gen.add_argument("--spec", help="JSON file with SyntheticSpec fields")
+    style_or_spec = p_gen.add_mutually_exclusive_group()
+    # no default: argparse skips the group check for a value that is the default object
+    style_or_spec.add_argument("--style", choices=[s.value for s in AxisStyle])
+    style_or_spec.add_argument("--spec", help="JSON file with SyntheticSpec fields")
 
     p_eval = sub.add_parser("evaluate",
                             help="score extraction output against truth files")
@@ -59,10 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one subcommand; every failure it raises is printed here as
+    ``error: ...``, with exit 3 for a batch whose worker died and 1 else."""
     parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -71,38 +72,22 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.subcommand == "make-project":
-            project = pipeline.make_project(args.project, args.fileFilter,
-                                            args.makeProject)
-            print(f"{len(project.trees)} tree(s) under {project.root}")
-            return 0
-        if args.subcommand == "extract":
-            return _cmd_extract(args)
-        if args.subcommand == "generate":
-            return _cmd_generate(args)
-        if args.subcommand == "evaluate":
-            return _cmd_evaluate(args)
-    except VecfigError as exc:
+        return _COMMANDS[args.subcommand](args)
+    except (VecfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError("unreachable")
+        return 3 if isinstance(exc, WorkerDied) else 1
+
+
+def _cmd_make_project(args: argparse.Namespace) -> int:
+    project = pipeline.make_project(args.project, args.fileFilter, args.makeProject)
+    print(f"{len(project.trees)} tree(s) under {project.root}")
+    return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    except ValueError as exc:  # a key or value the config file may not hold
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
     project = pipeline.scan_project(args.project)
-    try:
-        reports = pipeline.run_project(project, args.fileFilter, cfg, args.outputDir)
-    except WorkerDied as exc:  # no summary.json: the batch did not finish
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    reports = pipeline.run_project(project, args.fileFilter, cfg, args.outputDir)
     for r in reports:
         print(f"{r.tree_id}/figure{r.figure_index}: {r.status.value} "
               f"({r.n_points} points)")
@@ -114,14 +99,20 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     base: dict = {}
     if args.spec:
+        # malformed JSON raises a ValueError, as a bad field value does
         base = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.spec}: expected a JSON object of SyntheticSpec fields")
+        unknown = sorted(base.keys() - {f.name for f in fields(SyntheticSpec)})
+        if unknown:
+            raise ValueError(f"{args.spec}: unknown spec key {unknown[0]!r}")
         if "axis_style" in base:
             base["axis_style"] = AxisStyle(base["axis_style"])
         for key in ("x_range", "y_range", "canvas"):
             if key in base:
                 base[key] = tuple(base[key])
     else:
-        base["axis_style"] = AxisStyle(args.style)
+        base["axis_style"] = AxisStyle(args.style or AxisStyle.STANDARD.value)
     specs = [SyntheticSpec(**{**base, "seed": seed})
              for seed in range(args.seed, args.seed + args.count)]
     synth.build_synthetic_project(args.outputDir, specs)
@@ -136,6 +127,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     sys.stdout.write(evaluate_mod.render_table(records))
     print(f"both axes correct: {agg['n_both_axes_correct']}/{agg['n_figures']}")
     return 0
+
+
+_COMMANDS = {"make-project": _cmd_make_project, "extract": _cmd_extract,
+             "generate": _cmd_generate, "evaluate": _cmd_evaluate}
 
 
 def main() -> None:

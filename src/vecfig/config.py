@@ -45,7 +45,7 @@ def _check_tolerance(name: str, value: float) -> float:
     """``value``, unless it is not a finite number above zero (ValueError)."""
     # a nan or infinite tolerance would switch its gate off, not loosen it
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"config value {name} must be finite and > 0, got {value!r}")
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 

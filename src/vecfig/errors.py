@@ -88,7 +88,7 @@ class DestinationCollision(VecfigError):
 
 
 class BadFilter(VecfigError):
-    """Figure filter regex has no capture group for the figure index."""
+    """A filter regex does not compile, or a figure filter lacks the index group."""
 
 
 class IoFailure(VecfigError):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import _check_tolerance
 from .errors import MissingTruth
 from .pipeline import ExtractionReport, Status, read_csv_points
 
@@ -171,8 +172,10 @@ def evaluate_output_tree(output_root: str | Path,
 
     A figure directory holds ``report.json`` and ``figure.csv``; the truth
     file ``truth.csv`` is read from the same directory, or from the
-    mirrored path under ``truth_root`` when given.  Raises MissingTruth.
+    mirrored path under ``truth_root`` when given.  Raises MissingTruth, and
+    ValueError for a tolerance that is not a finite number above zero.
     """
+    _check_tolerance("tolerance", tolerance)
     output_root = Path(output_root)
     records: list[EvalRecord] = []
     for report_path in sorted(output_root.rglob("report.json")):

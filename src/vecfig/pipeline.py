@@ -101,12 +101,13 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
     syntax), relative to root.  Collisions abort before any file moves.
     """
     root = Path(root)
+    pattern = _compile_filter(file_filter)
     moves: dict[Path, Path] = {}
     destinations: dict[Path, Path] = {}
     for path in sorted(root.rglob("*")):
         if not path.is_file():
             continue
-        m = re.match(file_filter, path.as_posix())
+        m = pattern.match(path.as_posix())
         if not m:
             continue
         dest = root / _substitute_template(template, m)
@@ -121,13 +122,20 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
     return scan_project(root)
 
 
+def _compile_filter(file_filter: str) -> re.Pattern:
+    try:
+        return re.compile(file_filter)
+    except re.error as exc:
+        raise BadFilter(f"filter {file_filter!r} does not compile: {exc}") from None
+
+
 def enumerate_figures(project: CorpusProject, figure_filter: str,
                       ) -> list[tuple[CTree, int, Path]]:
     """Every SVG under a tree whose path matches the filter, by (tree id, index, path).
 
     The filter's first capture group must be the numeric figure index.
     """
-    pattern = re.compile(figure_filter)
+    pattern = _compile_filter(figure_filter)
     if pattern.groups < 1:
         raise BadFilter("figure filter needs a capture group for the index")
     out: list[tuple[CTree, int, Path]] = []

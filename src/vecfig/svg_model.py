@@ -584,8 +584,6 @@ class _Parser:
         self.names = _LocalNames()
         # the run of circles and ellipses the last marker belonged to
         self._run = _marker_run(IDENTITY, None, None)
-        # the root's own transform, read when its children are first walked
-        self.root_t: AffineTransform | None = None
 
     def _gen_id(self, elem: ET.Element, kind: str) -> str:
         eid = elem.get("id")
@@ -729,46 +727,24 @@ class _Parser:
                 warn(f"unsupported element <{tag}> skipped")
 
     def walk_finished(self, elem: ET.Element, transform: AffineTransform,
-                      font_size: float) -> None:
+                      font_size: float, closed: bool) -> None:
         """Walk and drop the children of ``elem`` that the parser finished.
 
-        ``elem`` is in a tree still being parsed: every child but the last
-        is finished, and the last may still be open, so it waits.  A last
-        child that is a container is gone down into, one call per level as
-        walk recurses, so nesting too deep to walk fails here as it would
-        there; any other (<text>, <defs>) waits whole.
+        Once the parser is ``closed`` every child is finished.  Before, every
+        child but the last is, and the last may still be open, so it waits.
+        A last child that is a container is gone down into, one call per
+        level as walk recurses, so nesting too deep to walk fails here as it
+        would there; any other (<text>, <defs>) waits whole.
         """
-        n = len(elem) - 1
+        n = len(elem) if closed else len(elem) - 1
         if n > 0:
             self.walk(elem[:n], transform, font_size)
             del elem[:n]
-        if n >= 0 and self.names[elem[-1].tag] in _CONTAINERS:
+        if len(elem) and self.names[elem[-1].tag] in _CONTAINERS:
             last = elem[-1]
             t_attr = last.get("transform")
             self.walk_finished(last, _compose(transform, t_attr) if t_attr else transform,
-                               _font_size(last, font_size))
-
-    def walk_root(self, root: ET.Element, parsed: bool) -> VecfigError | None:
-        """Walk what is finished under ``root`` and drop it, or walk all that
-        is left once the source is ``parsed``; returns the error met instead
-        of raising it.
-
-        The first call checks the root and reads its transform.
-        """
-        try:
-            if self.root_t is None:
-                name = self.names[root.tag]
-                if name != "svg":
-                    raise NotSvg(f"root element is <{name}>, not <svg>")
-                t_attr = root.get("transform")
-                self.root_t = parse_transform(t_attr) if t_attr else IDENTITY
-            walk = self.walk if parsed else self.walk_finished
-            walk(root, self.root_t, DEFAULT_FONT_SIZE)
-        except RecursionError:
-            return MalformedXml("elements nested too deeply to walk")
-        except VecfigError as exc:
-            return exc
-        return None
+                               _font_size(last, font_size), closed)
 
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
                       inherited_anchor: Point | None) -> None:
@@ -899,29 +875,43 @@ def parse_svg(data: bytes) -> FigureDocument:
     parser = _Parser()
     pull = ET.XMLPullParser(events=("start",))
     source = memoryview(data)
-    root = failure = None
+    root = root_t = failure = None
     try:
         # the pass after the last piece closes the parser: expat may hold
         # back an unfinished token, the root's start tag too, until then
         for start in range(0, len(source) + _FEED_BYTES, _FEED_BYTES):
-            if start < len(source):
-                pull.feed(source[start:start + _FEED_BYTES])
-            else:
+            closed = start >= len(source)
+            if closed:
                 pull.close()
+            else:
+                pull.feed(source[start:start + _FEED_BYTES])
             # a queued event keeps its element alive
             for _, elem in pull.read_events():
                 if root is None:
                     root = elem
-            if root is not None and failure is None and start + _FEED_BYTES < len(source):
-                failure = parser.walk_root(root, parsed=False)
+            # no walk after a failure; the last piece's elements wait for
+            # the close, so that a one-piece figure is walked once
+            if (root is None or failure is not None
+                    or start < len(source) <= start + _FEED_BYTES):
+                continue
+            try:
+                if root_t is None:
+                    name = parser.names[root.tag]
+                    if name != "svg":
+                        raise NotSvg(f"root element is <{name}>, not <svg>")
+                    t_attr = root.get("transform")
+                    root_t = parse_transform(t_attr) if t_attr else IDENTITY
+                parser.walk_finished(root, root_t, DEFAULT_FONT_SIZE, closed)
+            except RecursionError:
+                failure = MalformedXml("elements nested too deeply to walk")
+            except VecfigError as exc:
+                failure = exc
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    if failure is None:
-        failure = parser.walk_root(root, parsed=True)
     if failure is not None:
         raise failure
     doc = parser.doc
-    doc.root_transform = parser.root_t
+    doc.root_transform = root_t
     doc.canvas = _canvas_rect(root, doc)
     _drop_out_of_canvas(doc)
     doc.texts = compose_text_runs(doc.texts)

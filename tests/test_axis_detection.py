@@ -1222,6 +1222,14 @@ class TestCalibrateAxis:
         with pytest.raises(NonlinearScale):
             calibrate_axis([pair(0, 5), pair(100, 5)], AxisSide.X_AXIS)
 
+    @pytest.mark.parametrize("values", [(0, 5e307, 1e308, 1.5e308), (-1e308, 1e308)],
+                             ids=["nan-slope", "infinite-slope"])
+    def test_non_finite_fit_rejected(self, values):
+        # the fit's sums pass the largest double, and a nan rms would pass the gate
+        pairs = [pair(100 * i, v) for i, v in enumerate(values)]
+        with pytest.raises(NonlinearScale, match="non-finite fit, no usable scale"):
+            calibrate_axis(pairs, AxisSide.X_AXIS)
+
     def test_reversed_flags(self):
         xcal = calibrate_axis([pair(0, 10), pair(100, 0)], AxisSide.X_AXIS)
         assert xcal.reversed  # values fall rightward

@@ -136,3 +136,73 @@ def test_import_leaves_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("subcommand", ["extract", "make-project"])
+def test_filter_that_does_not_compile(tmp_path, capsys, subcommand):
+    proj = build_synthetic_project(tmp_path / "proj", [SyntheticSpec(seed=1, n_points=4)])
+    flags = (["--outputDir", str(tmp_path / "out")] if subcommand == "extract"
+             else ["--makeProject", r"(\1)/fulltext.pdf"])
+    assert run([subcommand, "--project", str(proj), "--fileFilter", "("] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter '(' does not compile: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("style", ["log_x", "standard"])
+def test_generate_style_and_spec_exclude_each_other(tmp_path, capsys, style):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text('{"n_points": 6}')
+    assert run(["generate", "--outputDir", str(tmp_path / "proj"),
+                "--style", style, "--spec", str(spec_file)]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "proj").exists()
+
+
+@pytest.mark.parametrize("spec,message", [
+    ('{"n_point": 6}', "unknown spec key 'n_point'"),
+    ('{"n_points": 6', "Expecting ',' delimiter"),
+    ('{"n_points": 0}', "n_points must be >= 1"),
+    ('[6]', "expected a JSON object of SyntheticSpec fields"),
+], ids=["unknown-key", "malformed-json", "bad-value", "not-an-object"])
+def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(spec)
+    assert run(["generate", "--outputDir", str(tmp_path / "proj"),
+                "--spec", str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "proj").exists()
+
+
+def _extracted(tmp_path) -> tuple[Path, Path]:
+    """Two figures extracted to a root apart from the one their truth is in."""
+    proj = build_synthetic_project(
+        tmp_path / "proj", [SyntheticSpec(seed=s, n_points=4) for s in (1, 2)])
+    out = tmp_path / "out"
+    assert run(["extract", "--project", str(proj), "--outputDir", str(out)]) == 0
+    return proj, out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_evaluate_with_bad_tolerance(tmp_path, capsys, tolerance):
+    proj, out = _extracted(tmp_path)
+    capsys.readouterr()
+    assert run(["evaluate", "--outputDir", str(out), "--truthDir", str(proj),
+                "--tolerance", tolerance]) == 1
+    assert capsys.readouterr().err == (
+        f"error: tolerance must be finite and > 0, got {float(tolerance)!r}\n")
+    assert not (out / "evaluation.json").exists()
+
+
+def test_evaluate_with_truth_dir(tmp_path, capsys):
+    proj, out = _extracted(tmp_path)
+    capsys.readouterr()
+    assert run(["evaluate", "--outputDir", str(out), "--truthDir", str(proj)]) == 0
+    assert "both axes correct: 2/2" in capsys.readouterr().out
+    # without it the truth is looked for beside the outputs, where there is none
+    assert run(["evaluate", "--outputDir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no truth file ")
+    assert captured.out == ""

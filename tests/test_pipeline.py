@@ -868,11 +868,11 @@ class TestAnnotateSplice:
 
 
 def _overflow_a_data_value(svg: Path) -> None:
-    """Relabel the seed-1, 5-point standard figure so that one marker maps
-    past the largest double, which the CSV cannot hold.
+    """Relabel the x axis of the seed-1, 5-point standard figure 0, 5e307,
+    1e308 and 1.5e308, and move one marker near the axis end.
 
-    The x labels 0, 5e307, 1e308 and 1.5e308 calibrate exactly, and the
-    marker moves near the axis end.
+    The sums of the x fit pass the largest double, so its slope, intercept
+    and rms residual are all nan: no usable scale.
     """
     text = svg.read_text(encoding="utf-8")
     for old, new in [(">2.5<", ">5e307<"), (">5<", ">1e308<"),
@@ -981,8 +981,29 @@ class TestRunProject:
         out = tmp_path / "out"
         reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
                               DEFAULT_CONFIG, out)
+        assert [r.status for r in reports] == [Status.NONLINEAR_SCALE, Status.OK]
+        assert reports[0].warnings == ["x_axis: non-finite fit, no usable scale"]
+        first = out / "fig-0001" / "figures" / "figure1"
+        assert (first / "figure.csv").read_text(encoding="utf-8") == "x,y,device_radius\n"
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["statuses"]["nonlinear_scale"] == 1
+
+    def test_failed_csv_write_does_not_stop_batch(self, tmp_path, monkeypatch):
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        write_points = pipeline.write_csv
+
+        def failing(points, path):
+            # as a value the CSV cannot hold fails it, in the first figure only
+            if points and "fig-0001" in path.as_posix():
+                raise ValueError("cannot convert float NaN to integer")
+            write_points(points, path)
+
+        monkeypatch.setattr(pipeline, "write_csv", failing)
+        out = tmp_path / "out"
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, out)
         assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
-        assert reports[0].warnings[0].startswith("unhandled: ")
+        assert reports[0].warnings == ["unhandled: cannot convert float NaN to integer"]
         first = out / "fig-0001" / "figures" / "figure1"
         assert (first / "figure.csv").read_text(encoding="utf-8") == "x,y,device_radius\n"
         assert not (first / "figure_annotated.svg").exists()
@@ -1029,7 +1050,7 @@ class TestRunProjectWorkers:
         assert pools == [2]
         assert runs[0] == runs[1]
         assert [r.status for r in runs[0][0]] == [
-            Status.PARSE_ERROR, Status.RASTER_BODY, Status.PARSE_ERROR,
+            Status.NONLINEAR_SCALE, Status.RASTER_BODY, Status.PARSE_ERROR,
             Status.NONLINEAR_SCALE, Status.OK, Status.WRITE_ERROR, Status.OK]
 
     @pytest.mark.parametrize("n_figures", [0, 1])

@@ -1350,6 +1350,18 @@ class TestStreamedParse:
         # elements take about 1.3 times
         assert peak <= 2.0 * len(svg)
 
+    def test_peak_memory_of_a_figure_in_nested_groups(self):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        head, sep, body = svg.partition(b'viewBox="0 0 600 450">')
+        assert sep
+        svg = (head + sep + b'<g><g transform="translate(1 1)"><g>'
+               + body.replace(b"</svg>", b"</g></g></g></svg>"))
+        doc, peak = self._traced_parse(svg)
+        assert len(doc.circles) == 20_000
+        # the open groups are gone down into after each piece, so their
+        # finished children are dropped as those of the root are
+        assert peak <= 2.0 * len(svg)
+
     def test_peak_memory_of_a_gridded_figure(self):
         spec = SyntheticSpec(n_points=50, seed=5)
         svg, _ = generate_scatter_svg(spec)
