@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,7 +14,48 @@ from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, Pair, _spans, aggregate,
 from vecfig.synth import AxisStyle, SyntheticSpec, generate_scatter_svg
 
 
+def _pinned_specs(case: str) -> list[SyntheticSpec]:
+    """The figures whose bytes and truth ``test_pinned_output`` pins."""
+    if case == "log_x_ticks":
+        return [SyntheticSpec(n_points=n, n_ticks_x=t, axis_style=AxisStyle.LOG_X, seed=t)
+                for t in range(2, 9) for n in (1, 7, 300)]
+    if case == "negative_x_range":
+        return [SyntheticSpec(n_points=n, x_range=(-250.5, -0.125), y_range=(-0.003, 0.0171),
+                              n_ticks_x=7, axis_style=style, seed=s)
+                for style in (AxisStyle.STANDARD, AxisStyle.REVERSED_X)
+                for s in (1, 2) for n in (1, 7, 300)]
+    return [SyntheticSpec(n_points=n, x_range=(-1.5, 8.25), y_range=(0.0, 1.0 / 3.0),
+                          n_ticks_y=4, axis_style=AxisStyle(case), seed=s)
+            for s in (0, 1, 2, 3) for n in (1, 7, 300)]
+
+
 class TestGenerator:
+    # SHA-256 over each case's SVG bytes and over the repr of its truth lists;
+    # they change only with a deliberate change to the generated figures
+    @pytest.mark.parametrize("case,svg_digest,truth_digest", [
+        ("standard", "b930ac8b59438b15039c7fa931a61da2400ccd7891c2176540ab4cd8c27ebdb6",
+         "13b986eae369c92c0d0c231bf48a90df333231f7601296d27c97af4bd416b2c7"),
+        ("reversed_x", "2d2f98ee419aef44a81697ed8ce142c3601eed20a58daca2daedf15fb8da15c7",
+         "13b986eae369c92c0d0c231bf48a90df333231f7601296d27c97af4bd416b2c7"),
+        ("reversed_y", "e9d0a6e5597b152210edc9f509459e67d31c02bab909e5ddfe37a2d29601b2af",
+         "13b986eae369c92c0d0c231bf48a90df333231f7601296d27c97af4bd416b2c7"),
+        ("log_x", "7d19cb9f093b21446db9877a0f1e0ee1c28bafeb0cdb6cdc5c8e81e96f63bd75",
+         "d5cf9ae75025e06b393a32948a956053d3d79a8b6b0b61fbdd1d9013c808b2c3"),
+        ("raster_body", "e12faccbf5e9ab64b30dc4dc34d15bf6a06eccb7f06b477ae664ca9fe87665a0",
+         "13b986eae369c92c0d0c231bf48a90df333231f7601296d27c97af4bd416b2c7"),
+        ("log_x_ticks", "67b862eec560496718c1f9c798e07c7cdbfe3981fe9a50e794e8577f331dfe0e",
+         "c3c33c3b136059cb981cdc5f0d82e0b09245684eac7ae763eeb423147cf7fc98"),
+        ("negative_x_range", "c1cba16b8849ffef7a06e7290fc2c9105f0cb2070f5921514513d5ad79715ca6",
+         "b02c0233b7cd771a95e216fca62f2b61810a13f0c1d3426f5c71758d55a42c80"),
+    ])
+    def test_pinned_output(self, case, svg_digest, truth_digest):
+        svgs, truths = hashlib.sha256(), hashlib.sha256()
+        for spec in _pinned_specs(case):
+            svg, truth = generate_scatter_svg(spec)
+            svgs.update(svg)
+            truths.update(repr(truth).encode())
+        assert (svgs.hexdigest(), truths.hexdigest()) == (svg_digest, truth_digest)
+
     def test_truth_inside_ranges(self):
         spec = SyntheticSpec(n_points=1, x_range=(0, 1), y_range=(0, 1), seed=9)
         _, truth = generate_scatter_svg(spec)
