@@ -106,13 +106,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         unknown = sorted(base.keys() - {f.name for f in fields(SyntheticSpec)})
         if unknown:
             raise ValueError(f"{args.spec}: unknown spec key {unknown[0]!r}")
-        if "axis_style" in base:
-            base["axis_style"] = AxisStyle(base["axis_style"])
-        for key in ("x_range", "y_range", "canvas"):
-            if key in base:
-                base[key] = tuple(base[key])
-    else:
-        base["axis_style"] = AxisStyle(args.style or AxisStyle.STANDARD.value)
+    elif args.style:
+        base["axis_style"] = args.style
     specs = [SyntheticSpec(**{**base, "seed": seed})
              for seed in range(args.seed, args.seed + args.count)]
     synth.build_synthetic_project(args.outputDir, specs)

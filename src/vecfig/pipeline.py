@@ -143,7 +143,13 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
         for svg in tree.root.rglob("*.svg"):
             m = pattern.match(svg.as_posix())
             if m:
-                out.append((tree, int(m.group(1)), svg))
+                try:
+                    index = int(m.group(1))
+                except (TypeError, ValueError):  # group 1 did not take part, or is text
+                    raise BadFilter(
+                        f"figure filter {figure_filter!r}: group 1 of {svg.as_posix()} "
+                        f"is {m.group(1)!r}, not an integer index") from None
+                out.append((tree, index, svg))
     out.sort(key=lambda item: (item[0].id, item[1], item[2].as_posix()))
     return out
 

@@ -25,8 +25,14 @@ class AxisStyle(Enum):
     RASTER_BODY = "raster_body"
 
 
+def _is_finite_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """One figure's parameters.  Only ``__post_init__`` knows the field types:
+    it takes the style by name and each pair as a list, as JSON gives them."""
     n_points: int = 10
     x_range: tuple[float, float] = (0.0, 10.0)
     y_range: tuple[float, float] = (0.0, 1.0)
@@ -38,6 +44,20 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_points", "n_ticks_x", "n_ticks_y", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("x_range", "y_range", "canvas"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(map(_is_finite_number, pair))):
+                raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
+            object.__setattr__(self, name, tuple(pair))
+        if not _is_finite_number(self.marker_radius):
+            raise ValueError(
+                f"marker_radius must be a finite number, got {self.marker_radius!r}")
+        object.__setattr__(self, "axis_style", AxisStyle(self.axis_style))
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
         if self.n_ticks_x < 2 or self.n_ticks_y < 2:
@@ -70,6 +90,11 @@ def _label(v: float) -> str:
     return f"{float(f'{v:.4g}'):.10g}"
 
 
+def _ladder(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced tick values from lo to hi, each the value of its label."""
+    return [float(_label(lo + i * (hi - lo) / (n - 1))) for i in range(n)]
+
+
 def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, float]]]:
     """Render a synthetic figure; returns (svg bytes, true data points).
 
@@ -79,20 +104,15 @@ def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, 
     """
     rng = random.Random(spec.seed)
     width, height = spec.canvas
-    ax = MARGIN_LEFT
-    ay_bottom = height - MARGIN_BOTTOM
-    ay_top = MARGIN_TOP
-    ax_right = width - MARGIN_RIGHT
-    plot_w = ax_right - ax
-    plot_h = ay_bottom - ay_top
-
-    xmin, xmax = spec.x_range
-    ymin, ymax = spec.y_range
+    ax, ax_right = MARGIN_LEFT, width - MARGIN_RIGHT
+    ay_top, ay_bottom = MARGIN_TOP, height - MARGIN_BOTTOM
+    plot_w, plot_h = ax_right - ax, ay_bottom - ay_top
+    (xmin, xmax), (ymin, ymax) = spec.x_range, spec.y_range
     style = spec.axis_style
+    log_x = style is AxisStyle.LOG_X
+    decades = max(2, spec.n_ticks_x - 1)
 
-    if style is AxisStyle.LOG_X:
-        decades = max(2, spec.n_ticks_x - 1)
-
+    if log_x:
         def dev_x(v: float) -> float:
             return ax + math.log10(v) / decades * plot_w
     elif style is AxisStyle.REVERSED_X:
@@ -109,6 +129,9 @@ def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, 
         def dev_y(v: float) -> float:
             return ay_bottom - (v - ymin) / (ymax - ymin) * plot_h
 
+    # a tick sits at the value of its label, or at its exact power of ten
+    x_ticks = ([10.0 ** i for i in range(decades + 1)] if log_x
+               else _ladder(xmin, xmax, spec.n_ticks_x))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -123,47 +146,22 @@ def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, 
         f'<line x1="{_fmt(ax)}" y1="{_fmt(ay_bottom)}" '
         f'x2="{_fmt(ax_right)}" y2="{_fmt(ay_bottom)}" stroke="black"/>',
     ]
+    for v in x_ticks:
+        tx = dev_x(v)
+        parts += [f'<line x1="{_fmt(tx)}" y1="{_fmt(ay_bottom)}" '
+                  f'x2="{_fmt(tx)}" y2="{_fmt(ay_bottom + TICK_LENGTH)}" stroke="black"/>',
+                  f'<text x="{_fmt(tx - 2)}" y="{_fmt(ay_bottom + 16)}" '
+                  f'font-size="{_fmt(FONT_SIZE)}">{_label(v)}</text>']
+    for v in _ladder(ymin, ymax, spec.n_ticks_y):
+        ty = dev_y(v)
+        parts += [f'<line x1="{_fmt(ax - TICK_LENGTH)}" y1="{_fmt(ty)}" '
+                  f'x2="{_fmt(ax)}" y2="{_fmt(ty)}" stroke="black"/>',
+                  f'<text x="{_fmt(ax - 30)}" y="{_fmt(ty + 3)}" '
+                  f'font-size="{_fmt(FONT_SIZE)}">{_label(v)}</text>']
 
-    # x ticks and labels
-    if style is AxisStyle.LOG_X:
-        x_tick_values = [10.0 ** i for i in range(max(3, spec.n_ticks_x))]
-    else:
-        x_tick_values = [xmin + i * (xmax - xmin) / (spec.n_ticks_x - 1)
-                         for i in range(spec.n_ticks_x)]
-    for v in x_tick_values:
-        label = _label(v)
-        tx = dev_x(float(label)) if style is not AxisStyle.LOG_X else dev_x(v)
-        parts.append(
-            f'<line x1="{_fmt(tx)}" y1="{_fmt(ay_bottom)}" '
-            f'x2="{_fmt(tx)}" y2="{_fmt(ay_bottom + TICK_LENGTH)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(tx - 2)}" y="{_fmt(ay_bottom + 16)}" '
-            f'font-size="{_fmt(FONT_SIZE)}">{label}</text>')
-
-    # y ticks and labels
-    y_tick_values = [ymin + i * (ymax - ymin) / (spec.n_ticks_y - 1)
-                     for i in range(spec.n_ticks_y)]
-    for v in y_tick_values:
-        label = _label(v)
-        ty = dev_y(float(label))
-        parts.append(
-            f'<line x1="{_fmt(ax - TICK_LENGTH)}" y1="{_fmt(ty)}" '
-            f'x2="{_fmt(ax)}" y2="{_fmt(ty)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(ax - 30)}" y="{_fmt(ty + 3)}" '
-            f'font-size="{_fmt(FONT_SIZE)}">{label}</text>')
-
-    # data
-    truth: list[tuple[float, float]] = []
-    if style is AxisStyle.LOG_X:
-        decades = max(2, spec.n_ticks_x - 1)
-        for _ in range(spec.n_points):
-            x = 10.0 ** rng.uniform(0.0, decades)
-            y = rng.uniform(ymin, ymax)
-            truth.append((x, y))
-    else:
-        for _ in range(spec.n_points):
-            truth.append((rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)))
+    # each point draws x, then y, from the one seeded stream
+    truth = [(10.0 ** rng.uniform(0.0, decades) if log_x else rng.uniform(xmin, xmax),
+              rng.uniform(ymin, ymax)) for _ in range(spec.n_points)]
 
     if style is AxisStyle.RASTER_BODY:
         parts.append(
@@ -171,11 +169,11 @@ def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, 
             f'width="{_fmt(plot_w - 2)}" height="{_fmt(plot_h - 2)}" '
             f'xlink:href="data:image/png;base64,{_PIXEL_PNG}"/>')
     else:
-        for i, (x, y) in enumerate(truth):
-            parts.append(
-                f'<circle id="pt{i}" cx="{dev_x(x):.6f}" cy="{dev_y(y):.6f}" '
-                f'r="{_fmt(spec.marker_radius)}" fill-opacity="0" '
-                f'stroke="#cf1d35" stroke-width="0.8"/>')
+        r = _fmt(spec.marker_radius)
+        parts.extend(
+            f'<circle id="pt{i}" cx="{dev_x(x):.6f}" cy="{dev_y(y):.6f}" '
+            f'r="{r}" fill-opacity="0" stroke="#cf1d35" stroke-width="0.8"/>'
+            for i, (x, y) in enumerate(truth))
 
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8"), truth

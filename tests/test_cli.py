@@ -150,6 +150,20 @@ def test_filter_that_does_not_compile(tmp_path, capsys, subcommand):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("figure_filter", [
+    r"^.*/(?:figure(\d+)/figure|figure\d+/(b))\.svg$", r"^.*/figure1/(\w+)\.svg$"])
+def test_filter_whose_index_is_not_an_integer(tmp_path, capsys, figure_filter):
+    proj = build_synthetic_project(tmp_path / "proj", [SyntheticSpec(seed=1, n_points=4)])
+    fig_dir = proj / "fig-0001" / "figures" / "figure1"
+    (fig_dir / "b.svg").write_bytes((fig_dir / "figure.svg").read_bytes())
+    assert run(["extract", "--project", str(proj), "--outputDir", str(tmp_path / "out"),
+                "--fileFilter", figure_filter]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: figure filter {figure_filter!r}: group 1 of ")
+    assert err.endswith(", not an integer index\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("style", ["log_x", "standard"])
 def test_generate_style_and_spec_exclude_each_other(tmp_path, capsys, style):
     spec_file = tmp_path / "spec.json"
@@ -165,14 +179,23 @@ def test_generate_style_and_spec_exclude_each_other(tmp_path, capsys, style):
     ('{"n_points": 6', "Expecting ',' delimiter"),
     ('{"n_points": 0}', "n_points must be >= 1"),
     ('[6]', "expected a JSON object of SyntheticSpec fields"),
-], ids=["unknown-key", "malformed-json", "bad-value", "not-an-object"])
+    ('{"n_points": "a"}', "n_points must be an integer, got 'a'"),
+    ('{"x_range": 5}', "x_range must be two finite numbers, got 5"),
+    ('{"n_points": 2.5}', "n_points must be an integer, got 2.5"),
+    ('{"marker_radius": "3"}', "marker_radius must be a finite number, got '3'"),
+    ('{"canvas": [600]}', "canvas must be two finite numbers, got [600]"),
+    ('{"x_range": [0, 1e999]}', "x_range must be two finite numbers, got [0, inf]"),
+    ('{"axis_style": "log"}', "'log' is not a valid AxisStyle"),
+], ids=["unknown-key", "malformed-json", "bad-value", "not-an-object", "string-count",
+        "number-for-pair", "float-count", "string-radius", "one-item-pair",
+        "infinite-range", "unknown-style"])
 def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(spec)
     assert run(["generate", "--outputDir", str(tmp_path / "proj"),
                 "--spec", str(spec_file)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "proj").exists()
 
 

@@ -110,6 +110,19 @@ class TestEnumerateFigures:
         with pytest.raises(BadFilter):
             enumerate_figures(project, r".*figure\d+/figure\.svg")
 
+    @pytest.mark.parametrize("figure_filter,group", [
+        (r"^.*/(?:figure(\d+)/figure|figure\d+/(b))\.svg$", "None"),
+        (r"^.*/figure1/(\w+)\.svg$", "'b'"),
+    ], ids=["group-did-not-take-part", "group-not-an-integer"])
+    def test_index_group_not_an_integer(self, tmp_path, figure_filter, group):
+        path = make_figure(tmp_path, "t1", 1).with_name("b.svg")
+        path.write_bytes(b'<svg xmlns="http://www.w3.org/2000/svg"/>')
+        project = scan_project(tmp_path)
+        with pytest.raises(BadFilter) as info:
+            enumerate_figures(project, figure_filter)
+        assert str(info.value) == (f"figure filter {figure_filter!r}: group 1 of "
+                                   f"{path.as_posix()} is {group}, not an integer index")
+
     def test_underscore_suffix_variant(self, tmp_path):
         fig_dir = tmp_path / "t1" / "figures" / "figure3"
         fig_dir.mkdir(parents=True)

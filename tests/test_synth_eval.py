@@ -90,6 +90,36 @@ class TestGenerator:
             SyntheticSpec(x_range=(1, 1))
         with pytest.raises(ValueError):
             SyntheticSpec(n_ticks_x=1)
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            SyntheticSpec(n_points=True)
+        with pytest.raises(ValueError, match="canvas must be two finite numbers"):
+            SyntheticSpec(canvas=(600,))
+        with pytest.raises(ValueError, match="x_range must be two finite numbers"):
+            SyntheticSpec(x_range=(0, math.inf))
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"n_ticks_y": 5.0}, "n_ticks_y must be an integer, got 5.0"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"y_range": (math.nan, 1)}, "y_range must be two finite numbers, got (nan, 1)"),
+        ({"y_range": "01"}, "y_range must be two finite numbers, got '01'"),
+        ({"x_range": (False, 1)}, "x_range must be two finite numbers, got (False, 1)"),
+        ({"marker_radius": math.nan}, "marker_radius must be a finite number, got nan"),
+        ({"marker_radius": None}, "marker_radius must be a finite number, got None"),
+        ({"axis_style": "LOG_X"}, "'LOG_X' is not a valid AxisStyle"),
+    ])
+    def test_wrong_field_types_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(**fields)
+        assert str(info.value) == message
+
+    def test_style_name_and_list_pairs_as_member_and_tuples(self):
+        by_name = SyntheticSpec(n_points=9, x_range=[-2, 3.5], y_range=[0, 1e-3],
+                                canvas=[500, 400], axis_style="reversed_y", seed=4)
+        as_members = SyntheticSpec(n_points=9, x_range=(-2, 3.5), y_range=(0, 1e-3),
+                                   canvas=(500, 400), axis_style=AxisStyle.REVERSED_Y,
+                                   seed=4)
+        assert by_name == as_members and isinstance(by_name.x_range, tuple)
+        assert generate_scatter_svg(by_name) == generate_scatter_svg(as_members)
 
 
 class TestEvaluateFigure:
