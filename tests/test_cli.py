@@ -199,6 +199,36 @@ def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
     assert not (tmp_path / "proj").exists()
 
 
+@pytest.mark.parametrize("target", [
+    "figure1", "figure1/figure.csv", "figure1/figure_annotated.svg", "figure1/report.json"],
+    ids=["folder-is-a-file", "csv", "svg", "report"])
+def test_extract_with_unwritable_figure_output(tmp_path, capsys, target):
+    proj = build_synthetic_project(
+        tmp_path / "proj", [SyntheticSpec(seed=s, n_points=4) for s in (1, 2)])
+    path = tmp_path / "out" / "fig-0001" / "figures" / target
+    if target == "figure1":
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"")
+    else:
+        path.mkdir(parents=True)
+    assert run(["extract", "--project", str(proj),
+                "--outputDir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == ("fig-0001/figure1: write_error (0 points)\n"
+                                       "fig-0002/figure1: ok (4 points)\n")
+
+
+def test_extract_with_unwritable_summary(tmp_path, capsys):
+    proj = build_synthetic_project(
+        tmp_path / "proj", [SyntheticSpec(seed=s, n_points=4) for s in (1, 2)])
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    assert run(["extract", "--project", str(proj),
+                "--outputDir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "out" / "summary.json") in err
+    assert "Traceback" not in err
+
+
 def _extracted(tmp_path) -> tuple[Path, Path]:
     """Two figures extracted to a root apart from the one their truth is in."""
     proj = build_synthetic_project(

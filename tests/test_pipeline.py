@@ -974,6 +974,27 @@ class TestRunProject:
         assert summary["statuses"]["write_error"] == 1
         assert summary["statuses"]["parse_error"] == 0
 
+    @pytest.mark.parametrize("target,as_file", [
+        ("", True), ("figure.csv", False), ("figure_annotated.svg", False),
+        ("report.json", False)], ids=["folder-is-a-file", "csv", "svg", "report"])
+    def test_each_unwritable_output_gives_write_error(self, tmp_path, target, as_file):
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        out = tmp_path / "out"
+        path = out / "fig-0001" / "figures" / "figure1" / target
+        if as_file:
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"")
+        else:
+            path.mkdir(parents=True)
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, out)
+        assert [r.status for r in reports] == [Status.WRITE_ERROR, Status.OK]
+        assert reports[0].warnings[-1].startswith("write failed: ")
+        assert str(path) in reports[0].warnings[-1]
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["statuses"]["write_error"] == 1
+        assert summary["statuses"]["ok"] == 1
+
     def test_broken_figure_with_unwritable_output_stays_parse_error(self, tmp_path):
         root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
         (root / "fig-0001" / "figures" / "figure1" / "figure.svg").write_bytes(b"<svg")
