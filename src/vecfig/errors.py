@@ -91,11 +91,6 @@ class BadFilter(VecfigError):
     """A filter regex does not compile, or a figure filter lacks the index group."""
 
 
-class IoFailure(VecfigError):
-    """Output could not be written."""
-    status = Status.WRITE_ERROR
-
-
 class WorkerDied(VecfigError):
     """A batch's worker process died, so the batch stopped unfinished."""
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import axis_detection, point_extraction, svg_model
 from .axis_detection import AxisSide, PlotBox, TickLabel, TickMark
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .errors import (BadFilter, DestinationCollision, IoFailure, Status,
+from .errors import (BadFilter, DestinationCollision, Status,
                      TemplateGroupOutOfRange, VecfigError, WorkerDied)
 from .point_extraction import DataPoint
 from .svg_model import IDENTITY, AffineTransform, Markers
@@ -357,11 +357,8 @@ def write_csv(points: list[DataPoint], destination: str | Path) -> None:
     lines += [f"{x},{y},{r}" for x, y, r in zip(_nums([p.x for p in points]),
                                                 _nums([p.y for p in points]),
                                                 _nums([p.device_radius for p in points]))]
-    try:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {destination}: {exc}") from exc
+    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
@@ -397,12 +394,9 @@ def run_project(project: CorpusProject, figure_filter: str,
                      "status": r.status.value, "n_points": r.n_points}
                     for r in reports],
     }
-    try:
-        output_root.mkdir(parents=True, exist_ok=True)
-        (output_root / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write summary: {exc}") from exc
+    output_root.mkdir(parents=True, exist_ok=True)
+    (output_root / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return reports
 
 
@@ -420,19 +414,17 @@ def _map_guarded(jobs: list[tuple]) -> list[ExtractionReport]:
     they make one task and run in job order: the last one's files stay, as
     in a serial run.  The tasks run in forked worker processes, one per CPU
     and at most one per task (see ``_pool_map``).  With one CPU or one
-    task, or where no pool can be used, the jobs run here, one after
+    task, or where no pool can be used, the same tasks run here, one after
     another.
     """
     tasks: dict[Path, list[int]] = {}
     for i, job in enumerate(jobs):
         tasks.setdefault(job[-1], []).append(i)
+    task_jobs = [[jobs[i] for i in task] for task in tasks.values()]
     workers = min(_cpu_count(), len(tasks))
-    done = (_pool_map([[jobs[i] for i in task] for task in tasks.values()], workers)
-            if workers > 1 else None)
-    if done is None:
-        return _run_in_order(jobs)
+    done = _pool_map(task_jobs, workers) if workers > 1 else None
     reports: list = [None] * len(jobs)
-    for task, task_reports in zip(tasks.values(), done):
+    for task, task_reports in zip(tasks.values(), done or map(_run_in_order, task_jobs)):
         for i, report in zip(task, task_reports):
             reports[i] = report
     return reports
@@ -492,7 +484,7 @@ def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
     try:
         _write_outputs(out_dir, points, annotated, report)
         return report
-    except (OSError, IoFailure) as exc:
+    except OSError as exc:
         # a figure that could not be read stays parse_error; either way its
         # earlier warnings are kept
         status = (report.status if report.status is Status.PARSE_ERROR
@@ -504,7 +496,7 @@ def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
                               status=status, warnings=warnings)
     try:
         _write_outputs(out_dir, [], None, report)
-    except (OSError, IoFailure):
+    except OSError:
         pass
     return report
 

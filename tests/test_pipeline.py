@@ -968,7 +968,8 @@ class TestRunProject:
         reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
                               DEFAULT_CONFIG, out)
         assert [r.status for r in reports] == [Status.WRITE_ERROR, Status.OK]
-        assert reports[0].warnings[-1].startswith("write failed: cannot write")
+        assert reports[0].warnings[-1].startswith("write failed: ")
+        assert "figure.csv" in reports[0].warnings[-1]
         assert (out / "fig-0002" / "figures" / "figure1" / "figure.csv").is_file()
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["statuses"]["write_error"] == 1
@@ -1004,7 +1005,8 @@ class TestRunProject:
                               DEFAULT_CONFIG, out)
         assert [r.status for r in reports] == [Status.PARSE_ERROR, Status.OK]
         assert reports[0].warnings[0].startswith("unclosed token")
-        assert reports[0].warnings[-1].startswith("write failed: cannot write")
+        assert reports[0].warnings[-1].startswith("write failed: ")
+        assert "figure.csv" in reports[0].warnings[-1]
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["statuses"]["parse_error"] == 1
         assert summary["statuses"]["write_error"] == 0
