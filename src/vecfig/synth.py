@@ -64,6 +64,17 @@ class SyntheticSpec:
             raise ValueError("tick counts must be >= 2")
         if self.x_range[0] >= self.x_range[1] or self.y_range[0] >= self.y_range[1]:
             raise ValueError("ranges must satisfy min < max")
+        for name, n_ticks in (("x_range", self.n_ticks_x), ("y_range", self.n_ticks_y)):
+            low, high = getattr(self, name)
+            # the tick ladder takes up to n_ticks - 1 times the span
+            if not math.isfinite((n_ticks - 1) * (high - low)):
+                raise ValueError(f"{name} {[low, high]} is too wide: its span max - min "
+                                 f"times {n_ticks - 1} tick steps is not finite")
+        width, height = self.canvas
+        if width <= MARGIN_LEFT + MARGIN_RIGHT or height <= MARGIN_TOP + MARGIN_BOTTOM:
+            raise ValueError(
+                f"canvas must be wider than {MARGIN_LEFT + MARGIN_RIGHT:g} and taller "
+                f"than {MARGIN_TOP + MARGIN_BOTTOM:g}, got {[width, height]}")
         if self.marker_radius <= 0:
             raise ValueError("marker_radius must be > 0")
 

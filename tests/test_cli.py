@@ -186,9 +186,11 @@ def test_generate_style_and_spec_exclude_each_other(tmp_path, capsys, style):
     ('{"canvas": [600]}', "canvas must be two finite numbers, got [600]"),
     ('{"x_range": [0, 1e999]}', "x_range must be two finite numbers, got [0, inf]"),
     ('{"axis_style": "log"}', "'log' is not a valid AxisStyle"),
+    ('{"x_range": [-1e308, 1e308]}', "x_range [-1e+308, 1e+308] is too wide"),
+    ('{"canvas": [50, 40]}', "canvas must be wider than 85 and taller than 75, got [50, 40]"),
 ], ids=["unknown-key", "malformed-json", "bad-value", "not-an-object", "string-count",
         "number-for-pair", "float-count", "string-radius", "one-item-pair",
-        "infinite-range", "unknown-style"])
+        "infinite-range", "unknown-style", "overflowing-span", "canvas-within-margins"])
 def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(spec)

@@ -96,6 +96,20 @@ class TestGenerator:
             SyntheticSpec(canvas=(600,))
         with pytest.raises(ValueError, match="x_range must be two finite numbers"):
             SyntheticSpec(x_range=(0, math.inf))
+        # finite ends whose span, or a tick step's multiple of it, overflows
+        with pytest.raises(ValueError, match=r"x_range \[-1e\+308, 1e\+308\] is too wide"):
+            SyntheticSpec(x_range=(-1e308, 1e308))
+        with pytest.raises(ValueError, match=r"y_range \[-4e\+307, 4e\+307\] is too wide"):
+            SyntheticSpec(y_range=(-4e307, 4e307))
+        assert SyntheticSpec(y_range=(-2e307, 2e307)).y_range == (-2e307, 2e307)
+        # the axes need the margins and at least a point between them
+        with pytest.raises(ValueError, match="canvas must be wider than 85 and taller than 75"):
+            SyntheticSpec(canvas=(50, 40))
+        with pytest.raises(ValueError, match="canvas must be wider than 85"):
+            SyntheticSpec(canvas=(85, 450))
+        with pytest.raises(ValueError, match="canvas must be wider than 85"):
+            SyntheticSpec(canvas=(600, 75))
+        assert SyntheticSpec(canvas=(86, 76)).canvas == (86, 76)
 
     @pytest.mark.parametrize("fields,message", [
         ({"n_ticks_y": 5.0}, "n_ticks_y must be an integer, got 5.0"),
