@@ -173,15 +173,18 @@ def evaluate_output_tree(output_root: str | Path,
     A figure directory holds ``report.json`` and ``figure.csv``; the truth
     file ``truth.csv`` is read from the same directory, or from the
     mirrored path under ``truth_root`` when given.  Raises MissingTruth, and
-    ValueError for a tolerance that is not a finite number above zero.
+    ValueError for a tolerance that is not a finite number above zero or a
+    ``report.json`` that does not read as a report.
     """
     _check_tolerance("tolerance", tolerance)
     output_root = Path(output_root)
     records: list[EvalRecord] = []
     for report_path in sorted(output_root.rglob("report.json")):
         fig_dir = report_path.parent
-        report = ExtractionReport.from_json(
-            report_path.read_text(encoding="utf-8"))
+        try:
+            report = ExtractionReport.from_json(report_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{report_path}: {exc}") from exc
         csv_path = fig_dir / "figure.csv"
         extracted = ([ (row[0], row[1]) for row in read_csv_points(csv_path)]
                      if csv_path.is_file() else [])

@@ -60,7 +60,13 @@ class ExtractionReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExtractionReport":
+        """Raises ValueError for text that is not a JSON object holding every field."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in raw]
+        if missing:
+            raise ValueError(f"missing field {missing[0]!r}")
         values = {f.name: raw[f.name] for f in fields(cls)}
         return cls(**{**values, "status": Status(raw["status"])})
 

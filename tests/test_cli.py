@@ -261,3 +261,24 @@ def test_evaluate_with_truth_dir(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: no truth file ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{}", "missing field 'tree_id'"),
+    ("[]", "expected a JSON object, got list"),
+    (None, "'bogus' is not a valid Status"),
+], ids=["empty-object", "not-an-object", "unknown-status"])
+def test_evaluate_with_malformed_report(tmp_path, capsys, text, message):
+    proj, out = _extracted(tmp_path)
+    stray = out / "stray" / "report.json"
+    stray.parent.mkdir()
+    if text is None:
+        report = json.loads((out / "fig-0001" / "figures" / "figure1"
+                             / "report.json").read_text(encoding="utf-8"))
+        text = json.dumps({**report, "status": "bogus"})
+    stray.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--outputDir", str(out), "--truthDir", str(proj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {stray}: {message}\n"
+    assert captured.out == ""
