@@ -442,7 +442,7 @@ def _pool_map(tasks: list[list[tuple]], workers: int,
 
     None where ``fork`` is not offered, where this process runs other
     threads (which ``fork`` cannot safely copy) or where the pool cannot
-    start (a fork or a pipe refused); the caller then runs the jobs itself.
+    start (a fork or a pipe refused); the caller then runs the tasks itself.
     A worker that dies raises ``WorkerDied``.
     """
     # imported here: the pool modules take tens of ms to import, which an
