@@ -21,7 +21,7 @@ import collections
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax, VecfigError
 
@@ -137,8 +137,28 @@ class Rect:
         return w * h if w > 0 and h > 0 else 0.0
 
 
+class _Columns:
+    """Parallel lists, one per dataclass field, that always have one length."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, *row) -> None:
+        for f, value in zip(fields(self), row, strict=True):
+            getattr(self, f.name).append(value)
+
+    def extend(self, other: "_Columns") -> None:
+        for f in fields(self):
+            getattr(self, f.name).extend(getattr(other, f.name))
+
+    def take(self, indices: list[int]):
+        """The entries at ``indices``, in that order, as a new column set."""
+        columns = [getattr(self, f.name) for f in fields(self)]
+        return type(self)(*[[column[i] for i in indices] for column in columns])
+
+
 @dataclass
-class Markers:
+class Markers(_Columns):
     """Circle markers as parallel columns, in device space.
 
     Marker ``i`` is ``ids[i]``, centred at ``(cx[i], cy[i])`` with radius
@@ -150,18 +170,9 @@ class Markers:
     cy: list[float] = field(default_factory=list)
     r: list[float] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def take(self, indices: list[int]) -> "Markers":
-        """The markers at ``indices``, in that order."""
-        ids, cx, cy, r = self.ids, self.cx, self.cy, self.r
-        return Markers([ids[i] for i in indices], [cx[i] for i in indices],
-                       [cy[i] for i in indices], [r[i] for i in indices])
-
 
 @dataclass
-class Segments:
+class Segments(_Columns):
     """Straight segments as parallel columns, in device space.
 
     Segment ``i`` is ``ids[i]``, from ``(x1[i], y1[i])`` to ``(x2[i], y2[i])``;
@@ -173,30 +184,6 @@ class Segments:
     y1: list[float] = field(default_factory=list)
     x2: list[float] = field(default_factory=list)
     y2: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def append(self, sid: str, x1: float, y1: float, x2: float, y2: float) -> None:
-        self.ids.append(sid)
-        self.x1.append(x1)
-        self.y1.append(y1)
-        self.x2.append(x2)
-        self.y2.append(y2)
-
-    def extend(self, other: "Segments") -> None:
-        self.ids += other.ids
-        self.x1 += other.x1
-        self.y1 += other.y1
-        self.x2 += other.x2
-        self.y2 += other.y2
-
-    def take(self, indices: list[int]) -> "Segments":
-        """The segments at ``indices``, in that order."""
-        ids, x1, y1, x2, y2 = self.ids, self.x1, self.y1, self.x2, self.y2
-        return Segments([ids[i] for i in indices], [x1[i] for i in indices],
-                        [y1[i] for i in indices], [x2[i] for i in indices],
-                        [y2[i] for i in indices])
 
 
 @dataclass(frozen=True)
