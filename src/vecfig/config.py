@@ -3,10 +3,7 @@
 Axis detection, calibration and marker selection read their thresholds
 from a :class:`PipelineConfig`, so a single flat key=value file can
 override any of them for a batch run.  Every key is a finite, positive
-float.  The SVG parser's own tolerances (curve flattening, ellipse
-roundness, canvas overflow, glyph-run joining) are module constants in
-:mod:`vecfig.svg_model`, and the output formats (CSV columns, overlay
-colours) are fixed in :mod:`vecfig.pipeline`; neither is a config key.
+float.  Every threshold the extractor applies is defined in this module.
 """
 
 from __future__ import annotations
@@ -50,6 +47,17 @@ def _check_tolerance(name: str, value: float) -> float:
 
 
 DEFAULT_CONFIG = PipelineConfig()
+
+# Curves whose sampled deviation from the chord stays below this bound are
+# treated as straight segments; anything more curved is skipped.
+CURVE_DEVIATION_TOL = 0.25
+# Ellipses count as circles while the radii differ by at most this ratio.
+ELLIPSE_CIRCLE_TOL = 0.05
+# Primitives farther out than this many canvas sizes are discarded.
+CANVAS_OVERFLOW_FACTOR = 10.0
+# Baseline/gap thresholds for glyph-run composition, in glyph heights.
+RUN_BASELINE_TOL = 0.2
+RUN_GAP_TOL = 0.6
 
 _KEYS = {f.name for f in fields(PipelineConfig)}
 

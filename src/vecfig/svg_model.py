@@ -23,21 +23,11 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 
+from .config import (CANVAS_OVERFLOW_FACTOR, CURVE_DEVIATION_TOL, ELLIPSE_CIRCLE_TOL,
+                     RUN_BASELINE_TOL, RUN_GAP_TOL)
 from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax, VecfigError
 
 SVG_NS = "http://www.w3.org/2000/svg"
-
-# Curves whose sampled deviation from the chord stays below this bound are
-# treated as straight segments; anything more curved is skipped.
-CURVE_DEVIATION_TOL = 0.25
-# Ellipses count as circles while the radii differ by at most this ratio.
-ELLIPSE_CIRCLE_TOL = 0.05
-# Primitives farther out than this many canvas sizes are discarded.
-CANVAS_OVERFLOW_FACTOR = 10.0
-
-# Baseline/gap thresholds for glyph-run composition, in glyph heights.
-RUN_BASELINE_TOL = 0.2
-RUN_GAP_TOL = 0.6
 
 DEFAULT_FONT_SIZE = 10.0
 
