@@ -62,6 +62,9 @@ class SyntheticSpec:
             raise ValueError("n_points must be >= 1")
         if self.n_ticks_x < 2 or self.n_ticks_y < 2:
             raise ValueError("tick counts must be >= 2")
+        # a log_x ladder's top tick is 10 ** (n_ticks_x - 1), finite up to 1e308
+        if self.axis_style is AxisStyle.LOG_X and self.n_ticks_x > 309:
+            raise ValueError(f"n_ticks_x must be <= 309 for log_x, got {self.n_ticks_x}")
         if self.x_range[0] >= self.x_range[1] or self.y_range[0] >= self.y_range[1]:
             raise ValueError("ranges must satisfy min < max")
         for name, n_ticks in (("x_range", self.n_ticks_x), ("y_range", self.n_ticks_y)):
