@@ -368,10 +368,24 @@ def write_csv(points: list[DataPoint], destination: str | Path) -> None:
 
 
 def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
-    """Read back a pipeline or truth CSV as tuples of floats."""
+    """Read back a pipeline or truth CSV as tuples of floats.
+
+    A cell that is not a number, or a row of fewer than two cells, raises
+    a ValueError that starts with ``<path>:<line>:``.
+    """
+    points = []
     rows = Path(path).read_text(encoding="utf-8").splitlines()
-    return [tuple(float(cell) for cell in line.split(","))
-            for line in rows[1:] if line.strip()]
+    for lineno, line in enumerate(rows[1:], 2):
+        if not line.strip():
+            continue
+        try:
+            point = tuple(float(cell) for cell in line.split(","))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if len(point) < 2:
+            raise ValueError(f"{path}:{lineno}: expected at least two cells, got {line!r}")
+        points.append(point)
+    return points
 
 
 # ---------------------------------------------------------------------------
