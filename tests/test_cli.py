@@ -188,9 +188,11 @@ def test_generate_style_and_spec_exclude_each_other(tmp_path, capsys, style):
     ('{"axis_style": "log"}', "'log' is not a valid AxisStyle"),
     ('{"x_range": [-1e308, 1e308]}', "x_range [-1e+308, 1e+308] is too wide"),
     ('{"canvas": [50, 40]}', "canvas must be wider than 85 and taller than 75, got [50, 40]"),
+    ('{"axis_style": "log_x", "n_ticks_x": 400}', "n_ticks_x must be <= 309 for log_x, got 400"),
 ], ids=["unknown-key", "malformed-json", "bad-value", "not-an-object", "string-count",
         "number-for-pair", "float-count", "string-radius", "one-item-pair",
-        "infinite-range", "unknown-style", "overflowing-span", "canvas-within-margins"])
+        "infinite-range", "unknown-style", "overflowing-span", "canvas-within-margins",
+        "log-ladder-overflow"])
 def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(spec)
@@ -282,3 +284,22 @@ def test_evaluate_with_malformed_report(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {stray}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name,row,message", [
+    ("truth.csv", "1,abc", "could not convert string to float: 'abc'"),
+    ("figure.csv", "1,abc,2", "could not convert string to float: 'abc'"),
+    ("truth.csv", "5", "expected at least two cells, got '5'"),
+], ids=["truth-bad-cell", "figure-bad-cell", "one-cell-row"])
+def test_evaluate_with_unreadable_csv(tmp_path, capsys, name, row, message):
+    proj, out = _extracted(tmp_path)
+    path = (proj if name == "truth.csv" else out) / "fig-0002" / "figures" / "figure1" / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = row
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--outputDir", str(out), "--truthDir", str(proj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:3: {message}\n"
+    assert captured.out == ""
+    assert not (out / "evaluation.json").exists()
