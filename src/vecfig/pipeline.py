@@ -373,8 +373,8 @@ def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
     A cell that is not a number, or a row of fewer than two cells, raises
     a ValueError that starts with ``<path>:<line>:``.
     """
-    points = []
     rows = Path(path).read_text(encoding="utf-8").splitlines()
+    points = []
     for lineno, line in enumerate(rows[1:], 2):
         if not line.strip():
             continue

@@ -113,6 +113,7 @@ class TestGenerator:
         # a log_x tick at 10 ** 309 overflows a float
         with pytest.raises(ValueError, match="n_ticks_x must be <= 309 for log_x, got 310"):
             SyntheticSpec(axis_style=AxisStyle.LOG_X, n_ticks_x=310)
+        assert generate_scatter_svg(SyntheticSpec(axis_style=AxisStyle.LOG_X, n_ticks_x=309))
 
     @pytest.mark.parametrize("fields,message", [
         ({"n_ticks_y": 5.0}, "n_ticks_y must be an integer, got 5.0"),
