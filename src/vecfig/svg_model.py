@@ -316,7 +316,7 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
     """
     tokens = _tokenize_path(path_data)
     warnings = warnings if warnings is not None else []
-    segments = Segments()
+    rows: list[tuple[str, float, float, float, float]] = []
     ta, tb, tc, td, te, tf = (transform.a, transform.b, transform.c,
                               transform.d, transform.e, transform.f)
     # current point, subpath start, and the control points S and T reflect
@@ -392,8 +392,8 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
             continue
         (x1, y1), (x2, y2) = device[0], device[-1]
         if x1 != x2 or y1 != y2:
-            segments.append(f"{id_prefix}.{len(segments)}", x1, y1, x2, y2)
-    return segments
+            rows.append((f"{id_prefix}.{len(rows)}", x1, y1, x2, y2))
+    return Segments(*map(list, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
