@@ -107,6 +107,19 @@ class TestParseOtherElements:
         endpoints = {(s.p1.x, s.p1.y) for s in glyphs_of(doc.segments)}
         assert endpoints == {(1, 2), (11, 2), (11, 7), (1, 7)}
 
+    @pytest.mark.parametrize("id_attr,eid", [(' id="frame"', "frame"), ("", "rect-1")])
+    def test_rect_sides_under_transform(self, id_attr, eid):
+        # sides in drawing order, each end the transform of a corner exactly
+        t_text = "rotate(17) skewX(9) translate(3,4)"
+        doc = parse_svg(svg_bytes(f'<g transform="{t_text}"><rect{id_attr} x="30.7" '
+                                  f'y="20.3" width="101.9" height="55.1"/></g>'))
+        t = parse_transform(t_text)
+        x, y, w, h = 30.7, 20.3, 101.9, 55.1
+        corners = [t.apply_xy(x, y), t.apply_xy(x + w, y), t.apply_xy(x + w, y + h),
+                   t.apply_xy(x, y + h), t.apply_xy(x, y)]
+        assert glyphs_of(doc.segments) == [Segment(f"{eid}.{k}", corners[k], corners[k + 1])
+                                           for k in range(4)]
+
     def test_image_becomes_raster(self):
         doc = parse_svg(svg_bytes('<image x="10" y="20" width="100" height="50"/>'))
         assert len(doc.rasters) == 1
