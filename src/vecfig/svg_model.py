@@ -133,14 +133,6 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append(self, *row) -> None:
-        for f, value in zip(fields(self), row, strict=True):
-            getattr(self, f.name).append(value)
-
-    def extend(self, other: "_Columns") -> None:
-        for f in fields(self):
-            getattr(self, f.name).extend(getattr(other, f.name))
-
     def take(self, indices: list[int]):
         """The entries at ``indices``, in that order, as a new column set."""
         columns = [getattr(self, f.name) for f in fields(self)]
@@ -314,8 +306,14 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
     curved pieces are skipped with a warning.  Raises PathSyntax on a
     malformed grammar.
     """
-    tokens = _tokenize_path(path_data)
-    warnings = warnings if warnings is not None else []
+    return _flatten_tokens(_tokenize_path(path_data), transform, id_prefix,
+                           warnings if warnings is not None else [], Segments())
+
+
+def _flatten_tokens(tokens: list[str | float], transform: AffineTransform, id_prefix: str,
+                    warnings: list[str], out: Segments) -> Segments:
+    """flatten_path on ready ``tokens``, command letters and floats: appends
+    to and returns ``out``.  The one emitter for every straight-edged shape."""
     rows: list[tuple[str, float, float, float, float]] = []
     ta, tb, tc, td, te, tf = (transform.a, transform.b, transform.c,
                               transform.d, transform.e, transform.f)
@@ -393,7 +391,9 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
         (x1, y1), (x2, y2) = device[0], device[-1]
         if x1 != x2 or y1 != y2:
             rows.append((f"{id_prefix}.{len(rows)}", x1, y1, x2, y2))
-    return Segments(*map(list, zip(*rows)))
+    for column, values in zip((out.ids, out.x1, out.y1, out.x2, out.y2), zip(*rows)):
+        column.extend(values)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +580,8 @@ class _Parser:
         _parse_length does (a plain finite number without "_"), and by
         _parse_length otherwise.  A marker's radius, checks and transform
         entries are worked out once per run (see _marker_run); a line's
-        transform entries are read once per transform.
+        transform entries are read once per transform.  Paths, rects,
+        polylines and polygons become segments through _flatten_tokens.
         """
         names = self.names
         doc = self.doc
@@ -669,13 +670,17 @@ class _Parser:
                 self.walk(child, t, _font_size(child, font_size))
             elif tag == "text":
                 self._collect_text(child, t, _font_size(child, font_size), None)
-            elif tag == "path":
-                d = get("d", "")
-                if not d.strip():
-                    warn("empty path skipped")
+            elif tag == "path" or tag == "polyline" or tag == "polygon":
+                text = get("d" if tag == "path" else "points", "")
+                if not text.strip():
+                    warn(f"empty {tag} skipped")
                     continue
-                segments.extend(flatten_path(d, t, id_prefix=self._gen_id(child, "path"),
-                                             warnings=doc.warnings))
+                tokens = _tokenize_path(text)
+                if tag != "path":
+                    if str in map(type, tokens):
+                        raise PathSyntax(f"command letter in points: {text!r}")
+                    tokens = ["M", *tokens, "Z"] if tag == "polygon" else ["M", *tokens]
+                _flatten_tokens(tokens, t, self._gen_id(child, tag), doc.warnings, segments)
             elif tag == "rect" or tag == "image":
                 x = _parse_length(get("x")) or 0.0
                 y = _parse_length(get("y")) or 0.0
@@ -684,18 +689,17 @@ class _Parser:
                 if w <= 0 or h <= 0:
                     warn(f"degenerate {tag} skipped")
                     continue
-                corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
-                           t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
                 eid = self._gen_id(child, tag)
                 if tag == "rect":
-                    for k in range(4):
-                        p1, p2 = corners[k], corners[(k + 1) % 4]
-                        segments.append(f"{eid}.{k}", p1.x, p1.y, p2.x, p2.y)
-                else:
-                    xs = [p.x for p in corners]
-                    ys = [p.y for p in corners]
-                    doc.rasters.append(RasterGlyph(
-                        eid, Rect(min(xs), min(ys), max(xs), max(ys))))
+                    # floats, not text: an overflowing x + w stays an infinite side
+                    _flatten_tokens(["M", x, y, "L", x + w, y, x + w, y + h, x, y + h, "Z"],
+                                    t, eid, doc.warnings, segments)
+                    continue
+                corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
+                           t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
+                xs = [p.x for p in corners]
+                ys = [p.y for p in corners]
+                doc.rasters.append(RasterGlyph(eid, Rect(min(xs), min(ys), max(xs), max(ys))))
             elif tag == "use":
                 warn("<use> indirection not supported, skipped")
             elif tag == "style":

@@ -334,6 +334,24 @@ class TestExtractFigure:
         assert (tmp_path / "edited.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert len(got) == 6
 
+    @pytest.mark.parametrize("shape", [b"polyline", b"polygon"])
+    def test_left_axis_as_polyline_or_polygon(self, tmp_path, shape):
+        # both are moveto/lineto paths in SVG 1.1; R's svglite draws lines so
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=30, seed=3))
+        axis = b'<line x1="60" y1="400" x2="60" y2="25" stroke="black"/>'
+        assert axis in svg
+        plain, edited = tmp_path / "plain.svg", tmp_path / "edited.svg"
+        plain.write_bytes(svg)
+        edited.write_bytes(svg.replace(axis, b"<%s points=\"60,400 60,25\" "
+                                             b'stroke="black"/>' % shape))
+        want, _, _ = extract_figure(plain)
+        got, _, report = extract_figure(edited)
+        assert (report.status, report.warnings) == (Status.OK, [])
+        write_csv(want, tmp_path / "plain.csv")
+        write_csv(got, tmp_path / "edited.csv")
+        assert (tmp_path / "edited.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert len(got) == 30
+
     @pytest.mark.parametrize("size", [b"1e155", b"1e308"],
                              ids=["area_overflows", "fractions_underflow"])
     def test_huge_canvas_keeps_the_longest_axes(self, tmp_path, size):
@@ -365,8 +383,12 @@ class TestExtractFigure:
         lambda svg: svg.replace(
             b"<circle ", b'<g transform="scale(1e-100)"><g transform="scale(1e-100)">'
             b'<line x1="1" y1="1" x2="2" y2="2"/></g></g><circle ', 1),
+        # points of odd count, with a command letter, with junk
+        lambda svg: svg.replace(b"<circle ", b'<polyline points="0,0 5,0 5"/><circle ', 1),
+        lambda svg: svg.replace(b"<circle ", b'<polygon points="0,0 L 5,0"/><circle ', 1),
+        lambda svg: svg.replace(b"<circle ", b'<polyline points="0,0 5,0 x"/><circle ', 1),
     ], ids=["rotate_inf", "skew_inf", "nested_1200", "composed_overflow",
-            "composed_singular"])
+            "composed_singular", "points_odd", "points_letter", "points_junk"])
     def test_hostile_input_is_parse_error(self, tmp_path, hostile):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))
         path = tmp_path / "figure.svg"

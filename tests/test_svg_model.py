@@ -131,8 +131,36 @@ class TestParseOtherElements:
         assert any("use" in w for w in doc.warnings)
 
     def test_unsupported_element_warns(self):
-        doc = parse_svg(svg_bytes('<polygon points="0,0 1,1 2,0"/>'))
-        assert any("polygon" in w for w in doc.warnings)
+        doc = parse_svg(svg_bytes('<foreignObject width="10" height="10"/>'))
+        assert any("foreignObject" in w for w in doc.warnings)
+
+    @pytest.mark.parametrize("tag,closing", [("polyline", []), ("polygon", [(20, 30, 10, 20)])])
+    def test_polyline_and_polygon_under_transform(self, tag, closing):
+        # a moveto and linetos through the transform; the polygon is closed
+        doc = parse_svg(svg_bytes(f'<g transform="translate(10,20) scale(2)">'
+                                  f'<{tag} points="0,0 5,0, 5 5" id="p"/></g>'))
+        sides = [(10, 20, 20, 20), (20, 20, 20, 30)] + closing
+        assert glyphs_of(doc.segments) == [
+            Segment(f"p.{k}", Point(x1, y1), Point(x2, y2))
+            for k, (x1, y1, x2, y2) in enumerate(sides)]
+        assert doc.warnings == []
+
+    @pytest.mark.parametrize("tag,attrs", [("polyline", ' points=""'),
+                                           ("polygon", ' points="  "'), ("polyline", "")])
+    def test_empty_points_warn(self, tag, attrs):
+        doc = parse_svg(svg_bytes(f"<{tag}{attrs}/>"))
+        assert not doc.segments
+        assert doc.warnings == [f"empty {tag} skipped"]
+
+    @pytest.mark.parametrize("points,message", [
+        ("0,0 5,0 5", "command 'L' needs 2 numbers"),
+        ("0,0 L 5,0", "command letter in points"),
+        ("0,0 5,0 x", "unexpected"),
+    ], ids=["odd_count", "letter", "junk"])
+    @pytest.mark.parametrize("tag", ["polyline", "polygon"])
+    def test_bad_points_are_path_syntax(self, tag, points, message):
+        with pytest.raises(PathSyntax, match=message):
+            parse_svg(svg_bytes(f'<{tag} points="{points}"/>'))
 
     def test_far_out_of_canvas_discarded(self):
         doc = parse_svg(svg_bytes('<circle cx="1e6" cy="1e6" r="2"/>'
@@ -389,6 +417,13 @@ def _oracle_sample_quadratic(p0, p1, p2, n=33):
     return pts
 
 
+def append_segment(segments, *row):
+    """Append one segment to the columns of ``segments``, in field order."""
+    columns = (segments.ids, segments.x1, segments.y1, segments.x2, segments.y2)
+    for column, value in zip(columns, row, strict=True):
+        column.append(value)
+
+
 def flatten_path_oracle(path_data, transform=IDENTITY, id_prefix="path", warnings=None):
     """Oracle: path flattening with a Point per sample, as first written."""
     tokens = svg_model._tokenize_path(path_data)
@@ -415,7 +450,7 @@ def flatten_path_oracle(path_data, transform=IDENTITY, id_prefix="path", warning
         x2 = ta * p2.x + tc * p2.y + te
         y2 = tb * p2.x + td * p2.y + tf
         if x1 != x2 or y1 != y2:
-            segments.append(f"{id_prefix}.{seg_n}", x1, y1, x2, y2)
+            append_segment(segments, f"{id_prefix}.{seg_n}", x1, y1, x2, y2)
             seg_n += 1
 
     def emit_curve(ctrl_points):
@@ -424,7 +459,8 @@ def flatten_path_oracle(path_data, transform=IDENTITY, id_prefix="path", warning
         if _oracle_chord_deviation(devpts) <= svg_model.CURVE_DEVIATION_TOL:
             start, end = devpts[0], devpts[-1]
             if start != end:
-                segments.append(f"{id_prefix}.{seg_n}", start.x, start.y, end.x, end.y)
+                append_segment(segments, f"{id_prefix}.{seg_n}",
+                               start.x, start.y, end.x, end.y)
                 seg_n += 1
         else:
             warnings.append(f"{id_prefix}: curve exceeds deviation bound, skipped")
@@ -765,7 +801,7 @@ class TestInvariants:
         body = ('<circle cx="10" cy="10" r="2"/>'
                 '<ellipse cx="10" cy="10" rx="4" ry="1"/>'  # skipped -> warning
                 '<line x1="0" y1="0" x2="5" y2="5"/>'
-                '<polygon points="0,0 1,1"/>'               # unsupported -> warning
+                '<foreignObject width="1" height="1"/>'     # unsupported -> warning
                 '<use xlink:href="#a"/>')                   # unsupported -> warning
         doc = parse_svg(svg_bytes(body))
         n_supported_inputs = 5
@@ -831,7 +867,7 @@ def walk_oracle(elem, t, doc, counter):
             if p1.x == p2.x and p1.y == p2.y:
                 doc.warnings.append("zero-length line skipped")
             else:
-                doc.segments.append(new_id("line"), p1.x, p1.y, p2.x, p2.y)
+                append_segment(doc.segments, new_id("line"), p1.x, p1.y, p2.x, p2.y)
         else:
             rx = length("r" if tag == "circle" else "rx")
             ry = length("r" if tag == "circle" else "ry")
