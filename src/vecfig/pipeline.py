@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -370,8 +371,8 @@ def write_csv(points: list[DataPoint], destination: str | Path) -> None:
 def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
     """Read back a pipeline or truth CSV as tuples of floats.
 
-    A cell that is not a number, or a row of fewer than two cells, raises
-    a ValueError that starts with ``<path>:<line>:``.
+    A cell that is not a finite number, or a row of fewer than two cells,
+    raises a ValueError that starts with ``<path>:<line>:``.
     """
     rows = Path(path).read_text(encoding="utf-8").splitlines()
     points = []
@@ -380,6 +381,8 @@ def read_csv_points(path: str | Path) -> list[tuple[float, ...]]:
             continue
         try:
             point = tuple(float(cell) for cell in line.split(","))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"not a finite number in {line!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if len(point) < 2:

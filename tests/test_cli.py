@@ -290,7 +290,11 @@ def test_evaluate_with_malformed_report(tmp_path, capsys, text, message):
     ("truth.csv", "1,abc", "could not convert string to float: 'abc'"),
     ("figure.csv", "1,abc,2", "could not convert string to float: 'abc'"),
     ("truth.csv", "5", "expected at least two cells, got '5'"),
-], ids=["truth-bad-cell", "figure-bad-cell", "one-cell-row"])
+    ("truth.csv", "nan,1", "not a finite number in 'nan,1'"),
+    ("truth.csv", "1,inf", "not a finite number in '1,inf'"),
+    ("figure.csv", "1e999,1,2", "not a finite number in '1e999,1,2'"),
+], ids=["truth-bad-cell", "figure-bad-cell", "one-cell-row", "truth-nan", "truth-inf",
+        "figure-overflow"])
 def test_evaluate_with_unreadable_csv(tmp_path, capsys, name, row, message):
     proj, out = _extracted(tmp_path)
     path = (proj if name == "truth.csv" else out) / "fig-0002" / "figures" / "figure1" / name
