@@ -135,6 +135,24 @@ def _rect_frame(svg: bytes) -> bytes:
             + svg[bottom.end():])
 
 
+_TEXT_RE = re.compile(rb"<text [^>]*>[^<]*</text>")
+_CX_RE = re.compile(rb'(<circle id="pt\d+" )cx="[^"]+"')
+
+
+def _failures(svg: bytes) -> dict[str, bytes]:
+    """One figure per failure ``extract_figure`` reaches, each made from ``svg``."""
+    return {
+        "fail-not-svg": svg.replace(b"<svg", b"<html").replace(b"</svg>", b"</html>"),
+        "fail-malformed-xml": svg[:len(svg) // 2],
+        "fail-zero-determinant": _wrapped(svg, "translate(5 5) scale(0)"),
+        "fail-path-syntax": _decorated(svg, '<path d="M 100 440 L 120" stroke="black"/>'),
+        "fail-no-axes": _LINE_RE.sub(b"", svg),
+        "fail-too-few-ticks": _TEXT_RE.sub(b"", svg),
+        # every marker left of the plot box, inside the canvas
+        "fail-no-glyphs-in-box": _CX_RE.sub(rb'\1cx="20"', svg),
+    }
+
+
 def golden_figures() -> dict[str, bytes]:
     figures = {}
     for style in AxisStyle:
@@ -163,6 +181,9 @@ def golden_figures() -> dict[str, bytes]:
     rng = random.Random("golden:rect")
     svg, _ = generate_scatter_svg(_spec(rng, 12, AxisStyle.STANDARD, 60))
     figures["rect-frame-image"] = _rect_frame(svg)
+    rng = random.Random("golden:failures")
+    svg, _ = generate_scatter_svg(_spec(rng, 13, AxisStyle.STANDARD, 40))
+    figures.update(_failures(svg))
     return figures
 
 
@@ -285,6 +306,41 @@ GOLDEN: dict[str, dict[str, str]] = {
         "figure.csv": "4456aec1bf90a9973165abe88eacd9443bbacf6b6d1d003026ac9e272df3c02c",
         "report.json": "d3594750de4806703dc2957068e48678b9970859a7630e888618b5888e8ffa58",
         "figure_annotated.svg": "b3383ed015574aa5afc7113e0a0d9d2218f11947b92788048b29939975191571",
+    },
+    "fail-not-svg": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "40f59546e9041500765f3f3810878b8a926b9e9e84c43c44211bd76edeb85278",
+        "figure_annotated.svg": "6f84c60dd6551670cb7071c790479c17b2eb0fb82141023b964e77c278894e47",
+    },
+    "fail-malformed-xml": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "4e24e2360cbac2033b0ac6d33f37d33b96a251f32e4d88468314eb473238a238",
+        "figure_annotated.svg": "cacc968dcdfb8c8d95a1299c3aad796dde3bf01bee28acf2385a4a57e9d4a077",
+    },
+    "fail-zero-determinant": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "40630bca7b06c71f47acc013a24283ae01ee2641dc21dcc82aa8d749f2765612",
+        "figure_annotated.svg": "c337fc0a719cb46fa7a410b94dead0ffe6634504235baa922dec7b76a03b9d79",
+    },
+    "fail-path-syntax": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "c6b598f3e961a1155477da442d96c6792f0663a080fca50b0906c6f60927cd43",
+        "figure_annotated.svg": "e8eb8e2d92dbf5fc3d76053fe2fae2f355c5400a2a0d05fe3edaca06b94970e3",
+    },
+    "fail-no-axes": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "e918cfb13c6632d4641be835c59097f98cd06dac48707bc4cba9810b0d997873",
+        "figure_annotated.svg": "acafb7ca922919047a204f4ec84df2588143a3d79d00a9968f2cbe3b124dd368",
+    },
+    "fail-too-few-ticks": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "fc8c15f83e4c329466a6a7df61d8d5c8c68f07f5a16febf4599322f81223495b",
+        "figure_annotated.svg": "8f52edd8724017ded4337a1753a8ce99e9c19b5dfef1d98d9236841a1682166a",
+    },
+    "fail-no-glyphs-in-box": {
+        "figure.csv": "4f81826721f4b20074c8664b4fca1f6e16dbf83ff568e6dd856df647a4089127",
+        "report.json": "fb4447fc02dbf5833311ffd27d87b5f16ed48526e33e672b1d6edfb29b1b21b2",
+        "figure_annotated.svg": "1252bb3d0c551e46372c2d0dea826d90c6782f8da19d472548bdca4f3851fd09",
     },
 }
 
