@@ -19,8 +19,7 @@ from operator import le, sub
 from statistics import median
 
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .errors import (CollocatedTicks, InsufficientMatches, NoAxesFound,
-                     NonlinearScale, TooFewTicks)
+from .errors import NoAxesFound, NonlinearScale, TooFewTicks
 from .svg_model import FigureDocument, Point, Rect, Segments, TextRun
 
 
@@ -349,7 +348,7 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
     axes' windows (near the corner) belongs to the axis whose nearest tick
     it is closer to along that axis.  Matches farther along the axis than
     half the median inter-tick spacing are dropped.  Raises
-    InsufficientMatches when fewer than two pairs survive.
+    TooFewTicks when fewer than two pairs survive.
 
     A label finds its nearest tick on either axis, and the ticks within
     reach, by bisection in the axis's sorted positions.  The cost is
@@ -357,7 +356,7 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
     """
     axis_ticks = [t for t in ticks if t.side is side]
     if len(axis_ticks) < 2:
-        raise InsufficientMatches(f"{side.value}: fewer than 2 ticks")
+        raise TooFewTicks(f"{side.value}: fewer than 2 ticks")
     other_ticks = [t for t in ticks if t.side is (
         AxisSide.Y_AXIS if side is AxisSide.X_AXIS else AxisSide.X_AXIS)]
     own_positions = [t.position for t in axis_ticks]
@@ -427,7 +426,7 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
         used_labels.add(li)
         matched.append((axis_ticks[ti], candidates[li]))
     if len(matched) < 2:
-        raise InsufficientMatches(
+        raise TooFewTicks(
             f"{side.value}: only {len(matched)} tick-label pair(s)")
     matched.sort(key=lambda p: p[0].position)
     return matched
@@ -453,7 +452,7 @@ def calibrate_axis(pairs: list[tuple[TickMark, TickLabel]], side: AxisSide,
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
-        raise CollocatedTicks(f"{side.value}: all tick positions equal")
+        raise TooFewTicks(f"{side.value}: all tick positions equal")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = my - slope * mx

@@ -1,4 +1,9 @@
-"""Exception types shared across the extraction pipeline."""
+"""Exception types shared across the extraction pipeline.
+
+There is one class per figure status an extraction failure maps to, and
+``WorkerDied``, which ``vecfig extract`` tells apart by its exit code.
+Within one status the message tells the reasons apart.
+"""
 
 from __future__ import annotations
 
@@ -18,84 +23,32 @@ class Status(Enum):
 
 
 class VecfigError(Exception):
-    """Base class for all extraction errors.
-
-    ``status`` is the figure status an error raised during extraction maps to.
-    """
+    """Status ``parse_error``: the source is not a well-formed SVG, or a
+    transform or path in it cannot be used; also every failure of project,
+    filter, template or truth input.  Base class of the others."""
     status = Status.PARSE_ERROR
 
 
-# --- SVG parsing ---
-
-class MalformedXml(VecfigError):
-    """Input bytes are not well-formed XML."""
-
-
-class NotSvg(VecfigError):
-    """XML root element is not <svg>."""
-
-
-class DegenerateTransform(VecfigError):
-    """A transform with zero determinant was encountered."""
-
-
-class PathSyntax(VecfigError):
-    """Path data string does not follow the path grammar."""
-
-
-# --- Axis detection / calibration ---
-
 class NoAxesFound(VecfigError):
-    """No qualifying vertical/horizontal axis pair in the figure."""
+    """Status ``no_axes``: no qualifying vertical/horizontal axis pair."""
     status = Status.NO_AXES
 
 
-class InsufficientMatches(VecfigError):
-    """Fewer than two tick-label pairs matched on an axis."""
-    status = Status.TOO_FEW_TICKS
-
-
 class TooFewTicks(VecfigError):
-    """Fewer than two tick-label pairs supplied to calibration."""
-    status = Status.TOO_FEW_TICKS
-
-
-class CollocatedTicks(VecfigError):
-    """All tick positions coincide; no slope can be fitted."""
+    """Status ``too_few_ticks``: fewer than two tick-label pairs on an axis,
+    or all their tick positions equal."""
     status = Status.TOO_FEW_TICKS
 
 
 class NonlinearScale(VecfigError):
-    """Least-squares residual exceeds the linearity gate (e.g. log axis)."""
+    """Status ``nonlinear_scale``: the axis fit has no usable linear scale."""
     status = Status.NONLINEAR_SCALE
 
 
-# --- Point extraction ---
-
 class NoDataGlyphs(VecfigError):
-    """No circle glyph lies inside the plot interior."""
+    """Status ``no_data_glyphs``: no circle glyph inside the plot interior."""
     status = Status.NO_DATA_GLYPHS
-
-
-# --- Corpus pipeline ---
-
-class TemplateGroupOutOfRange(VecfigError):
-    """makeProject template references a capture group the filter lacks."""
-
-
-class DestinationCollision(VecfigError):
-    """Two input files map to the same project destination."""
-
-
-class BadFilter(VecfigError):
-    """A filter regex does not compile, or a figure filter lacks the index group."""
 
 
 class WorkerDied(VecfigError):
     """A batch's worker process died, so the batch stopped unfinished."""
-
-
-# --- Evaluation ---
-
-class MissingTruth(VecfigError):
-    """No ground-truth file available for a figure under evaluation."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import _check_tolerance
-from .errors import MissingTruth
+from .errors import VecfigError
 from .pipeline import ExtractionReport, Status, read_csv_points
 
 DEFAULT_TOLERANCE = 0.005  # fraction of axis span
@@ -117,7 +117,7 @@ def evaluate_figure(figure_id: str, extracted: list[Pair], truth: list[Pair],
     extracted points (overlap recovery) do not hurt.
     """
     if not truth:
-        raise MissingTruth(f"{figure_id}: empty truth")
+        raise VecfigError(f"{figure_id}: empty truth")
     if not data_extracted or not extracted:
         return EvalRecord(figure_id, False, len(extracted), len(truth),
                           False, False)
@@ -172,7 +172,7 @@ def evaluate_output_tree(output_root: str | Path,
 
     A figure directory holds ``report.json`` and ``figure.csv``; the truth
     file ``truth.csv`` is read from the same directory, or from the
-    mirrored path under ``truth_root`` when given.  Raises MissingTruth, and
+    mirrored path under ``truth_root`` when given.  Raises VecfigError, and
     ValueError for a tolerance that is not a finite number above zero or a
     ``report.json`` that does not read as a report.
     """
@@ -193,7 +193,7 @@ def evaluate_output_tree(output_root: str | Path,
         else:
             truth_path = fig_dir / "truth.csv"
         if not truth_path.is_file():
-            raise MissingTruth(f"no truth file for {fig_dir}")
+            raise VecfigError(f"no truth file for {fig_dir}")
         truth = [(row[0], row[1]) for row in read_csv_points(truth_path)]
         figure_id = f"{report.tree_id}/figure{report.figure_index}"
         records.append(evaluate_figure(

@@ -22,8 +22,7 @@ from pathlib import Path
 from . import axis_detection, point_extraction, svg_model
 from .axis_detection import AxisSide, PlotBox, TickLabel, TickMark
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .errors import (BadFilter, DestinationCollision, Status,
-                     TemplateGroupOutOfRange, VecfigError, WorkerDied)
+from .errors import Status, VecfigError, WorkerDied
 from .point_extraction import DataPoint
 from .svg_model import IDENTITY, AffineTransform, Markers
 
@@ -93,7 +92,7 @@ def _substitute_template(template: str, match: re.Match) -> str:
     def repl(m: re.Match) -> str:
         group_no = int(m.group(1) or m.group(2))
         if group_no > len(match.groups()):
-            raise TemplateGroupOutOfRange(
+            raise VecfigError(
                 f"template references group {group_no}, filter defines "
                 f"{len(match.groups())}")
         return match.group(group_no) or ""
@@ -119,7 +118,7 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
             continue
         dest = root / _substitute_template(template, m)
         if dest in destinations:
-            raise DestinationCollision(
+            raise VecfigError(
                 f"{path} and {destinations[dest]} both map to {dest}")
         destinations[dest] = path
         moves[path] = dest
@@ -133,7 +132,7 @@ def _compile_filter(file_filter: str) -> re.Pattern:
     try:
         return re.compile(file_filter)
     except re.error as exc:
-        raise BadFilter(f"filter {file_filter!r} does not compile: {exc}") from None
+        raise VecfigError(f"filter {file_filter!r} does not compile: {exc}") from None
 
 
 def enumerate_figures(project: CorpusProject, figure_filter: str,
@@ -144,7 +143,7 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
     """
     pattern = _compile_filter(figure_filter)
     if pattern.groups < 1:
-        raise BadFilter("figure filter needs a capture group for the index")
+        raise VecfigError("figure filter needs a capture group for the index")
     out: list[tuple[CTree, int, Path]] = []
     for tree in project.trees:
         for svg in tree.root.rglob("*.svg"):
@@ -153,7 +152,7 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
                 try:
                     index = int(m.group(1))
                 except (TypeError, ValueError):  # group 1 did not take part, or is text
-                    raise BadFilter(
+                    raise VecfigError(
                         f"figure filter {figure_filter!r}: group 1 of {svg.as_posix()} "
                         f"is {m.group(1)!r}, not an integer index") from None
                 out.append((tree, index, svg))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 from .config import (CANVAS_OVERFLOW_FACTOR, CURVE_DEVIATION_TOL, ELLIPSE_CIRCLE_TOL,
                      RUN_BASELINE_TOL, RUN_GAP_TOL)
-from .errors import DegenerateTransform, MalformedXml, NotSvg, PathSyntax, VecfigError
+from .errors import VecfigError
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -207,7 +207,7 @@ def parse_transform(text: str) -> AffineTransform:
     for name, argtext in _TRANSFORM_RE.findall(text):
         args = [float(m.group(0)) for m in _NUM_RE.finditer(argtext)]
         if not all(map(math.isfinite, args)):
-            raise DegenerateTransform(f"non-finite transform argument: {name}({argtext})")
+            raise VecfigError(f"non-finite transform argument: {name}({argtext})")
         if name == "matrix" and len(args) == 6:
             t = AffineTransform(*args)
         elif name == "translate" and len(args) in (1, 2):
@@ -232,18 +232,18 @@ def parse_transform(text: str) -> AffineTransform:
         elif name == "skewY" and len(args) == 1:
             t = AffineTransform(b=math.tan(math.radians(args[0])))
         else:
-            raise DegenerateTransform(f"bad transform arguments: {name}({argtext})")
+            raise VecfigError(f"bad transform arguments: {name}({argtext})")
         result = result.then(t)
     return _checked(result, text)
 
 
 def _checked(t: AffineTransform, text: str, kind: str = "transform") -> AffineTransform:
     """``t``, unless an entry overflowed or it is singular; then raises
-    DegenerateTransform naming the ``transform`` attribute ``text``."""
+    VecfigError naming the ``transform`` attribute ``text``."""
     if not all(map(math.isfinite, (t.a, t.b, t.c, t.d, t.e, t.f))):
-        raise DegenerateTransform(f"non-finite {kind}: {text!r}")
+        raise VecfigError(f"non-finite {kind}: {text!r}")
     if t.determinant == 0.0:
-        raise DegenerateTransform(f"zero-determinant {kind}: {text!r}")
+        raise VecfigError(f"zero-determinant {kind}: {text!r}")
     return t
 
 
@@ -271,11 +271,11 @@ def _tokenize_path(path_data: str) -> list[str | float]:
     for m in _PATH_TOKEN_RE.finditer(path_data):
         between = path_data[pos:m.start()]
         if between.strip(" ,\t\n\r"):
-            raise PathSyntax(f"unexpected text in path data: {between!r}")
+            raise VecfigError(f"unexpected text in path data: {between!r}")
         pos = m.end()
         tokens.append(m.group(1) if m.group(1) else float(m.group(0)))
     if path_data[pos:].strip(" ,\t\n\r"):
-        raise PathSyntax(f"unexpected trailing text: {path_data[pos:]!r}")
+        raise VecfigError(f"unexpected trailing text: {path_data[pos:]!r}")
     return tokens
 
 
@@ -303,7 +303,7 @@ def flatten_path(path_data: str, transform: AffineTransform = IDENTITY,
 
     Curves whose sampled deviation from their chord is within
     CURVE_DEVIATION_TOL (after transform) become segments; more strongly
-    curved pieces are skipped with a warning.  Raises PathSyntax on a
+    curved pieces are skipped with a warning.  Raises VecfigError on a
     malformed grammar.
     """
     return _flatten_tokens(_tokenize_path(path_data), transform, id_prefix,
@@ -329,9 +329,9 @@ def _flatten_tokens(tokens: list[str | float], transform: AffineTransform, id_pr
             cmd = tok
             i += 1
         elif cmd is None:
-            raise PathSyntax("path data does not start with a command")
+            raise VecfigError("path data does not start with a command")
         elif cmd in "Zz":
-            raise PathSyntax("Z takes no arguments")
+            raise VecfigError("Z takes no arguments")
         elif cmd in "Mm":
             cmd = "L" if cmd == "M" else "l"  # implicit lineto after moveto
         rel = cmd.islower()
@@ -346,7 +346,7 @@ def _flatten_tokens(tokens: list[str | float], transform: AffineTransform, id_pr
             n = _PATH_ARITY[op]
             args = tokens[i:i + n]
             if len(args) < n or any(isinstance(a, str) for a in args):
-                raise PathSyntax(f"command {cmd!r} needs {n} numbers")
+                raise VecfigError(f"command {cmd!r} needs {n} numbers")
             i += n
             if op == "A":
                 # elliptical arcs never approximate ticks or axes
@@ -678,7 +678,7 @@ class _Parser:
                 tokens = _tokenize_path(text)
                 if tag != "path":
                     if str in map(type, tokens):
-                        raise PathSyntax(f"command letter in points: {text!r}")
+                        raise VecfigError(f"command letter in points: {text!r}")
                     tokens = ["M", *tokens, "Z"] if tag == "polygon" else ["M", *tokens]
                 _flatten_tokens(tokens, t, self._gen_id(child, tag), doc.warnings, segments)
             elif tag == "rect" or tag == "image":
@@ -847,11 +847,11 @@ def parse_svg(data: bytes) -> FigureDocument:
     whole element tree never exists: the traced peak is the columns plus
     about one piece's elements, 1.3 times the source at 20,000 markers and
     5.1 times at 1,000 gridlines.  Errors rank as if the whole source were
-    parsed before the walk: MalformedXml first, then the first error the
-    walk meets.  Raw per-glyph text elements are composed into runs before
-    the document is returned.  Raises MalformedXml (also for nesting too
-    deep to walk) / NotSvg / DegenerateTransform (also for non-finite
-    arguments) / PathSyntax.
+    parsed before the walk: a malformed-XML error first, then the first
+    error the walk meets.  Raw per-glyph text elements are composed into
+    runs before the document is returned.  Raises VecfigError for malformed
+    XML (also for nesting too deep to walk), a root that is not <svg>, a
+    degenerate transform (also for non-finite arguments) or bad path data.
     """
     parser = _Parser()
     pull = ET.XMLPullParser(events=("start",))
@@ -879,16 +879,16 @@ def parse_svg(data: bytes) -> FigureDocument:
                 if root_t is None:
                     name = parser.names[root.tag]
                     if name != "svg":
-                        raise NotSvg(f"root element is <{name}>, not <svg>")
+                        raise VecfigError(f"root element is <{name}>, not <svg>")
                     t_attr = root.get("transform")
                     root_t = parse_transform(t_attr) if t_attr else IDENTITY
                 parser.walk_finished(root, root_t, DEFAULT_FONT_SIZE, closed)
             except RecursionError:
-                failure = MalformedXml("elements nested too deeply to walk")
+                failure = VecfigError("elements nested too deeply to walk")
             except VecfigError as exc:
                 failure = exc
     except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
+        raise VecfigError(str(exc)) from exc
     if failure is not None:
         raise failure
     doc = parser.doc

@@ -24,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
-from vecfig import axis_detection, cli, pipeline, svg_model
+from vecfig import axis_detection, cli, errors, pipeline, svg_model
 from vecfig.axis_detection import AxisSide, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
-from vecfig.errors import BadFilter, DestinationCollision
+from vecfig.errors import VecfigError, WorkerDied
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
                              _num, _nums, enumerate_figures, extract_figure,
                              make_project, read_csv_points, run_project,
@@ -63,15 +63,14 @@ class TestMakeProject:
         substituted = {re.match(r".*/(.*)\.pdf", p.as_posix()).group(1)
                        for p in [tmp_path / "x" / "a.pdf", tmp_path / "y" / "a.pdf"]}
         assert substituted == {"a"}
-        with pytest.raises(DestinationCollision):
+        with pytest.raises(VecfigError, match=r"a\.pdf both map to .*/a/fulltext\.pdf$"):
             make_project(tmp_path, r".*/(.*)\.pdf", r"(\1)/fulltext.pdf")
         assert (tmp_path / "x" / "a.pdf").is_file()  # nothing moved
         assert (tmp_path / "y" / "a.pdf").is_file()
 
     def test_template_group_out_of_range(self, tmp_path):
-        from vecfig.errors import TemplateGroupOutOfRange
         (tmp_path / "a.pdf").write_bytes(b"1")
-        with pytest.raises(TemplateGroupOutOfRange):
+        with pytest.raises(VecfigError, match="^template references group 2, filter defines 1$"):
             make_project(tmp_path, r".*/(.*)\.pdf", r"(\2)/fulltext.pdf")
 
 
@@ -107,7 +106,8 @@ class TestEnumerateFigures:
     def test_bad_filter(self, tmp_path):
         make_figure(tmp_path, "t1", 1)
         project = scan_project(tmp_path)
-        with pytest.raises(BadFilter):
+        with pytest.raises(VecfigError,
+                           match="^figure filter needs a capture group for the index$"):
             enumerate_figures(project, r".*figure\d+/figure\.svg")
 
     @pytest.mark.parametrize("figure_filter,group", [
@@ -118,7 +118,7 @@ class TestEnumerateFigures:
         path = make_figure(tmp_path, "t1", 1).with_name("b.svg")
         path.write_bytes(b'<svg xmlns="http://www.w3.org/2000/svg"/>')
         project = scan_project(tmp_path)
-        with pytest.raises(BadFilter) as info:
+        with pytest.raises(VecfigError) as info:
             enumerate_figures(project, figure_filter)
         assert str(info.value) == (f"figure filter {figure_filter!r}: group 1 of "
                                    f"{path.as_posix()} is {group}, not an integer index")
@@ -259,6 +259,16 @@ class TestNumFormat:
 
 
 class TestExtractFigure:
+    def test_one_error_class_per_status(self):
+        # extract_figure reports exc.status; the message tells the reasons
+        # of one status apart, so a class per reason would add nothing
+        assert VecfigError.status is Status.PARSE_ERROR
+        statuses = [cls.status.value for cls in vars(errors).values()
+                    if isinstance(cls, type) and issubclass(cls, VecfigError)
+                    and cls not in (VecfigError, WorkerDied)]
+        assert sorted(statuses) == ["no_axes", "no_data_glyphs", "nonlinear_scale",
+                                    "too_few_ticks"]
+
     def test_synthetic_round_trip(self, tmp_path):
         spec = SyntheticSpec(n_points=7, seed=42)
         svg, truth = generate_scatter_svg(spec)

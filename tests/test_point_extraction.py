@@ -89,11 +89,11 @@ class TestSelectDataGlyphs:
 
     def test_outside_circle_rejected(self):
         doc = doc_of([circle("out", 10, 10, 2.0)])
-        with pytest.raises(NoDataGlyphs):
+        with pytest.raises(NoDataGlyphs, match="^no circle center inside the plot interior$"):
             select_data_glyphs(doc, BOX)
 
     def test_no_circles(self):
-        with pytest.raises(NoDataGlyphs):
+        with pytest.raises(NoDataGlyphs, match="^figure contains no circles$"):
             select_data_glyphs(FigureDocument(), BOX)
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from vecfig.errors import MissingTruth
+from vecfig.errors import VecfigError
 from vecfig import evaluate
 from vecfig.evaluate import (TABLE_COLUMNS, EvalRecord, Pair, _spans, aggregate,
                              evaluate_figure, match_points, render_table)
@@ -185,7 +185,7 @@ class TestEvaluateFigure:
         assert not rec2.x_axis_correct
 
     def test_missing_truth(self):
-        with pytest.raises(MissingTruth):
+        with pytest.raises(VecfigError, match="^f: empty truth$"):
             evaluate_figure("f", [], [], True)
 
 
