@@ -1288,16 +1288,24 @@ _STREAM_LEAVES = st.one_of(
                                  _STREAM_FONT_SIZES, _STREAM_TEXT,
                                  st.sampled_from(["", "<2>", "é"]), _STREAM_TEXT),
                        max_size=3).map("".join)))
-_STREAM_BODIES = st.recursive(
-    st.lists(_STREAM_LEAVES, max_size=4).map("".join),
-    lambda bodies: st.lists(st.one_of(
+
+
+def _nested_bodies(bodies):
+    """Leaves, ``bodies`` and containers around ``bodies``, one after another.
+
+    A named function, as Hypothesis reads the source of ``extend`` to check
+    that it uses its argument, and cannot always read a lambda's."""
+    return st.lists(st.one_of(
         _STREAM_LEAVES,
         st.builds(lambda tag, t, fs, body: (f'<{tag}{f" transform={t!r}" if t else ""}'
                                              f'{fs}>{body}</{tag}>'),
                   st.sampled_from(["g", "g", "svg", "a", "switch"]), _STREAM_TRANSFORMS,
                   _STREAM_FONT_SIZES, bodies),
-        bodies), max_size=6).map("".join),
-    max_leaves=60)
+        bodies), max_size=6).map("".join)
+
+
+_STREAM_BODIES = st.recursive(st.lists(_STREAM_LEAVES, max_size=4).map("".join),
+                              _nested_bodies, max_leaves=60)
 
 
 @st.composite
