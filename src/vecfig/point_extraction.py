@@ -67,9 +67,10 @@ def select_data_glyphs(doc: FigureDocument, box: PlotBox,
             clusters.append([i])
             edge = grow * r
     # the first of the largest clusters, ties to the smaller median radius
-    best = min(clusters, key=lambda cl: (-len(cl), median(radii[i] for i in cl)))
-    return RadiusCluster(representative_radius=median(radii[i] for i in best),
-                         members=circles.take(best))
+    medians = [median(radii[i] for i in cl) for cl in clusters]
+    best = min(range(len(clusters)), key=lambda k: (-len(clusters[k]), medians[k]))
+    return RadiusCluster(representative_radius=medians[best],
+                         members=circles.take(clusters[best]))
 
 
 def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
