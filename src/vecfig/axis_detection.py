@@ -450,14 +450,15 @@ def calibrate_axis(pairs: list[tuple[TickMark, TickLabel]], side: AxisSide,
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
+    # each square is d * d: ** 2 raises OverflowError where * gives inf
+    sxx = sum(d * d for d in (x - mx for x in xs))
     if sxx == 0.0:
         raise TooFewTicks(f"{side.value}: all tick positions equal")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = my - slope * mx
-    rms = math.sqrt(sum((y - (intercept + slope * x)) ** 2
-                        for x, y in zip(xs, ys)) / n)
+    rms = math.sqrt(sum(d * d for d in (y - (intercept + slope * x)
+                                        for x, y in zip(xs, ys))) / n)
     span = max(ys) - min(ys)
     if span == 0.0 or slope == 0.0:
         raise NonlinearScale(f"{side.value}: constant tick values, no usable scale")

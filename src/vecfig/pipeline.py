@@ -108,7 +108,6 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
     """
     root = Path(root)
     pattern = _compile_filter(file_filter)
-    moves: dict[Path, Path] = {}
     destinations: dict[Path, Path] = {}
     for path in sorted(root.rglob("*")):
         if not path.is_file():
@@ -121,8 +120,7 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
             raise VecfigError(
                 f"{path} and {destinations[dest]} both map to {dest}")
         destinations[dest] = path
-        moves[path] = dest
-    for src, dest in moves.items():
+    for dest, src in destinations.items():
         dest.parent.mkdir(parents=True, exist_ok=True)
         shutil.move(str(src), str(dest))
     return scan_project(root)
@@ -399,15 +397,23 @@ def run_project(project: CorpusProject, figure_filter: str,
     """Extract every enumerated figure; one failure never stops the batch.
 
     Outputs mirror the input tree layout under ``output_root``; a summary
-    JSON aggregating statuses lands at the output root.  Figures run in one
-    worker process per CPU this process may run on (see ``_map_guarded``);
-    the reports come back in enumeration order, so the outputs and the
-    reports are those of a serial run.
+    JSON aggregating statuses lands at the output root.  A figure folder
+    holds one figure: two sources whose outputs would go to one folder
+    raise VecfigError before any figure runs.  Figures run in one worker
+    process per CPU this process may run on (see ``_map_guarded``); the
+    reports come back in enumeration order, so the outputs and the reports
+    are those of a serial run.
     """
     output_root = Path(output_root)
-    reports = _map_guarded(
-        [(tree, index, svg, config, output_root / svg.parent.relative_to(project.root))
-         for tree, index, svg in enumerate_figures(project, figure_filter)])
+    jobs = []
+    sources: dict[Path, Path] = {}
+    for tree, index, svg in enumerate_figures(project, figure_filter):
+        out_dir = output_root / svg.parent.relative_to(project.root)
+        if out_dir in sources:
+            raise VecfigError(f"{sources[out_dir]} and {svg} both write to {out_dir}")
+        sources[out_dir] = svg
+        jobs.append((tree, index, svg, config, out_dir))
+    reports = _map_guarded(jobs)
     summary = {
         "n_figures": len(reports),
         "statuses": {s.value: sum(1 for r in reports if r.status is s)
@@ -432,65 +438,39 @@ def _cpu_count() -> int:
 def _map_guarded(jobs: list[tuple]) -> list[ExtractionReport]:
     """``_run_guarded`` over each job's arguments, the reports in job order.
 
-    Jobs whose outputs go to one directory write the same three files, so
-    they make one task and run in job order: the last one's files stay, as
-    in a serial run.  The tasks run in forked worker processes, one per CPU
-    and at most one per task (see ``_pool_map``).  With one CPU or one
-    task, or where no pool can be used, the same tasks run here, one after
-    another.
+    The jobs run in forked worker processes, one per CPU and at most one
+    per job.  They run here, one after another, with one CPU or one job,
+    where ``fork`` is not offered, where this process runs other threads
+    (which ``fork`` cannot safely copy) or where the pool cannot start (a
+    fork or a pipe refused).  A worker that dies raises ``WorkerDied``.
     """
-    tasks: dict[Path, list[int]] = {}
-    for i, job in enumerate(jobs):
-        tasks.setdefault(job[-1], []).append(i)
-    task_jobs = [[jobs[i] for i in task] for task in tasks.values()]
-    workers = min(_cpu_count(), len(tasks))
-    done = _pool_map(task_jobs, workers) if workers > 1 else None
-    reports: list = [None] * len(jobs)
-    for task, task_reports in zip(tasks.values(), done or map(_run_in_order, task_jobs)):
-        for i, report in zip(task, task_reports):
-            reports[i] = report
-    return reports
-
-
-def _pool_map(tasks: list[list[tuple]], workers: int,
-              ) -> list[list[ExtractionReport]] | None:
-    """``_run_in_order`` over the tasks in forked worker processes, in task order.
-
-    None where ``fork`` is not offered, where this process runs other
-    threads (which ``fork`` cannot safely copy) or where the pool cannot
-    start (a fork or a pipe refused); the caller then runs the tasks itself.
-    A worker that dies raises ``WorkerDied``.
-    """
-    # imported here: the pool modules take tens of ms to import, which an
-    # import of vecfig and a serial run should not pay
-    import multiprocessing
-    import threading
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    # fork starts a worker in milliseconds with vecfig imported; spawn and
-    # forkserver import it again in every worker
-    context = multiprocessing.get_context("fork")
-    children = set(multiprocessing.active_children())
-    try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(_run_in_order, tasks,
-                                 chunksize=max(1, len(tasks) // (8 * workers))))
-    except BrokenProcessPool as exc:
-        raise WorkerDied(f"a worker process died: {exc}") from exc
-    except OSError:
-        # the workers that did start are stopped: the serial run after
-        # this writes every figure's files afresh
-        for child in set(multiprocessing.active_children()) - children:
-            child.terminate()
-            child.join()
-        return None
-
-
-def _run_in_order(jobs: list[tuple]) -> list[ExtractionReport]:
-    return [_run_guarded(*job) for job in jobs]
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1:
+        # imported here: the pool modules take tens of ms to import, which
+        # an import of vecfig and a serial run should not pay
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            # fork starts a worker in milliseconds with vecfig imported;
+            # spawn and forkserver import it again in every worker
+            context = multiprocessing.get_context("fork")
+            children = set(multiprocessing.active_children())
+            try:
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(_run_guarded, *zip(*jobs),
+                                         chunksize=max(1, len(jobs) // (8 * workers))))
+            except BrokenProcessPool as exc:
+                raise WorkerDied(f"a worker process died: {exc}") from exc
+            except OSError:
+                # the workers that did start are stopped: the serial run
+                # after this writes every figure's files afresh
+                for child in set(multiprocessing.active_children()) - children:
+                    child.terminate()
+                    child.join()
+    return list(itertools.starmap(_run_guarded, jobs))
 
 
 def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,

@@ -8,13 +8,14 @@ alongside each other, so multiplicity is preserved end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import median
 from typing import NamedTuple
 
 from .axis_detection import AxisCalibration, PlotBox
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .errors import NoDataGlyphs
+from .errors import NoDataGlyphs, NonlinearScale
 from .svg_model import FigureDocument, Markers
 
 
@@ -82,6 +83,10 @@ def map_to_data(cluster: RadiusCluster, xcal: AxisCalibration,
     """
     m = cluster.members
     cx, cy, radii, ids = m.cx, m.cy, m.r, m.ids
+    # each map is monotonic: when no end value overflows, no value does
+    for cal, column in ((xcal, cx), (ycal, cy)):
+        if column and not all(math.isfinite(cal.to_data(c)) for c in (min(column), max(column))):
+            raise NonlinearScale(f"{cal.side.value}: a data value overflows")
     # (x, y, id) order, ties in member order: three stable sorts, the minor
     # key first
     order = sorted(range(len(m)), key=ids.__getitem__)

@@ -928,6 +928,19 @@ def _overflow_a_data_value(svg: Path) -> None:
     svg.write_text(text, encoding="utf-8")
 
 
+def _relabel_x_axis(svg: Path, ticks: list[tuple[float, str]]) -> None:
+    """Replace the five x ticks of the seed-1, 5-point standard figure by
+    one tick and one label per ``(x, label text)``."""
+    text, n = re.subn(r'<line x1="([\d.]+)" y1="400" x2="\1" y2="405" stroke="black"/>\n'
+                      r'<text [^>]*>[^<]*</text>\n', "", svg.read_text(encoding="utf-8"))
+    assert n == 5
+    new = "".join(f'<line x1="{x}" y1="400" x2="{x}" y2="405" stroke="black"/>\n'
+                  f'<text x="{x - 2}" y="416" font-size="10">{label}</text>\n'
+                  for x, label in ticks)
+    svg.write_text(text.replace('<circle id="pt0"', new + '<circle id="pt0"'),
+                   encoding="utf-8")
+
+
 class TestRunProject:
     def _project(self, tmp_path, styles):
         specs = [SyntheticSpec(seed=i + 1, n_points=5, axis_style=style)
@@ -1056,6 +1069,24 @@ class TestRunProject:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["statuses"]["nonlinear_scale"] == 1
 
+    @pytest.mark.parametrize("ticks, warning", [
+        ([(60, "0"), (188.75, "2.5e200"), (317.5, "5e200"), (446.25, "7.5e200"),
+          (575, "1e201")], "x_axis: rms residual inf exceeds 1% of span 1e+201"),
+        # 2**1019 over 8 units: the markers right of x=300 map past the largest double
+        ([(64, "0"), (72, "5.617791046444737e+306")], "x_axis: a data value overflows"),
+    ], ids=["residual_square", "data_value"])
+    def test_overflow_is_nonlinear_scale(self, tmp_path, ticks, warning):
+        root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
+        svg = root / "fig-0001" / "figures" / "figure1" / "figure.svg"
+        _relabel_x_axis(svg, ticks)
+        points, _, report = extract_figure(svg)
+        assert (points, report.status) == ([], Status.NONLINEAR_SCALE)
+        assert report.warnings[-1] == warning
+        reports = run_project(scan_project(root), DEFAULT_FIGURE_FILTER,
+                              DEFAULT_CONFIG, tmp_path / "out")
+        assert [r.status for r in reports] == [Status.NONLINEAR_SCALE, Status.OK]
+        assert reports[0].warnings == report.warnings
+
     def test_failed_csv_write_does_not_stop_batch(self, tmp_path, monkeypatch):
         root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])
         write_points = pipeline.write_csv
@@ -1133,30 +1164,27 @@ class TestRunProjectWorkers:
         assert [r.status for r in reports] == [Status.OK] * n_figures
         assert pools == []
 
-    def test_figures_sharing_a_directory_keep_the_last_outputs(
-            self, tmp_path, monkeypatch, pools):
-        # figure.svg and figure_2.svg write the same three files, and serially
-        # figure_2.svg's stay; figure.svg is the slower to extract, so in two
-        # workers taking one each its files would land last
+    def test_figures_sharing_a_directory_are_refused(self, tmp_path, monkeypatch, capsys,
+                                                     pools):
+        # figure.svg and figure_2.svg would write the same three files
         root = build_synthetic_project(tmp_path / "proj", [
             SyntheticSpec(seed=1, n_points=3000), SyntheticSpec(seed=2, n_points=5)])
         shared = root / "fig-0001" / "figures" / "figure1"
         second, _ = generate_scatter_svg(SyntheticSpec(seed=3, n_points=7))
         (shared / "figure_2.svg").write_bytes(second)
-        project = scan_project(root)
-        runs = []
+        out = tmp_path / "out"
+        message = (f"{shared / 'figure.svg'} and {shared / 'figure_2.svg'} both write "
+                   f"to {out / 'fig-0001' / 'figures' / 'figure1'}")
         for workers in (1, 2):
             monkeypatch.setattr(pipeline, "_cpu_count", lambda n=workers: n)
-            out = tmp_path / f"out{workers}"
-            reports = run_project(project, DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out)
-            runs.append((reports, TestRunProject._hash_outputs(out)))
-        assert pools == [2]
-        assert runs[0] == runs[1]
-        reports = runs[0][0]
-        assert [r.n_points for r in reports[:2]] == [3000, 7]
-        kept = json.loads((tmp_path / "out2" / "fig-0001" / "figures" / "figure1"
-                           / "report.json").read_text())
-        assert kept["n_points"] == 7
+            with pytest.raises(VecfigError) as exc:
+                run_project(scan_project(root), DEFAULT_FIGURE_FILTER, DEFAULT_CONFIG, out)
+            assert str(exc.value) == message
+            assert not out.exists()
+        assert pools == []
+        assert cli.run(["extract", "--project", str(root), "--outputDir", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="workers start only by fork")

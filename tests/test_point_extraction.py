@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import Circle, circles_of, markers_of
 from vecfig.axis_detection import AxisCalibration, AxisSide, PlotBox
 from vecfig.config import DEFAULT_CONFIG
-from vecfig.errors import NoDataGlyphs
+from vecfig.errors import NoDataGlyphs, NonlinearScale
 from vecfig.point_extraction import (DataPoint, RadiusCluster, detect_raster_body,
                                      map_to_data, select_data_glyphs)
 from vecfig.svg_model import FigureDocument, Point, RasterGlyph, Rect
@@ -147,6 +147,18 @@ class TestMapToData:
         rev = map_to_data(cluster, cal(AxisSide.X_AXIS, -0.5, 300),
                           cal(AxisSide.Y_AXIS, -1, 400))
         assert rev[0].x > rev[1].x
+
+    @pytest.mark.parametrize("side", list(AxisSide))
+    @pytest.mark.parametrize("centres", [(-300, -200, -100), (100, 200, 300)],
+                             ids=["smallest_centre", "largest_centre"])
+    def test_overflowing_value_rejected(self, side, centres):
+        # at 1e306 per unit only the centre at -300 or 300 maps past the
+        # largest double
+        cluster = RadiusCluster(0.0, markers_of(
+            [circle(f"c{i}", c, c, 2.0) for i, c in enumerate(centres)]))
+        xcal, ycal = (cal(s, 1e306 if s is side else 1.0, 0.0) for s in AxisSide)
+        with pytest.raises(NonlinearScale, match=f"^{side.value}: a data value overflows$"):
+            map_to_data(cluster, xcal, ycal)
 
 
 class TestDetectRasterBody:
