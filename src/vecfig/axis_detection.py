@@ -464,6 +464,9 @@ def calibrate_axis(pairs: list[tuple[TickMark, TickLabel]], side: AxisSide,
         raise NonlinearScale(f"{side.value}: constant tick values, no usable scale")
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise NonlinearScale(f"{side.value}: non-finite fit, no usable scale")
+    if rms == math.inf:  # residuals past 1.3e154 square to inf; their span fractions do not
+        rms = abs(span) * math.sqrt(sum(d * d for d in ((y - (intercept + slope * x)) / span
+                                                        for x, y in zip(xs, ys))) / n)
     # a nan rms fails the gate, not passes it
     if not rms <= cfg.residual_gate_frac * abs(span):
         raise NonlinearScale(

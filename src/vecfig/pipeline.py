@@ -492,7 +492,7 @@ def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
         status = (report.status if report.status is Status.PARSE_ERROR
                   else Status.WRITE_ERROR)
         warnings = report.warnings + [f"write failed: {exc}"]
-    except Exception as exc:  # e.g. a non-finite data value the CSV cannot hold
+    except Exception as exc:  # no known input: map_to_data rejects a non-finite value first
         status, warnings = Status.PARSE_ERROR, [f"unhandled: {exc}"]
     report = ExtractionReport(tree_id=tree.id, figure_index=index,
                               status=status, warnings=warnings)

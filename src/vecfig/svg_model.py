@@ -404,11 +404,11 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
 
     Runs sharing a baseline (within RUN_BASELINE_TOL glyph heights) and
     separated horizontally by at most RUN_GAP_TOL glyph heights are joined
-    left to right.  Output is sorted by (y, x).
+    left to right, pieces at one anchor in input order.  Output is sorted by (y, x).
     """
     if not raw_glyph_texts:
         return []
-    pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x, r.id))
+    pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x))
 
     # group by shared baseline: each run joins the first group, in creation
     # order, whose first run is close enough by the larger of their glyph
@@ -444,7 +444,7 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
     # chain left-to-right within each baseline
     merged: list[TextRun] = []
     for group in baselines:
-        group.sort(key=lambda r: (r.anchor.x, r.id))
+        group.sort(key=lambda r: r.anchor.x)
         chain = [group[0]]
         for run in group[1:]:
             last = chain[-1]

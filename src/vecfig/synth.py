@@ -126,22 +126,18 @@ def generate_scatter_svg(spec: SyntheticSpec) -> tuple[bytes, list[tuple[float, 
     log_x = style is AxisStyle.LOG_X
     decades = max(2, spec.n_ticks_x - 1)
 
+    # a reversed axis is the forward map with its ends swapped, to the bit
+    x_lo, x_hi = (xmax, xmin) if style is AxisStyle.REVERSED_X else (xmin, xmax)
+    y_lo, y_hi = (ymax, ymin) if style is AxisStyle.REVERSED_Y else (ymin, ymax)
     if log_x:
         def dev_x(v: float) -> float:
             return ax + math.log10(v) / decades * plot_w
-    elif style is AxisStyle.REVERSED_X:
-        def dev_x(v: float) -> float:
-            return ax + (xmax - v) / (xmax - xmin) * plot_w
     else:
         def dev_x(v: float) -> float:
-            return ax + (v - xmin) / (xmax - xmin) * plot_w
+            return ax + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    if style is AxisStyle.REVERSED_Y:
-        def dev_y(v: float) -> float:
-            return ay_bottom - (ymax - v) / (ymax - ymin) * plot_h
-    else:
-        def dev_y(v: float) -> float:
-            return ay_bottom - (v - ymin) / (ymax - ymin) * plot_h
+    def dev_y(v: float) -> float:
+        return ay_bottom - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     # a tick sits at the value of its label, or at its exact power of ten
     x_ticks = ([10.0 ** i for i in range(decades + 1)] if log_x

@@ -50,11 +50,20 @@ def test_extract_all_ok_exit_zero(tmp_path, capsys):
 def test_extract_with_failure_exit_two(tmp_path, capsys):
     proj = build_synthetic_project(tmp_path / "proj", [
         SyntheticSpec(seed=1, n_points=4),
-        SyntheticSpec(seed=2, n_points=4, axis_style=AxisStyle.RASTER_BODY)])
+        SyntheticSpec(seed=2, n_points=4, axis_style=AxisStyle.RASTER_BODY),
+        SyntheticSpec(seed=3, n_points=4)])
+    (proj / "fig-0003" / "figures" / "figure1" / "figure.svg").write_text(
+        '<html xmlns="http://www.w3.org/1999/xhtml"><body/></html>')
     code = run(["extract", "--project", str(proj),
                 "--outputDir", str(tmp_path / "out")])
     assert code == 2
-    assert "raster_body" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "fig-0002/figure1: raster_body (0 points)" in out
+    # a root that is not <svg> is parse_error, and its report names the root
+    assert "fig-0003/figure1: parse_error (0 points)" in out
+    report = json.loads((tmp_path / "out" / "fig-0003" / "figures" / "figure1"
+                         / "report.json").read_text(encoding="utf-8"))
+    assert report["warnings"][-1] == "root element is <html>, not <svg>"
 
 
 def test_flag_order_insensitive(tmp_path, capsys):

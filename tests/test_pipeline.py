@@ -429,6 +429,49 @@ class TestExtractFigure:
                 assert b.x == pytest.approx(a.x, rel=1e-6, abs=1e-6)
                 assert b.y == pytest.approx(a.y, rel=1e-6, abs=1e-6)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 16),
+           st.sampled_from([AxisStyle.STANDARD, AxisStyle.REVERSED_X, AxisStyle.REVERSED_Y]),
+           st.data())
+    def test_labels_split_into_tspans_read_the_same(self, tmp_path_factory, seed, style,
+                                                    data):
+        # every label cut at random character boundaries into unpositioned
+        # tspans, with ids in random order or with none: the pieces share
+        # their parent's anchor, so only document order joins them right
+        svg, _ = generate_scatter_svg(SyntheticSpec(seed=seed, n_points=20, axis_style=style))
+        folder = tmp_path_factory.mktemp("split")
+
+        def extract(text: str) -> tuple[bytes, Status]:
+            (folder / "figure.svg").write_text(text, encoding="utf-8")
+            points, _, report = extract_figure(folder / "figure.svg")
+            write_csv(points, folder / "figure.csv")
+            return (folder / "figure.csv").read_bytes(), report.status
+
+        text = svg.decode("utf-8")
+        labels = list(re.finditer(r"(<text [^>]*>)([^<]+)</text>", text))
+        pieces = []
+        for m in labels:
+            content = m.group(2)
+            cuts = data.draw(st.sets(st.integers(1, len(content) - 1)) if len(content) > 1
+                             else st.just(set()))
+            bounds = [0, *sorted(cuts), len(content)]
+            pieces.append([content[a:b] for a, b in zip(bounds, bounds[1:])])
+        order = iter(data.draw(st.permutations(range(sum(map(len, pieces))))))
+
+        def split(with_ids: bool) -> str:
+            out, end = [], 0
+            for m, parts in zip(labels, pieces):
+                spans = "".join(f'<tspan id="t{next(order)}">{p}</tspan>' if with_ids
+                                else f"<tspan>{p}</tspan>" for p in parts)
+                out += [text[end:m.start()], m.group(1), spans, "</text>"]
+                end = m.end()
+            return "".join(out + [text[end:]])
+
+        want = extract(text)
+        assert want[1] is Status.OK
+        assert extract(split(with_ids=False)) == want
+        assert extract(split(with_ids=True)) == want
+
     @pytest.mark.parametrize("x_labels,status,warned", [
         ((("1", 50), ("100", 500)), Status.OK, True),
         ((("1", 50), ("10", 275), ("100", 500)), Status.NONLINEAR_SCALE, False),
@@ -1070,8 +1113,9 @@ class TestRunProject:
         assert summary["statuses"]["nonlinear_scale"] == 1
 
     @pytest.mark.parametrize("ticks, warning", [
-        ([(60, "0"), (188.75, "2.5e200"), (317.5, "5e200"), (446.25, "7.5e200"),
-          (575, "1e201")], "x_axis: rms residual inf exceeds 1% of span 1e+201"),
+        # a log ladder whose residuals, near 1e203, square past the largest double
+        ([(60, "1e200"), (188.75, "1e201"), (317.5, "1e202"), (446.25, "1e203"),
+          (575, "1e204")], "x_axis: rms residual 2.54e+203 exceeds 1% of span 9.999e+203"),
         # 2**1019 over 8 units: the markers right of x=300 map past the largest double
         ([(64, "0"), (72, "5.617791046444737e+306")], "x_axis: a data value overflows"),
     ], ids=["residual_square", "data_value"])
@@ -1086,6 +1130,19 @@ class TestRunProject:
                               DEFAULT_CONFIG, tmp_path / "out")
         assert [r.status for r in reports] == [Status.NONLINEAR_SCALE, Status.OK]
         assert reports[0].warnings == report.warnings
+
+    def test_even_ladder_of_huge_values_is_ok(self, tmp_path):
+        # the standard ladder times 1e200: its rounding residuals, near 1e185,
+        # square past the largest double, but it is linear
+        root = self._project(tmp_path, [AxisStyle.STANDARD])
+        svg = root / "fig-0001" / "figures" / "figure1" / "figure.svg"
+        _relabel_x_axis(svg, [(60, "0"), (188.75, "2.5e200"), (317.5, "5e200"),
+                              (446.25, "7.5e200"), (575, "1e201")])
+        points, _, report = extract_figure(svg)
+        assert (report.status, len(points)) == (Status.OK, 5)
+        truth = read_csv_points(svg.parent / "truth.csv")
+        for p, (x, _) in zip(sorted(points), sorted(truth)):
+            assert p.x == pytest.approx(x * 1e200, abs=0.005 * 1e201)
 
     def test_failed_csv_write_does_not_stop_batch(self, tmp_path, monkeypatch):
         root = self._project(tmp_path, [AxisStyle.STANDARD, AxisStyle.STANDARD])

@@ -608,7 +608,7 @@ def compose_text_runs_oracle(raw_glyph_texts):
     """Oracle: each run compared with the first run of every group made so far."""
     if not raw_glyph_texts:
         return []
-    pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x, r.id))
+    pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x))
     baselines = []
     for run in pending:
         for group in baselines:
@@ -620,7 +620,7 @@ def compose_text_runs_oracle(raw_glyph_texts):
             baselines.append([run])
     merged = []
     for group in baselines:
-        group.sort(key=lambda r: (r.anchor.x, r.id))
+        group.sort(key=lambda r: r.anchor.x)
         chain = [group[0]]
         for run in group[1:]:
             last = chain[-1]
