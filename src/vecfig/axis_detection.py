@@ -115,6 +115,14 @@ def detect_plot_box(doc: FigureDocument,
     before its rows are looked up.  The cost is O(V + H) plus the pairs
     that share a block, not O(V * H), and the result is the one the full
     V x H comparison gives.
+
+    Only the ends that can be the corner are searched.  A vertical end E
+    is not looked up, and a horizontal end E not put in the grid, when the
+    segment's other end lies below (left of) the corner midpoint of E and
+    any partner end within ``corner_gap_tol``: the orientation test would
+    reject every pair whose corner is E.  So a segment more than about
+    ``corner_gap_tol / 2`` long is searched from one end: a vertical from
+    its lower end, a horizontal from its left end.
     """
     segments = doc.segments
     ids, xs1, ys1 = segments.ids, segments.x1, segments.y1
@@ -160,11 +168,21 @@ def detect_plot_box(doc: FigureDocument,
     # +limit, as max(-limit, min(limit, nan)) does
     limit = _CELL_LIMIT
     slack = _CELL_SLACK
+    # a partner end whose gap to E rounds to at most tol lies less than
+    # this far from E on each axis (the gap can round down by half an
+    # ulp).  The bounds below round as _corner's midpoint does, so an end
+    # they drop is never the corner of an accepted pair; a nan or
+    # overflowing bound keeps the end
+    reach = math.nextafter(tol, math.inf)
 
-    # horizontal endpoints by cell, as positions in the candidate list
+    # horizontal endpoints that can be a corner by cell, as positions in
+    # the candidate list
     grid: dict[tuple[int, int], list[int]] = {}
     for k, j in enumerate(h_index):
-        for x, y in ((xs1[j], ys1[j]), (xs2[j], ys2[j])):
+        x1, x2 = xs1[j], xs2[j]
+        for x, y, far_x in ((x1, ys1[j], x2), (x2, ys2[j], x1)):
+            if far_x < (x + (x - reach)) / 2.0:
+                continue
             qx = x / tol
             qx = limit if not qx <= limit else -limit if qx < -limit else qx
             qy = y / tol
@@ -174,8 +192,11 @@ def detect_plot_box(doc: FigureDocument,
 
     candidates = []
     for i, v_len in zip(v_index, v_length):
+        y1, y2 = ys1[i], ys2[i]
         near: set[int] = set()
-        for x, y in ((xs1[i], ys1[i]), (xs2[i], ys2[i])):
+        for x, y, far_y in ((xs1[i], y1, y2), (xs2[i], y2, y1)):
+            if far_y > (y + (y + reach)) / 2.0:
+                continue
             # the cells holding every coordinate within tol of the endpoint
             qx = x / tol
             qx = limit if not qx <= limit else -limit if qx < -limit else qx
@@ -194,7 +215,7 @@ def detect_plot_box(doc: FigureDocument,
                     near.update(grid.get((cx, cy), ()))
         if not near:
             continue
-        v = (xs1[i], ys1[i], xs2[i], ys2[i])
+        v = (xs1[i], y1, xs2[i], y2)
         # original order keeps the candidate list, and so the stable sort's
         # pick among exact ties, the same as the full comparison's
         for k in sorted(near):

@@ -669,7 +669,7 @@ class _Parser:
             elif tag in _CONTAINERS:
                 self.walk(child, t, _font_size(child, font_size))
             elif tag == "text":
-                self._collect_text(child, t, _font_size(child, font_size), None)
+                self._read_text(child, t, _font_size(child, font_size))
             elif tag == "path" or tag == "polyline" or tag == "polygon":
                 text = get("d" if tag == "path" else "points", "")
                 if not text.strip():
@@ -727,8 +727,25 @@ class _Parser:
             self.walk_finished(last, _compose(transform, t_attr) if t_attr else transform,
                                _font_size(last, font_size), closed)
 
+    def _read_text(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
+        """Read a <text> as one run per stretch of pieces at one anchor.
+
+        A <tspan> without its own x or y has its parent's anchor.  The
+        pieces of a stretch join before their text is stripped, once, as
+        SVG's default xml:space strips a text as a whole: "2 " and "5"
+        read "2 5".  A run takes the id of its first piece that is not
+        blank and the largest glyph height of those pieces.
+        """
+        stretches: list[list] = []
+        self._collect_text(elem, t, fs, None, stretches)
+        for anchor, text, eid, height in stretches:
+            content = text.strip()
+            if content:
+                self.doc.texts.append(TextRun(eid, anchor, content, height))
+
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
-                      inherited_anchor: Point | None) -> None:
+                      inherited_anchor: Point | None, stretches: list[list]) -> None:
+        """Add ``elem``'s pieces to ``stretches``, each [anchor, text, id, height]."""
         x = _parse_length(elem.get("x"))
         y = _parse_length(elem.get("y"))
         if x is not None or y is not None:
@@ -736,18 +753,26 @@ class _Parser:
         else:
             anchor = inherited_anchor
         scale = math.sqrt(abs(t.determinant))
-        content = (elem.text or "").strip()
-        if content and anchor is not None:
-            self.doc.texts.append(TextRun(
-                self._gen_id(elem, "text"), anchor, content, fs * scale))
-        elif content:
+        text = elem.text or ""
+        if text and anchor is not None:
+            if not (stretches and stretches[-1][0] is anchor):
+                stretches.append([anchor, "", None, 0.0])
+            last = stretches[-1]
+            last[1] += text
+            if not text.isspace():
+                eid = self._gen_id(elem, "text")
+                if last[2] is None:
+                    last[2], last[3] = eid, fs * scale
+                else:
+                    last[3] = max(last[3], fs * scale)
+        elif text.strip():
             self.doc.warnings.append("text without anchor skipped")
         for child in elem:
             tag = self.names[child.tag]
             if tag == "tspan":
                 ct_attr = child.get("transform")
                 ct = _compose(t, ct_attr) if ct_attr else t
-                self._collect_text(child, ct, _font_size(child, fs), anchor)
+                self._collect_text(child, ct, _font_size(child, fs), anchor, stretches)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
 

@@ -174,6 +174,61 @@ def gridded_segments(n: int, spacing: float, offset: float) -> list[Segment]:
     return out
 
 
+def corner_bound_segments(rng: random.Random, tol: float) -> list[Segment]:
+    """Axis pairs whose ends sit on the bound of the ends that can be a corner.
+
+    Each group has a vertical near end E and partners around it: ends
+    ``tol / 2`` and ``tol`` away and one ulp either side of each, far ends
+    on the corner midpoint's bound, near-flat segments with long cross
+    extents, ends from 8.9e307 to 1.79e308 (where midpoints overflow) and
+    infinite and nan ends.
+    """
+    up, down = math.inf, -math.inf
+
+    def ulps(v):
+        return rng.choice((math.nextafter(v, down), v, math.nextafter(v, up)))
+
+    def coord():
+        r = rng.random()
+        if r < 0.5:  # E within a tol of zero, negative ones included
+            return rng.choice((rng.uniform(-1.0, 1.0), rng.randint(-2, 2))) * tol
+        if r < 0.85:
+            return rng.choice((1.0, -1.0)) * rng.uniform(8.9e307, 1.79e308)
+        return rng.choice((math.inf, -math.inf, math.nan))
+
+    def step(v):
+        # a coordinate tol / 2 or tol from v, or on the bound's midpoint
+        r = rng.random()
+        sign = rng.choice((1.0, -1.0))
+        if r < 0.4:
+            return ulps(v + sign * rng.choice((tol / 2, tol)))
+        if r < 0.7:
+            edge = ulps(v + sign * rng.choice((tol, math.nextafter(tol, up))))
+            return ulps((v + edge) / 2.0)
+        if r < 0.85:
+            return v + rng.uniform(-1.5, 1.5) * tol
+        return rng.choice((v, v + sign * 40.0 * tol, -sign * math.inf, math.nan))
+
+    def cross(v):
+        # the other coordinate of a far end: straight, tilted or near-flat
+        return rng.choice((v, v + rng.uniform(-0.02, 0.02) * tol,
+                           v + rng.choice((1.0, -1.0)) * rng.uniform(2.0, 50.0) * tol,
+                           v + rng.uniform(-1.0, 1.0) * 1e308))
+
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        ex, ey = coord(), coord()
+        for i in range(rng.randint(1, 2)):  # verticals near E
+            x, y = ex if i == 0 else step(ex), ey if i == 0 else step(ey)
+            out.append(seg(f"v{len(out)}", x, y, cross(x), step(y)))
+        for _ in range(rng.randint(1, 3)):  # horizontals with an end near E
+            x, y = step(ex), step(ey)
+            out.append(seg(f"h{len(out)}", x, y, step(x), cross(y)))
+    rng.shuffle(out)
+    return [s if rng.random() < 0.5 else seg(s.id, s.p2.x, s.p2.y, s.p1.x, s.p1.y)
+            for s in out]
+
+
 class TestPlotBoxGridPairing:
     """The endpoint grid must give what the full V x H pairing gives."""
 
@@ -253,6 +308,58 @@ class TestPlotBoxGridPairing:
                 doc.segments.ids[box.bottom_index]) == ("v", "h")
         # the full pairing makes (n + 1) ** 2 = 251001 calls here
         assert calls <= 2 * (2 * n + 2)
+
+    def test_one_column_search_per_vertical_on_gridlines(self, monkeypatch):
+        # each vertical runs up from its lower end, the only end that can be
+        # a corner, so the column search runs once per vertical candidate
+        calls = 0
+
+        def counting_bisect_left(columns, lo):
+            nonlocal calls
+            calls += 1
+            return bisect.bisect_left(columns, lo)
+
+        monkeypatch.setattr(axis_detection, "bisect_left", counting_bisect_left)
+        n = 500
+        doc = doc_with(gridded_segments(n, 350.0 / (n + 1), 0.0))
+        box = detect_plot_box(doc)
+        assert (doc.segments.ids[box.left_index],
+                doc.segments.ids[box.bottom_index]) == ("v", "h")
+        assert calls == n + 1
+
+    @pytest.mark.parametrize("tol", [1e-300, 0.5, 3.0, 1e300])
+    @pytest.mark.parametrize("angle_tol", [2.0, 90.0, 135.0])
+    def test_corner_end_bound_matches_quadratic(self, tol, angle_tol):
+        # segments of any length count, so that ends tol / 2 apart do too
+        cfg = PipelineConfig(corner_gap_tol=tol, axis_angle_tol_deg=angle_tol,
+                             min_axis_length=5e-324)
+        rng = random.Random(f"corner-end-bound:{tol}:{angle_tol}")
+        n_found = 0
+        for _ in range(600):
+            doc = doc_with(corner_bound_segments(rng, tol),
+                           canvas=Rect(-10 * tol, -10 * tol, 600, 450))
+            want = box_outcome(quadratic_plot_box, doc, cfg)
+            assert same(box_outcome(detect_plot_box, doc, cfg), want)
+            n_found += want is not None
+        assert n_found > 50  # the layouts do produce axis pairs
+
+    @pytest.mark.parametrize("v,h", [
+        # the gap vy - hy = -4 - 2**-51 rounds to -4, so the pair is within
+        # tol, yet hy lies past vy + tol = 3 and the midpoint's y rounds to
+        # 1 + 2**-52: the far end there passes, although it lies past
+        # (vy + (vy + tol)) / 2 = 1
+        (seg("v", 0.0, -1.0, 5000.0, 1 + 2 ** -52),
+         seg("h", 0.0, 3 + 2 ** -51, 1000.0, 3.001)),
+        # the same along x: mx is -1 - 2**-52, below (hx + (hx - tol)) / 2
+        (seg("v", -3 - 2 ** -51, 0.0, -3.001, -100.0),
+         seg("h", 1.0, 0.0, -1 - 2 ** -52, 5000.0)),
+    ])
+    def test_gap_rounded_down_past_the_bound(self, v, h):
+        cfg = PipelineConfig(corner_gap_tol=4.0, axis_angle_tol_deg=90.0)
+        doc = doc_with([v, h], canvas=Rect(-40, -40, 600, 450))
+        want = box_outcome(quadratic_plot_box, doc, cfg)
+        assert want is not None and want[:2] == (0, 1)
+        assert same(box_outcome(detect_plot_box, doc, cfg), want)
 
 
 class TestDetectPlotBox:
@@ -793,15 +900,20 @@ class TestSegmentPasses:
     @settings(max_examples=100, deadline=None)
     def test_plot_box_searches_sorted_endpoint_columns(self, layout):
         # every search runs over the sorted columns of the horizontal
-        # candidates' endpoints, clamped ones too
+        # candidates' endpoints that can be a corner, clamped ones too
         cfg, glyphs = layout
         tol = cfg.corner_gap_tol
         horizontals = [s for s in glyphs if s.length >= cfg.min_axis_length
                        and math.degrees(math.atan2(abs(s.p2.y - s.p1.y),
                                                    abs(s.p2.x - s.p1.x)))
                        <= cfg.axis_angle_tol_deg]
+        # only the ends that can be the corner: the far end is not left of
+        # the midpoint of this end and any partner end within tol
+        reach = math.nextafter(tol, math.inf)
         want = sorted({math.floor(max(-2.0 ** 62, min(2.0 ** 62, p.x / tol)))
-                       for h in horizontals for p in (h.p1, h.p2)})
+                       for h in horizontals
+                       for p, far in ((h.p1, h.p2), (h.p2, h.p1))
+                       if not far.x < (p.x + (p.x - reach)) / 2.0})
         searched = []
 
         def spy(columns, lo):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (Circle, Segment, circles_of, glyphs_of, markers_of,
                       segments_of, serialize_model, svg_bytes)
 from vecfig import svg_model, synth
+from vecfig.axis_detection import parse_numeric_label
 from vecfig.errors import Status, VecfigError
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
                               FigureDocument, Markers, Point, RasterGlyph,
@@ -736,6 +737,19 @@ class TestComposeTextRuns:
 
     def test_empty_input(self):
         assert compose_text_runs([]) == []
+
+    @pytest.mark.parametrize("body,content,value", [
+        ("<tspan>2 </tspan><tspan>5</tspan>", "2 5", None),
+        ("<tspan>2</tspan><tspan> </tspan><tspan>5</tspan>", "2 5", None),
+        ("2 5", "2 5", None),
+        (" 2<tspan>5 </tspan>", "25", 25.0),
+    ])
+    def test_pieces_at_one_anchor_strip_as_one_text(self, body, content, value):
+        # the whitespace between unpositioned tspans stays, as in one element
+        doc = parse_svg(svg_bytes(f'<text x="1" y="5">{body}</text>'))
+        assert [(r.content, r.anchor) for r in doc.texts] == [(content, Point(1, 5))]
+        label = parse_numeric_label(doc.texts[0])
+        assert (label and label.value) == value
 
 
 class TestTransformParsing:
