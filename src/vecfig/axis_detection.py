@@ -49,7 +49,6 @@ class TickMark:
 class TickLabel:
     value: float
     anchor: Point
-    raw: str
     glyph_height: float
 
 
@@ -331,8 +330,7 @@ def parse_numeric_label(run: TextRun) -> TickLabel | None:
         value /= 100.0
     if not math.isfinite(value):
         return None
-    return TickLabel(value=value, anchor=run.anchor, raw=run.content,
-                     glyph_height=run.glyph_height)
+    return TickLabel(value=value, anchor=run.anchor, glyph_height=run.glyph_height)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     evaluate_mod.write_evaluation(records, agg, args.outputDir)
     sys.stdout.write(evaluate_mod.render_table(records))
     print(f"both axes correct: {agg['n_both_axes_correct']}/{agg['n_figures']}")
+    print(f"axes and count correct: {agg['n_all_correct']}/{agg['n_figures']}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .config import _check_tolerance
@@ -25,6 +25,7 @@ Pair = tuple[float, float]
 
 @dataclass(frozen=True)
 class EvalRecord:
+    """One row of render_table: the fields are TABLE_COLUMNS, in order."""
     figure_id: str
     data_extracted: bool
     n_extracted: int
@@ -134,14 +135,16 @@ def evaluate_figure(figure_id: str, extracted: list[Pair], truth: list[Pair],
 
 
 def aggregate(records: list[EvalRecord]) -> dict:
+    """Figure counts; ``n_all_correct`` also wants no surplus extracted point."""
     n = len(records)
     extracted = sum(1 for r in records if r.data_extracted)
-    both = sum(1 for r in records if r.x_axis_correct and r.y_axis_correct)
+    both = [r for r in records if r.x_axis_correct and r.y_axis_correct]
     return {
         "n_figures": n,
         "n_data_extracted": extracted,
-        "n_both_axes_correct": both,
-        "fraction_both_axes_correct": both / n if n else 0.0,
+        "n_both_axes_correct": len(both),
+        "n_all_correct": sum(1 for r in both if r.n_extracted == r.n_truth),
+        "fraction_both_axes_correct": len(both) / n if n else 0.0,
     }
 
 
@@ -157,10 +160,7 @@ def render_table(records: list[EvalRecord]) -> str:
         return str(v)
 
     lines = [",".join(TABLE_COLUMNS)]
-    for r in records:
-        lines.append(",".join(cell(v) for v in (
-            r.figure_id, r.data_extracted, r.n_extracted, r.n_truth,
-            r.x_axis_correct, r.y_axis_correct)))
+    lines += [",".join(map(cell, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,6 @@ DEFAULT_FIGURE_FILTER = r"^.*figures/figure(\d+)/figure(_\d+)?\.svg$"
 class CTree:
     id: str
     root: Path
-    fulltext: Path | None
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,8 @@ class ExtractionReport:
 def scan_project(root: str | Path) -> CorpusProject:
     """Scan an existing corpus directory into a CorpusProject."""
     root = Path(root)
-    trees = []
-    for tree_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        fulltext = tree_dir / "fulltext.pdf"
-        trees.append(CTree(id=tree_dir.name, root=tree_dir,
-                           fulltext=fulltext if fulltext.is_file() else None))
+    trees = [CTree(id=tree_dir.name, root=tree_dir)
+             for tree_dir in sorted(p for p in root.iterdir() if p.is_dir())]
     return CorpusProject(root=root, trees=trees)
 
 
@@ -239,7 +235,7 @@ _MARKUP_RE = re.compile(
     rb")>", re.DOTALL)
 
 # marker rings are encoded and written this many at a time, so the overlay
-# never exists whole as text; a smaller overlay is one join and one encode
+# never exists whole as text
 _RINGS_PER_WRITE = 1024
 
 
@@ -289,10 +285,13 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     if detected.root_transform != IDENTITY:
         inverse = astuple(detected.root_transform.inverse())
         transform = f' transform="matrix({",".join(map(_num, inverse))})"'
-    parts = [f'<g xmlns="{svg_model.SVG_NS}" id="vecfig-overlay" fill="none"{transform}>',
-             f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
-             f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
-             f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>']
+    source = memoryview(svg_bytes)
+    out = io.BytesIO()
+    out.write(source[:end])
+    out.write((f'<g xmlns="{svg_model.SVG_NS}" id="vecfig-overlay" fill="none"{transform}>'
+               f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
+               f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
+               f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>').encode("ascii"))
     # ticks, labels and markers are rings alike: centre columns and a tail
     # per ring; markers mostly share a few radii, so each tail is made once
     ticks = detected.ticks
@@ -306,20 +305,14 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
              ([p.x for p in labels], [p.y for p in labels],
               itertools.repeat(ring_tail(3, "#1f77b4"))),
              (markers.cx, markers.cy, map(tails.__getitem__, markers.r))]
-
-    source = memoryview(svg_bytes)
-    out = io.BytesIO()
-    out.write(source[:end])
     for xs, ys, ring_tails in rings:
         for start in range(0, len(xs), _RINGS_PER_WRITE):
-            if len(parts) >= _RINGS_PER_WRITE:
-                out.write("".join(parts).encode("ascii"))
-                parts.clear()
             stop = start + _RINGS_PER_WRITE
-            parts += [f'<circle cx="{x}" cy="{y}"{tail}' for x, y, tail
-                      in zip(_nums(xs[start:stop]), _nums(ys[start:stop]), ring_tails)]
-    parts.append("</g>")
-    out.write("".join(parts).encode("ascii"))
+            out.write("".join([
+                f'<circle cx="{x}" cy="{y}"{tail}' for x, y, tail
+                in zip(_nums(xs[start:stop]), _nums(ys[start:stop]), ring_tails)
+            ]).encode("ascii"))
+    out.write(b"</g>")
     out.write(source[end:])
     return out.getvalue()
 

@@ -406,8 +406,6 @@ def compose_text_runs(raw_glyph_texts: list[TextRun]) -> list[TextRun]:
     separated horizontally by at most RUN_GAP_TOL glyph heights are joined
     left to right, pieces at one anchor in input order.  Output is sorted by (y, x).
     """
-    if not raw_glyph_texts:
-        return []
     pending = sorted(raw_glyph_texts, key=lambda r: (r.anchor.y, r.anchor.x))
 
     # group by shared baseline: each run joins the first group, in creation
@@ -730,7 +728,9 @@ class _Parser:
     def _read_text(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
         """Read a <text> as one run per stretch of pieces at one anchor.
 
-        A <tspan> without its own x or y has its parent's anchor.  The
+        A <tspan> without its own x or y has its parent's anchor.  Text
+        after a child (its tail) has no position of its own either: it
+        joins the pieces at the anchor where the child's text ended.  The
         pieces of a stretch join before their text is stripped, once, as
         SVG's default xml:space strips a text as a whole: "2 " and "5"
         read "2 5".  A run takes the id of its first piece that is not
@@ -744,37 +744,51 @@ class _Parser:
                 self.doc.texts.append(TextRun(eid, anchor, content, height))
 
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
-                      inherited_anchor: Point | None, stretches: list[list]) -> None:
-        """Add ``elem``'s pieces to ``stretches``, each [anchor, text, id, height]."""
+                      inherited_anchor: Point | None, stretches: list[list]) -> Point | None:
+        """Add ``elem``'s pieces to ``stretches``, each [anchor, text, id, height].
+
+        Returns the anchor that the text after ``elem`` joins.
+        """
         x = _parse_length(elem.get("x"))
         y = _parse_length(elem.get("y"))
         if x is not None or y is not None:
             anchor = t.apply_xy(x or 0.0, y or 0.0)
         else:
             anchor = inherited_anchor
-        scale = math.sqrt(abs(t.determinant))
-        text = elem.text or ""
-        if text and anchor is not None:
-            if not (stretches and stretches[-1][0] is anchor):
-                stretches.append([anchor, "", None, 0.0])
-            last = stretches[-1]
-            last[1] += text
-            if not text.isspace():
-                eid = self._gen_id(elem, "text")
-                if last[2] is None:
-                    last[2], last[3] = eid, fs * scale
-                else:
-                    last[3] = max(last[3], fs * scale)
-        elif text.strip():
-            self.doc.warnings.append("text without anchor skipped")
+        height = fs * math.sqrt(abs(t.determinant))
+        self._add_piece(elem, elem.text, anchor, height, stretches)
+        current = anchor
         for child in elem:
             tag = self.names[child.tag]
             if tag == "tspan":
                 ct_attr = child.get("transform")
                 ct = _compose(t, ct_attr) if ct_attr else t
-                self._collect_text(child, ct, _font_size(child, fs), anchor, stretches)
+                current = self._collect_text(child, ct, _font_size(child, fs), anchor,
+                                             stretches)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
+            self._add_piece(elem, child.tail, current, height, stretches)
+        return current
+
+    def _add_piece(self, elem: ET.Element, text: str | None, anchor: Point | None,
+                   height: float, stretches: list[list]) -> None:
+        """Add a piece of ``elem``'s own text to the stretch at ``anchor``."""
+        if not text:
+            return
+        if anchor is None:
+            if not text.isspace():
+                self.doc.warnings.append("text without anchor skipped")
+            return
+        if not (stretches and stretches[-1][0] is anchor):
+            stretches.append([anchor, "", None, 0.0])
+        last = stretches[-1]
+        last[1] += text
+        if not text.isspace():
+            eid = self._gen_id(elem, "text")
+            if last[2] is None:
+                last[2], last[3] = eid, height
+            else:
+                last[3] = max(last[3], height)
 
 
 def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:

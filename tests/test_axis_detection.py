@@ -974,7 +974,6 @@ class TestParseNumericLabel:
         label = parse_numeric_label(run(text))
         assert label is not None
         assert label.value == pytest.approx(value)
-        assert label.raw == text
         # reference check: normalized text parses identically via float()
         norm = text.strip().replace("−", "-")
         if norm.endswith("%"):
@@ -995,7 +994,7 @@ def tick(pos, side=AxisSide.X_AXIS, length=4.0) -> TickMark:
 
 
 def label(value, x, y, gh=8.0) -> TickLabel:
-    return TickLabel(value, Point(x, y), str(value), gh)
+    return TickLabel(value, Point(x, y), gh)
 
 
 def brute_force_match(ticks, labels, along, max_along):
@@ -1033,7 +1032,7 @@ class TestMatchTicksToLabels:
     def test_inside_top_stray_ignored(self):
         ticks = [tick(50), tick(150), tick(250)]
         labels = [label(0, 48, 415), label(10, 146, 415), label(20, 248, 415),
-                  TickLabel(34, Point(300, 30), "n=34", 8.0)]  # inside-top region
+                  TickLabel(34, Point(300, 30), 8.0)]  # inside-top region
         pairs = match_ticks_to_labels(ticks, labels, STD_BOX, AxisSide.X_AXIS)
         assert len(pairs) == 3
         assert all(l.anchor.y > 400 for _, l in pairs)
@@ -1232,7 +1231,7 @@ def matching_inputs(draw):
     ticks = draw(st.permutations(ticks))
     labels = [TickLabel(float(i), Point(draw(st.one_of(xs, st.floats(20.0, 50.0))),
                                         draw(st.one_of(ys, st.floats(400.0, 430.0)))),
-                        str(i), draw(st.sampled_from([8.0, 8.0, 4.0, 0.0, math.inf])))
+                        draw(st.sampled_from([8.0, 8.0, 4.0, 0.0, math.inf])))
               for i in range(draw(st.integers(0, 12)))]
     return ticks, labels
 

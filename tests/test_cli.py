@@ -86,10 +86,10 @@ def test_generate_then_extract_then_evaluate(tmp_path, capsys):
                 "--outputDir", str(proj)]) == 0
     assert run(["evaluate", "--outputDir", str(proj)]) == 0
     out = capsys.readouterr().out
-    assert "both axes correct: 3/3" in out
+    assert "both axes correct: 3/3\naxes and count correct: 3/3\n" in out
     assert (proj / "evaluation.csv").is_file()
     agg = json.loads((proj / "evaluation.json").read_text())
-    assert agg["n_both_axes_correct"] == 3
+    assert agg["n_both_axes_correct"] == agg["n_all_correct"] == 3
 
 
 def test_generate_with_spec_file(tmp_path):

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -48,7 +49,6 @@ class TestMakeProject:
         project = make_project(tmp_path, r".*/(.*)\.pdf", r"(\1)/fulltext.pdf")
         assert (tmp_path / "paperA" / "fulltext.pdf").is_file()
         assert [t.id for t in project.trees] == ["paperA"]
-        assert project.trees[0].fulltext is not None
 
     def test_empty_root(self, tmp_path):
         project = make_project(tmp_path, r".*/(.*)\.pdf", r"(\1)/fulltext.pdf")
@@ -429,6 +429,57 @@ class TestExtractFigure:
                 assert b.x == pytest.approx(a.x, rel=1e-6, abs=1e-6)
                 assert b.y == pytest.approx(a.y, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("style", list(AxisStyle))
+    def test_shuffled_root_children_give_the_same_points(self, tmp_path, style, seed):
+        svg, _ = generate_scatter_svg(SyntheticSpec(seed=seed, n_points=30, axis_style=style))
+        root = ET.fromstring(svg)
+        children = list(root)
+        random.Random(seed).shuffle(children)
+        root[:] = children
+        base, shuffled = tmp_path / "base.svg", tmp_path / "shuffled.svg"
+        base.write_bytes(svg)
+        shuffled.write_bytes(ET.tostring(root))
+        want_points, _, want = extract_figure(base)
+        points, _, report = extract_figure(shuffled)
+        assert report.status is want.status
+        assert points == want_points
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("style", list(AxisStyle))
+    @pytest.mark.parametrize("transform,origin,k", [
+        ("translate(-1000 500)", (-1000, 500), 1),
+        ("scale(0.1)", (0, 0), 0.1),
+        ("scale(20)", (0, 0), 20),
+        # the absolute tick and axis tolerances lose the 0.25-unit ticks
+        pytest.param("scale(0.05)", (0, 0), 0.05,
+                     marks=pytest.mark.xfail(strict=True, reason="gives too_few_ticks")),
+    ])
+    def test_moved_document_gives_the_same_points(self, tmp_path, transform, origin, k,
+                                                  style, seed):
+        # the body wrapped in the transform, with the canvas moved and
+        # scaled along: only rounding may tell the points apart
+        spec = SyntheticSpec(seed=seed, n_points=30, axis_style=style)
+        svg, _ = generate_scatter_svg(spec)
+        width, height = spec.canvas
+        head_end = svg.index(b">", svg.index(b"<svg")) + 1
+        head = svg[:head_end].replace(
+            f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}"'.encode(),
+            f'width="{k * width:g}" height="{k * height:g}" '
+            f'viewBox="{origin[0]} {origin[1]} {k * width:g} {k * height:g}"'.encode())
+        assert head != svg[:head_end]
+        moved = (head + f'<g transform="{transform}">'.encode()
+                 + svg[head_end:].replace(b"</svg>", b"</g></svg>"))
+        base, path = tmp_path / "base.svg", tmp_path / "moved.svg"
+        base.write_bytes(svg)
+        path.write_bytes(moved)
+        want_points, _, want = extract_figure(base)
+        points, _, report = extract_figure(path)
+        assert report.status is want.status
+        assert len(points) == len(want_points)
+        for a, b in zip(want_points, points):
+            assert (b.x, b.y) == pytest.approx((a.x, a.y), rel=0, abs=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 16),
            st.sampled_from([AxisStyle.STANDARD, AxisStyle.REVERSED_X, AxisStyle.REVERSED_Y]),
@@ -436,7 +487,8 @@ class TestExtractFigure:
     def test_labels_split_into_tspans_read_the_same(self, tmp_path_factory, seed, style,
                                                     data):
         # every label cut at random character boundaries into unpositioned
-        # tspans, with ids in random order or with none: the pieces share
+        # tspans, with ids in random order or with none, some pieces left
+        # bare as the parent's text or a tspan's tail: the pieces share
         # their parent's anchor, so only document order joins them right
         svg, _ = generate_scatter_svg(SyntheticSpec(seed=seed, n_points=20, axis_style=style))
         folder = tmp_path_factory.mktemp("split")
@@ -455,14 +507,18 @@ class TestExtractFigure:
             cuts = data.draw(st.sets(st.integers(1, len(content) - 1)) if len(content) > 1
                              else st.just(set()))
             bounds = [0, *sorted(cuts), len(content)]
-            pieces.append([content[a:b] for a, b in zip(bounds, bounds[1:])])
+            flags = data.draw(st.lists(st.booleans(), min_size=len(bounds) - 1,
+                                      max_size=len(bounds) - 1))
+            pieces.append([(content[a:b], is_bare) for a, b, is_bare
+                           in zip(bounds, bounds[1:], flags)])
         order = iter(data.draw(st.permutations(range(sum(map(len, pieces))))))
 
         def split(with_ids: bool) -> str:
             out, end = [], 0
             for m, parts in zip(labels, pieces):
-                spans = "".join(f'<tspan id="t{next(order)}">{p}</tspan>' if with_ids
-                                else f"<tspan>{p}</tspan>" for p in parts)
+                spans = "".join(p if is_bare else
+                                f'<tspan id="t{next(order)}">{p}</tspan>' if with_ids
+                                else f"<tspan>{p}</tspan>" for p, is_bare in parts)
                 out += [text[end:m.start()], m.group(1), spans, "</text>"]
                 end = m.end()
             return "".join(out + [text[end:]])

@@ -743,13 +743,35 @@ class TestComposeTextRuns:
         ("<tspan>2</tspan><tspan> </tspan><tspan>5</tspan>", "2 5", None),
         ("2 5", "2 5", None),
         (" 2<tspan>5 </tspan>", "25", 25.0),
+        ("<tspan>2</tspan>5", "25", 25.0),
+        ("1<tspan>0</tspan>5", "105", 105.0),
+        ("1<tspan>0<tspan>5</tspan> </tspan>2", "105 2", None),
     ])
     def test_pieces_at_one_anchor_strip_as_one_text(self, body, content, value):
-        # the whitespace between unpositioned tspans stays, as in one element
+        # the whitespace between unpositioned tspans stays, as in one element,
+        # and text after a tspan (its tail) joins the run before it
         doc = parse_svg(svg_bytes(f'<text x="1" y="5">{body}</text>'))
         assert [(r.content, r.anchor) for r in doc.texts] == [(content, Point(1, 5))]
+        assert doc.warnings == []
         label = parse_numeric_label(doc.texts[0])
         assert (label and label.value) == value
+
+    @pytest.mark.parametrize("body,runs,n_warnings", [
+        # a tail continues where the tspan before it left off
+        ('1<tspan x="20" y="5">0</tspan>5', [("1", Point(1, 5)), ("05", Point(20, 5))], 0),
+        ('1<tspan x="20" y="5"></tspan>5', [("1", Point(1, 5)), ("5", Point(20, 5))], 0),
+        # an unsupported child is skipped, with a warning, and its tail read
+        ('1<a>0</a>5', [("15", Point(1, 5))], 1),
+    ])
+    def test_tail_joins_the_anchor_before_it(self, body, runs, n_warnings):
+        doc = parse_svg(svg_bytes(f'<text x="1" y="5">{body}</text>'))
+        assert [(r.content, r.anchor) for r in doc.texts] == runs
+        assert len(doc.warnings) == n_warnings
+
+    def test_tail_without_anchor_skipped_with_a_warning(self):
+        doc = parse_svg(svg_bytes("<text><tspan>2</tspan>5<tspan> </tspan> </text>"))
+        assert doc.texts == []
+        assert doc.warnings == ["text without anchor skipped"] * 2
 
 
 class TestTransformParsing:
