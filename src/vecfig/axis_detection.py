@@ -15,7 +15,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import le, sub
+from operator import itemgetter, le, sub
 from statistics import median
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -356,6 +356,19 @@ def _nearest_gap(along: float, first: float, positions: list[float]) -> float:
     return gap
 
 
+def greedy_match(pairs: list[tuple], used_a: set[int], used_b: set[int],
+                 matches: list[tuple[int, int]]) -> None:
+    """Sort ``pairs`` and append ``(a, b)`` for each whose last two entries,
+    the indices ``a`` and ``b``, are in neither used set, adding them there."""
+    pairs.sort()
+    for a, b in map(itemgetter(-2, -1), pairs):
+        if a in used_a or b in used_b:
+            continue
+        used_a.add(a)
+        used_b.add(b)
+        matches.append((a, b))
+
+
 def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
                           box: PlotBox, side: AxisSide,
                           cfg: PipelineConfig = DEFAULT_CONFIG,
@@ -434,16 +447,9 @@ def match_ticks_to_labels(ticks: list[TickMark], labels: list[TickLabel],
             k -= 1
     # greedy by ascending along-axis distance; equidistant labels resolve
     # toward the smaller along-axis coordinate (leftward / upward)
-    pairs.sort()
-    used_ticks: set[int] = set()
-    used_labels: set[int] = set()
-    matched: list[tuple[TickMark, TickLabel]] = []
-    for _, _, _, ti, li in pairs:
-        if ti in used_ticks or li in used_labels:
-            continue
-        used_ticks.add(ti)
-        used_labels.add(li)
-        matched.append((axis_ticks[ti], candidates[li]))
+    indices: list[tuple[int, int]] = []
+    greedy_match(pairs, set(), set(), indices)
+    matched = [(axis_ticks[ti], candidates[li]) for ti, li in indices]
     if len(matched) < 2:
         raise TooFewTicks(
             f"{side.value}: only {len(matched)} tick-label pair(s)")

@@ -14,6 +14,7 @@ import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+from .axis_detection import greedy_match
 from .config import _check_tolerance
 from .errors import VecfigError
 from .pipeline import ExtractionReport, Status, read_csv_points
@@ -40,11 +41,12 @@ def _spans(truth: list[Pair]) -> tuple[float, float]:
     return (max(xs) - min(xs) or 1.0, max(ys) - min(ys) or 1.0)
 
 
-# Scoring collects the pairs within this normalized distance through a grid.
-# It is twice the default tolerance, so a correct extraction is matched in
-# that pass, while a 20k-point figure holds only a few such pairs per point.
+# Scoring takes its pairs in bands of normalized distance, through a grid,
+# and this is the first band's width.  It is twice the default tolerance, so
+# a correct extraction is matched in that band, while a 20k-point figure
+# holds only a few such pairs per point.
 MATCH_RADIUS = 0.01
-# Normalizing and subtracting round; a pair within MATCH_RADIUS can lie this
+# Normalizing and subtracting round; a pair within a band can lie this
 # fraction of the largest normalized coordinate further apart in grid terms.
 _CELL_SLACK = 1e-12
 
@@ -54,11 +56,15 @@ def match_points(truth: list[Pair], extracted: list[Pair],
     """Greedy one-to-one nearest-neighbour matching in normalized space.
 
     Pairs are taken in ``(distance, truth index, extracted index)`` order,
-    each one kept unless either point is already matched.  Those within
-    MATCH_RADIUS are a prefix of that order, found through a grid with
-    cells MATCH_RADIUS wide; the points still unmatched after them are
-    matched from all their pairs.  The matches, and their order, are the
-    ones the greedy pass over every pair gives.
+    each one kept unless either point is already matched.  That order is
+    taken in bands: the pairs within MATCH_RADIUS, then within twice that,
+    and so on, each band found through a grid with cells as wide over the
+    points still unmatched.  A band leaves no pair of two unmatched points
+    within it, so the next band holds exactly the pairs that come next in
+    the order.  The points still unmatched once a band is wider than any
+    two points can lie apart are matched from all their pairs, as is every
+    non-finite input.  The matches, and their order, are the ones the
+    greedy pass over every pair gives.
     """
     sx, sy = spans
     used_t: set[int] = set()
@@ -67,45 +73,41 @@ def match_points(truth: list[Pair], extracted: list[Pair],
     tu = [(tx / sx, ty / sy) for tx, ty in truth]
     eu = [(ex / sx, ey / sy) for ex, ey in extracted]
     coords = [*itertools.chain.from_iterable(tu), *itertools.chain.from_iterable(eu)]
+    free_t, free_e = list(range(len(truth))), list(range(len(extracted)))
     # a nan distance has no place in the order and an infinite coordinate
     # no cell: such inputs are matched from all their pairs at once
     if all(map(math.isfinite, (sx, sy, *coords))):
         largest = max(map(abs, coords), default=0.0)
-        cell = MATCH_RADIUS + _CELL_SLACK * (MATCH_RADIUS + largest)
         floor = math.floor
-        grid: dict[tuple[int, int], list[int]] = {}
-        for ti, (u, v) in enumerate(tu):
-            grid.setdefault((floor(u / cell), floor(v / cell)), []).append(ti)
-        near = []
-        for ei, ((ex, ey), (u, v)) in enumerate(zip(extracted, eu)):
-            col, row = floor(u / cell), floor(v / cell)
-            for i in (col - 1, col, col + 1):
-                for j in (row - 1, row, row + 1):
-                    for ti in grid.get((i, j), ()):
-                        tx, ty = truth[ti]
-                        d = math.hypot((tx - ex) / sx, (ty - ey) / sy)
-                        if d <= MATCH_RADIUS:
-                            near.append((d, ti, ei))
-        _greedy(near, used_t, used_e, matches)
-    free_e = [ei for ei in range(len(extracted)) if ei not in used_e]
-    rest = [(math.hypot((tx - extracted[ei][0]) / sx, (ty - extracted[ei][1]) / sy), ti, ei)
-            for ti, (tx, ty) in enumerate(truth) if ti not in used_t
-            for ei in free_e]
-    _greedy(rest, used_t, used_e, matches)
+        radius = MATCH_RADIUS
+        # two points lie at most sqrt(8) times the largest coordinate apart
+        while free_t and free_e and radius < 3 * largest:
+            cell = radius + _CELL_SLACK * (radius + largest)
+            grid: dict[tuple[int, int], list[int]] = {}
+            for ti in free_t:
+                u, v = tu[ti]
+                grid.setdefault((floor(u / cell), floor(v / cell)), []).append(ti)
+            band = []
+            for ei in free_e:
+                (ex, ey), (u, v) = extracted[ei], eu[ei]
+                col, row = floor(u / cell), floor(v / cell)
+                for i in (col - 1, col, col + 1):
+                    for j in (row - 1, row, row + 1):
+                        for ti in grid.get((i, j), ()):
+                            tx, ty = truth[ti]
+                            d = math.hypot((tx - ex) / sx, (ty - ey) / sy)
+                            if d <= radius:
+                                band.append((d, ti, ei))
+            greedy_match(band, used_t, used_e, matches)
+            free_t = [ti for ti in free_t if ti not in used_t]
+            free_e = [ei for ei in free_e if ei not in used_e]
+            radius *= 2
+    if free_t and free_e:
+        rest = [(math.hypot((tx - extracted[ei][0]) / sx, (ty - extracted[ei][1]) / sy), ti, ei)
+                for ti, (tx, ty) in enumerate(truth) if ti not in used_t
+                for ei in free_e]
+        greedy_match(rest, used_t, used_e, matches)
     return matches
-
-
-def _greedy(pairs: list[tuple[float, int, int]], used_t: set[int],
-            used_e: set[int], matches: list[tuple[int, int]]) -> None:
-    """Match in (distance, truth index, extracted index) order, skipping
-    pairs with a point already matched."""
-    pairs.sort()
-    for _, ti, ei in pairs:
-        if ti in used_t or ei in used_e:
-            continue
-        used_t.add(ti)
-        used_e.add(ei)
-        matches.append((ti, ei))
 
 
 def evaluate_figure(figure_id: str, extracted: list[Pair], truth: list[Pair],

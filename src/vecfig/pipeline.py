@@ -157,16 +157,6 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
 # ---------------------------------------------------------------------------
 # single-figure extraction
 
-@dataclass
-class _Detected:
-    """What the overlay draws; every coordinate is in device space."""
-    root_transform: AffineTransform = IDENTITY
-    box: PlotBox | None = None
-    ticks: list[TickMark] = field(default_factory=list)
-    labels: list[tuple[TickMark, TickLabel]] = field(default_factory=list)
-    markers: Markers = field(default_factory=Markers)
-
-
 def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG,
                    tree_id: str = "", figure_index: int = 0,
                    ) -> tuple[list[DataPoint], bytes, ExtractionReport]:
@@ -178,23 +168,24 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
     svg_bytes = Path(svg_path).read_bytes()
     report = ExtractionReport(tree_id=tree_id, figure_index=figure_index,
                               status=Status.PARSE_ERROR)
-    detected = _Detected()
+    # what the overlay draws, each in device space; a failed stage leaves
+    # the overlay what the stages before it found
+    root_transform, box, ticks, pairs, markers = IDENTITY, None, [], [], Markers()
     points: list[DataPoint] = []
     try:
         doc = svg_model.parse_svg(svg_bytes)
         report.warnings.extend(doc.warnings)
-        detected.root_transform = doc.root_transform
+        root_transform = doc.root_transform
 
-        detected.box = axis_detection.detect_plot_box(doc, config)
-        ticks = axis_detection.detect_ticks(doc, detected.box, config)
-        detected.ticks = ticks
+        box = axis_detection.detect_plot_box(doc, config)
+        ticks = axis_detection.detect_ticks(doc, box, config)
         labels = [lab for run in doc.texts
                   if (lab := axis_detection.parse_numeric_label(run))]
         xpairs = axis_detection.match_ticks_to_labels(
-            ticks, labels, detected.box, AxisSide.X_AXIS, config)
+            ticks, labels, box, AxisSide.X_AXIS, config)
         ypairs = axis_detection.match_ticks_to_labels(
-            ticks, labels, detected.box, AxisSide.Y_AXIS, config)
-        detected.labels = xpairs + ypairs
+            ticks, labels, box, AxisSide.Y_AXIS, config)
+        pairs = xpairs + ypairs
         xcal = axis_detection.calibrate_axis(xpairs, AxisSide.X_AXIS, config)
         ycal = axis_detection.calibrate_axis(ypairs, AxisSide.Y_AXIS, config)
         report.x_reversed = xcal.reversed
@@ -207,20 +198,20 @@ def extract_figure(svg_path: str | Path, config: PipelineConfig = DEFAULT_CONFIG
             if cal.n_ticks == 2:
                 report.warnings.append(f"linearity_unverified: {cal.side.value}")
 
-        if point_extraction.detect_raster_body(doc, detected.box, config):
+        if point_extraction.detect_raster_body(doc, box, config):
             report.status = Status.RASTER_BODY
         else:
-            cluster = point_extraction.select_data_glyphs(doc, detected.box, config)
+            cluster = point_extraction.select_data_glyphs(doc, box, config)
             points = point_extraction.map_to_data(cluster, xcal, ycal)
-            detected.markers = cluster.members
+            markers = cluster.members
             report.status = Status.OK
             report.n_points = len(points)
     except VecfigError as exc:
         report.status = exc.status
         report.warnings.append(str(exc))
 
-    annotated = _annotate_svg(svg_bytes, detected)
-    if annotated is svg_bytes and detected.box is not None:
+    annotated = _annotate_svg(svg_bytes, root_transform, box, ticks, pairs, markers)
+    if annotated is svg_bytes and box is not None:
         report.warnings.append("overlay not spliced: no root end tag")
     return points, annotated, report
 
@@ -256,7 +247,9 @@ def _root_end(svg_bytes: bytes) -> int:
     return end
 
 
-def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
+def _annotate_svg(svg_bytes: bytes, root_transform: AffineTransform, box: PlotBox | None,
+                  ticks: list[TickMark], pairs: list[tuple[TickMark, TickLabel]],
+                  markers: Markers) -> bytes:
     """Splice an overlay of the detected structure into the source bytes.
 
     One ``<g id="vecfig-overlay">`` goes just before the root's end tag, so
@@ -270,7 +263,6 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
     The result is written once, into one buffer: the source goes in as
     slices of a memoryview, the overlay in pieces of _RINGS_PER_WRITE rings.
     """
-    box = detected.box
     if box is None:
         return svg_bytes
     end = _root_end(svg_bytes)
@@ -282,8 +274,8 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
 
     inner = box.interior
     transform = ""
-    if detected.root_transform != IDENTITY:
-        inverse = astuple(detected.root_transform.inverse())
+    if root_transform != IDENTITY:
+        inverse = astuple(root_transform.inverse())
         transform = f' transform="matrix({",".join(map(_num, inverse))})"'
     source = memoryview(svg_bytes)
     out = io.BytesIO()
@@ -294,10 +286,8 @@ def _annotate_svg(svg_bytes: bytes, detected: _Detected) -> bytes:
                f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>').encode("ascii"))
     # ticks, labels and markers are rings alike: centre columns and a tail
     # per ring; markers mostly share a few radii, so each tail is made once
-    ticks = detected.ticks
     on_x = [tick.side is AxisSide.X_AXIS for tick in ticks]
-    labels = [label.anchor for _, label in detected.labels]
-    markers = detected.markers
+    labels = [label.anchor for _, label in pairs]
     tails = {r: ring_tail(r + 1.5, "#ff7f0e") for r in set(markers.r)}
     rings = [([tick.position if x else inner.x0 for tick, x in zip(ticks, on_x)],
               [inner.y1 if x else tick.position for tick, x in zip(ticks, on_x)],

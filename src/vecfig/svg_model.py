@@ -493,12 +493,17 @@ def _parse_length(text: str | None) -> float | None:
 
 
 _FONT_SIZE_RE = re.compile(r"font-size\s*:([^;]*)")
+# the size in a ``font`` shorthand: its first token with a unit or "%" (a
+# bare number there is a weight), up to a "/" that starts the line height
+_FONT_RE = re.compile(r"(?:^|;)\s*font\s*:[^;]*?(?<![^\s:])([\d.]+(?:[a-z]+|%))(?![^\s/;])",
+                      re.IGNORECASE)
 
 
 def _font_size(elem: ET.Element, inherited: float) -> float:
     fs = _parse_length(elem.get("font-size"))
     if fs is None:
-        m = _FONT_SIZE_RE.search(elem.get("style", ""))
+        style = elem.get("style", "")
+        m = _FONT_SIZE_RE.search(style) or _FONT_RE.search(style)
         fs = _parse_length(m.group(1)) if m else None
     return fs if fs is not None else inherited
 
@@ -760,7 +765,7 @@ class _Parser:
         current = anchor
         for child in elem:
             tag = self.names[child.tag]
-            if tag == "tspan":
+            if tag == "tspan" or tag == "a":
                 ct_attr = child.get("transform")
                 ct = _compose(t, ct_attr) if ct_attr else t
                 current = self._collect_text(child, ct, _font_size(child, fs), anchor,
@@ -895,7 +900,7 @@ def parse_svg(data: bytes) -> FigureDocument:
     parser = _Parser()
     pull = ET.XMLPullParser(events=("start",))
     source = memoryview(data)
-    root = root_t = failure = None
+    root = root_t = root_fs = failure = None
     try:
         # the pass after the last piece closes the parser: expat may hold
         # back an unfinished token, the root's start tag too, until then
@@ -921,7 +926,8 @@ def parse_svg(data: bytes) -> FigureDocument:
                         raise VecfigError(f"root element is <{name}>, not <svg>")
                     t_attr = root.get("transform")
                     root_t = parse_transform(t_attr) if t_attr else IDENTITY
-                parser.walk_finished(root, root_t, DEFAULT_FONT_SIZE, closed)
+                    root_fs = _font_size(root, DEFAULT_FONT_SIZE)
+                parser.walk_finished(root, root_t, root_fs, closed)
             except RecursionError:
                 failure = VecfigError("elements nested too deeply to walk")
             except VecfigError as exc:

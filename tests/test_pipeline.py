@@ -19,6 +19,7 @@ import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from dataclasses import astuple
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from conftest import circles_of, glyphs_of, svg_bytes
 from vecfig import axis_detection, cli, errors, pipeline, svg_model
-from vecfig.axis_detection import AxisSide, detect_plot_box
+from vecfig.axis_detection import AxisSide, PlotBox, TickLabel, TickMark, detect_plot_box
 from vecfig.config import DEFAULT_CONFIG, PipelineConfig, load_config
 from vecfig.errors import VecfigError, WorkerDied
 from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
@@ -34,7 +35,7 @@ from vecfig.pipeline import (DEFAULT_FIGURE_FILTER, ExtractionReport, Status,
                              make_project, read_csv_points, run_project,
                              scan_project, write_csv)
 from vecfig.point_extraction import DataPoint
-from vecfig.svg_model import IDENTITY, SVG_NS, parse_svg
+from vecfig.svg_model import IDENTITY, SVG_NS, AffineTransform, Markers, parse_svg
 from vecfig.synth import (AxisStyle, SyntheticSpec, build_synthetic_project,
                           generate_scatter_svg)
 
@@ -709,10 +710,20 @@ class TestAnnotatedSvg:
 _ROOT_END_RE = re.compile(rb"</(?:[\w.-]+:)?svg\s*>")
 
 
-def annotate_svg_oracle(svg_bytes: bytes, detected: pipeline._Detected) -> bytes:
+class Overlay(NamedTuple):
+    """The arguments of ``pipeline._annotate_svg`` after the source bytes."""
+    root_transform: AffineTransform
+    box: PlotBox | None
+    ticks: list[TickMark]
+    pairs: list[tuple[TickMark, TickLabel]]
+    markers: Markers
+
+
+def annotate_svg_oracle(svg_bytes: bytes, root_transform: AffineTransform,
+                        box: PlotBox | None, ticks: list[TickMark],
+                        pairs: list[tuple[TickMark, TickLabel]], markers: Markers) -> bytes:
     """The splice as first written: every root end tag found, the last one
     used, and the result built by concatenation."""
-    box = detected.box
     ends = [m.start() for m in _ROOT_END_RE.finditer(svg_bytes)]
     if box is None or not ends:
         return svg_bytes
@@ -723,21 +734,20 @@ def annotate_svg_oracle(svg_bytes: bytes, detected: pipeline._Detected) -> bytes
 
     inner = box.interior
     transform = ""
-    if detected.root_transform != IDENTITY:
-        inverse = astuple(detected.root_transform.inverse())
+    if root_transform != IDENTITY:
+        inverse = astuple(root_transform.inverse())
         transform = f' transform="matrix({",".join(map(_num, inverse))})"'
     parts = [f'<g xmlns="{SVG_NS}" id="vecfig-overlay" fill="none"{transform}>',
              f'<rect x="{_num(inner.x0)}" y="{_num(inner.y0)}" '
              f'width="{_num(inner.width)}" height="{_num(inner.height)}" '
              f'stroke="#d62728" stroke-width="1" stroke-dasharray="4 2"/>']
-    for tick in detected.ticks:
+    for tick in ticks:
         if tick.side is AxisSide.X_AXIS:
             parts.append(ring(tick.position, inner.y1, 2, "#2ca02c"))
         else:
             parts.append(ring(inner.x0, tick.position, 2, "#2ca02c"))
-    for _, label in detected.labels:
+    for _, label in pairs:
         parts.append(ring(label.anchor.x, label.anchor.y, 3, "#1f77b4"))
-    markers = detected.markers
     for x, y, r in zip(markers.cx, markers.cy, markers.r):
         parts.append(ring(x, y, r + 1.5, "#ff7f0e"))
     parts.append("</g>")
@@ -746,14 +756,13 @@ def annotate_svg_oracle(svg_bytes: bytes, detected: pipeline._Detected) -> bytes
     return svg_bytes[:i] + overlay + svg_bytes[i:]
 
 
-def detected_of(tmp_path: Path, monkeypatch, svg: bytes
-                ) -> tuple[Status, pipeline._Detected]:
+def detected_of(tmp_path: Path, monkeypatch, svg: bytes) -> tuple[Status, Overlay]:
     """The status of ``svg`` and the structure its overlay draws."""
     seen = []
     annotate = pipeline._annotate_svg
     monkeypatch.setattr(pipeline, "_annotate_svg",
-                        lambda source, detected: seen.append(detected)
-                        or annotate(source, detected))
+                        lambda source, *args: seen.append(Overlay(*args))
+                        or annotate(source, *args))
     path = tmp_path / "figure.svg"
     path.write_bytes(svg)
     _, _, report = extract_figure(path)
@@ -888,8 +897,8 @@ class TestAnnotateSplice:
         source = edit(svg)
         status, detected = detected_of(tmp_path, monkeypatch, source)
         assert status is Status.OK and detected.box is not None
-        annotated = pipeline._annotate_svg(source, detected)
-        assert annotated == annotate_svg_oracle(source, detected)
+        annotated = pipeline._annotate_svg(source, *detected)
+        assert annotated == annotate_svg_oracle(source, *detected)
         assert (annotated == source) == (edit is _utf16)
 
     @pytest.mark.parametrize("source", [
@@ -900,15 +909,15 @@ class TestAnnotateSplice:
     def test_no_root_end_tag(self, tmp_path, monkeypatch, source):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=4))
         _, detected = detected_of(tmp_path, monkeypatch, svg)
-        assert pipeline._annotate_svg(source, detected) == source
-        assert annotate_svg_oracle(source, detected) == source
+        assert pipeline._annotate_svg(source, *detected) == source
+        assert annotate_svg_oracle(source, *detected) == source
 
     def test_no_plot_box(self, tmp_path, monkeypatch):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=6, seed=4))
         source = re.sub(rb"<line [^>]*>", b"", svg)
         status, detected = detected_of(tmp_path, monkeypatch, source)
         assert status is Status.NO_AXES and detected.box is None
-        assert pipeline._annotate_svg(source, detected) is source
+        assert pipeline._annotate_svg(source, *detected) is source
 
     @pytest.mark.parametrize("n_points", [1023, 1024, 1025, 3000])
     def test_ring_pieces_at_and_past_a_write(self, tmp_path, monkeypatch, n_points):
@@ -916,8 +925,8 @@ class TestAnnotateSplice:
         status, detected = detected_of(tmp_path, monkeypatch, svg)
         assert status is Status.OK
         assert len(detected.markers) >= pipeline._RINGS_PER_WRITE - 1
-        annotated = pipeline._annotate_svg(svg, detected)
-        assert annotated == annotate_svg_oracle(svg, detected)
+        annotated = pipeline._annotate_svg(svg, *detected)
+        assert annotated == annotate_svg_oracle(svg, *detected)
 
     @pytest.mark.parametrize("edit", [
         lambda svg: svg + b"<!-- closes </svg> -->",
@@ -942,7 +951,7 @@ class TestAnnotateSplice:
         assert status is report.status is Status.OK
         # the overlay goes before the root's own end tag, the tail stays as it was
         end = source.index(b">", expat_root_end(source)) + 1
-        assert annotated == annotate_svg_oracle(source[:end], detected) + source[end:]
+        assert annotated == annotate_svg_oracle(source[:end], *detected) + source[end:]
         overlays = [child for child in ET.fromstring(annotated)
                     if child.get("id") == "vecfig-overlay"]
         assert len(overlays) == 1 and overlays[0].tag == f"{{{SVG_NS}}}g"
@@ -1002,7 +1011,7 @@ class TestAnnotateSplice:
         assert status is Status.OK and len(detected.markers) > 19000
         tracemalloc.start()
         try:
-            annotated = pipeline._annotate_svg(svg, detected)
+            annotated = pipeline._annotate_svg(svg, *detected)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1390,6 +1399,13 @@ class TestConfigFile:
         cfg_file.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(cfg_file)
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text("# gates\n\nresidual_gate_frac 0.02\n")
+        with pytest.raises(ValueError) as info:
+            load_config(cfg_file)
+        assert str(info.value) == f"{cfg_file}:3: expected key=value, got 'residual_gate_frac 0.02'"
 
     @pytest.mark.parametrize("value", ["0.0", "-1", "nan", "inf", "-inf"])
     def test_nonpositive_tolerance_rejected(self, tmp_path, value):

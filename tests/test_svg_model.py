@@ -746,6 +746,9 @@ class TestComposeTextRuns:
         ("<tspan>2</tspan>5", "25", 25.0),
         ("1<tspan>0</tspan>5", "105", 105.0),
         ("1<tspan>0<tspan>5</tspan> </tspan>2", "105 2", None),
+        # a link inside text is read as a tspan is
+        ("1<a>0</a>5", "105", 105.0),
+        ("1<a><tspan>0</tspan></a>5", "105", 105.0),
     ])
     def test_pieces_at_one_anchor_strip_as_one_text(self, body, content, value):
         # the whitespace between unpositioned tspans stays, as in one element,
@@ -760,8 +763,9 @@ class TestComposeTextRuns:
         # a tail continues where the tspan before it left off
         ('1<tspan x="20" y="5">0</tspan>5', [("1", Point(1, 5)), ("05", Point(20, 5))], 0),
         ('1<tspan x="20" y="5"></tspan>5', [("1", Point(1, 5)), ("5", Point(20, 5))], 0),
+        ('1<a x="20" y="5">0</a>5', [("1", Point(1, 5)), ("05", Point(20, 5))], 0),
         # an unsupported child is skipped, with a warning, and its tail read
-        ('1<a>0</a>5', [("15", Point(1, 5))], 1),
+        ('1<textPath>0</textPath>5', [("15", Point(1, 5))], 1),
     ])
     def test_tail_joins_the_anchor_before_it(self, body, runs, n_warnings):
         doc = parse_svg(svg_bytes(f'<text x="1" y="5">{body}</text>'))
@@ -1256,7 +1260,26 @@ class TestFontSize:
         parse_svg(svg_bytes('<g><circle cx="5" cy="5" r="2"/><line x1="0" y1="0" x2="9" y2="0"/>'
                             '<text x="1" y="1">a<tspan>b</tspan></text></g>'
                             '<circle cx="7" cy="5" r="2"/>'))
-        assert calls == ["g", "text", "tspan"]
+        assert calls == ["svg", "g", "text", "tspan"]
+
+    @pytest.mark.parametrize("root", [' font-size="20"', ' style="font-size:20px"'])
+    def test_root_font_size_inherited(self, root):
+        doc = parse_svg(b'<svg xmlns="http://www.w3.org/2000/svg" width="600" height="450"'
+                        + root.encode() + b'><text x="5" y="5">1</text>'
+                        b'<g font-size="8"><text x="300" y="300">2</text></g></svg>')
+        assert [r.glyph_height for r in doc.texts] == [20.0, 8.0]
+
+    @pytest.mark.parametrize("style,height", [
+        ("font: 30px serif", 30.0), ("font: italic 700 30px/1.2 serif", 30.0),
+        ("fill: red; font:12pt 'DejaVu Sans'", 12.0), ("font: 700 15px/2 serif", 15.0),
+        ("font: 30px/120% serif", 30.0), ("font: bold 700 serif", 10.0),
+        # other properties are not the shorthand
+        ("font-family: 3px", 10.0), ("font-weight: 30px", 10.0), ("x-font: 30px", 10.0),
+    ])
+    def test_font_shorthand_size(self, style, height):
+        doc = parse_svg(svg_bytes(f'<g style="{style}"><text x="5" y="5">0.5</text></g>'
+                                  f'<text x="300" y="300" style="{style}">1</text>'))
+        assert [r.glyph_height for r in doc.texts] == [height, height]
 
     def test_malformed_style_on_marker_ignored(self):
         doc = parse_svg(svg_bytes('<circle cx="5" cy="5" r="2" style="font-size: 1.2.3"/>'))
@@ -1276,7 +1299,7 @@ def parse_svg_oracle(data: bytes) -> FigureDocument:
     root_t_attr = root.get("transform")
     root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
     try:
-        parser.walk(root, root_t, svg_model.DEFAULT_FONT_SIZE)
+        parser.walk(root, root_t, svg_model._font_size(root, svg_model.DEFAULT_FONT_SIZE))
     except RecursionError:
         raise VecfigError("elements nested too deeply to walk") from None
     doc = parser.doc
@@ -1355,7 +1378,8 @@ def streamed_documents(draw) -> bytes:
                                    ' transform="translate(-5 5) rotate(3)"',
                                    ' transform="scale(0)"']))
     canvas = draw(st.sampled_from(['width="600" height="450"', 'viewBox="0 0 600 450"', ""]))
-    data = (f'{head}<{root} xmlns="http://www.w3.org/2000/svg"{root_t} {canvas}>'
+    root_fs = draw(_STREAM_FONT_SIZES)
+    data = (f'{head}<{root} xmlns="http://www.w3.org/2000/svg"{root_t}{root_fs} {canvas}>'
             f'{draw(_STREAM_BODIES)}</{root}>\n').encode(
                 draw(st.sampled_from(["utf-8"] * 7 + ["utf-16"])))
     if draw(st.sampled_from([False] * 7 + [True])):
