@@ -30,15 +30,9 @@ DEFAULT_FIGURE_FILTER = r"^.*figures/figure(\d+)/figure(_\d+)?\.svg$"
 
 
 @dataclass(frozen=True)
-class CTree:
-    id: str
-    root: Path
-
-
-@dataclass(frozen=True)
 class CorpusProject:
     root: Path
-    trees: list[CTree]
+    trees: list[Path]  # the tree folders, sorted
 
 
 @dataclass
@@ -76,9 +70,7 @@ class ExtractionReport:
 def scan_project(root: str | Path) -> CorpusProject:
     """Scan an existing corpus directory into a CorpusProject."""
     root = Path(root)
-    trees = [CTree(id=tree_dir.name, root=tree_dir)
-             for tree_dir in sorted(p for p in root.iterdir() if p.is_dir())]
-    return CorpusProject(root=root, trees=trees)
+    return CorpusProject(root=root, trees=sorted(p for p in root.iterdir() if p.is_dir()))
 
 
 _TEMPLATE_GROUP_RE = re.compile(r"\(\\(\d+)\)|\\(\d+)")
@@ -130,17 +122,17 @@ def _compile_filter(file_filter: str) -> re.Pattern:
 
 
 def enumerate_figures(project: CorpusProject, figure_filter: str,
-                      ) -> list[tuple[CTree, int, Path]]:
-    """Every SVG under a tree whose path matches the filter, by (tree id, index, path).
+                      ) -> list[tuple[str, int, Path]]:
+    """Every SVG under a tree whose path matches the filter, as (tree name, index, path).
 
     The filter's first capture group must be the numeric figure index.
     """
     pattern = _compile_filter(figure_filter)
     if pattern.groups < 1:
         raise VecfigError("figure filter needs a capture group for the index")
-    out: list[tuple[CTree, int, Path]] = []
+    out: list[tuple[str, int, Path]] = []
     for tree in project.trees:
-        for svg in tree.root.rglob("*.svg"):
+        for svg in tree.rglob("*.svg"):
             m = pattern.match(svg.as_posix())
             if m:
                 try:
@@ -149,8 +141,8 @@ def enumerate_figures(project: CorpusProject, figure_filter: str,
                     raise VecfigError(
                         f"figure filter {figure_filter!r}: group 1 of {svg.as_posix()} "
                         f"is {m.group(1)!r}, not an integer index") from None
-                out.append((tree, index, svg))
-    out.sort(key=lambda item: (item[0].id, item[1], item[2].as_posix()))
+                out.append((tree.name, index, svg))
+    out.sort(key=lambda item: (item[0], item[1], item[2].as_posix()))
     return out
 
 
@@ -390,12 +382,12 @@ def run_project(project: CorpusProject, figure_filter: str,
     output_root = Path(output_root)
     jobs = []
     sources: dict[Path, Path] = {}
-    for tree, index, svg in enumerate_figures(project, figure_filter):
+    for tree_id, index, svg in enumerate_figures(project, figure_filter):
         out_dir = output_root / svg.parent.relative_to(project.root)
         if out_dir in sources:
             raise VecfigError(f"{sources[out_dir]} and {svg} both write to {out_dir}")
         sources[out_dir] = svg
-        jobs.append((tree, index, svg, config, out_dir))
+        jobs.append((tree_id, index, svg, config, out_dir))
     reports = _map_guarded(jobs)
     summary = {
         "n_figures": len(reports),
@@ -456,14 +448,14 @@ def _map_guarded(jobs: list[tuple]) -> list[ExtractionReport]:
     return list(itertools.starmap(_run_guarded, jobs))
 
 
-def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
+def _run_guarded(tree_id: str, index: int, svg: Path, config: PipelineConfig,
                  out_dir: Path) -> ExtractionReport:
     annotated: bytes | None = None
     try:
         points, annotated, report = extract_figure(
-            svg, config, tree_id=tree.id, figure_index=index)
+            svg, config, tree_id=tree_id, figure_index=index)
     except Exception as exc:  # isolation: a broken figure must not kill the batch
-        points, report = [], ExtractionReport(tree_id=tree.id, figure_index=index,
+        points, report = [], ExtractionReport(tree_id=tree_id, figure_index=index,
                                               status=Status.PARSE_ERROR,
                                               warnings=[f"unhandled: {exc}"])
     try:
@@ -477,7 +469,7 @@ def _run_guarded(tree: CTree, index: int, svg: Path, config: PipelineConfig,
         warnings = report.warnings + [f"write failed: {exc}"]
     except Exception as exc:  # no known input: map_to_data rejects a non-finite value first
         status, warnings = Status.PARSE_ERROR, [f"unhandled: {exc}"]
-    report = ExtractionReport(tree_id=tree.id, figure_index=index,
+    report = ExtractionReport(tree_id=tree_id, figure_index=index,
                               status=status, warnings=warnings)
     try:
         _write_outputs(out_dir, [], None, report)

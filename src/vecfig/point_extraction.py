@@ -113,6 +113,6 @@ def detect_raster_body(doc: FigureDocument, box: PlotBox,
     area = box.interior.area
     if area <= 0:
         return False
-    return any(r.bounds.intersection_area(box.interior) / area
+    return any(r.intersection_area(box.interior) / area
                >= cfg.raster_overlap_frac
                for r in doc.rasters)

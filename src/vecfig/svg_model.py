@@ -169,14 +169,7 @@ class Segments(_Columns):
 
 
 @dataclass(frozen=True)
-class RasterGlyph:
-    id: str
-    bounds: Rect
-
-
-@dataclass(frozen=True)
 class TextRun:
-    id: str
     anchor: Point
     content: str
     glyph_height: float
@@ -186,7 +179,8 @@ class TextRun:
 class FigureDocument:
     circles: Markers = field(default_factory=Markers)
     segments: Segments = field(default_factory=Segments)
-    rasters: list[RasterGlyph] = field(default_factory=list)
+    # the device-space bounds of each <image>
+    rasters: list[Rect] = field(default_factory=list)
     texts: list[TextRun] = field(default_factory=list)
     canvas: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1.0, 1.0))
     # the root element's own transform, already applied to every primitive
@@ -461,7 +455,6 @@ def _join_chain(chain: list[TextRun]) -> TextRun:
     if len(chain) == 1:
         return chain[0]
     return TextRun(
-        id=chain[0].id,
         anchor=chain[0].anchor,
         content="".join(m.content for m in chain),
         glyph_height=max(m.glyph_height for m in chain),
@@ -492,20 +485,48 @@ def _parse_length(text: str | None) -> float | None:
     return float(m.group(0)) if m else None
 
 
-_FONT_SIZE_RE = re.compile(r"font-size\s*:([^;]*)")
-# the size in a ``font`` shorthand: its first token with a unit or "%" (a
-# bare number there is a weight), up to a "/" that starts the line height
-_FONT_RE = re.compile(r"(?:^|;)\s*font\s*:[^;]*?(?<![^\s:])([\d.]+(?:[a-z]+|%))(?![^\s/;])",
-                      re.IGNORECASE)
+# the size in a ``font`` shorthand's value: its first token with a unit or
+# "%" (a bare number there is a weight), up to a "/" that starts the line height
+_FONT_RE = re.compile(r"(?<!\S)([\d.]+(?:[a-z]+|%))(?![^\s/])", re.IGNORECASE)
+# a size relative to the inherited one: a number, then "em" or "%"
+_RELATIVE_SIZE_RE = re.compile(rf"\s*(?:{_NUM_RE.pattern})(em|%)\s*", re.IGNORECASE)
+
+
+def _declarations(elem: ET.Element) -> list[tuple[str, str]]:
+    """``elem``'s ``style`` declarations as (property, value), in order."""
+    return [(name.strip().lower(), value) for name, _, value
+            in (d.partition(":") for d in elem.get("style", "").split(";"))]
+
+
+def _hidden(elem: ET.Element) -> bool:
+    """Whether ``elem``'s ``display`` is none: its last ``style`` declaration
+    of ``display`` beats its ``display`` attribute."""
+    display = elem.get("display")
+    for name, value in _declarations(elem):
+        if name == "display":
+            display = value
+    return display is not None and display.strip().lower() == "none"
 
 
 def _font_size(elem: ET.Element, inherited: float) -> float:
-    fs = _parse_length(elem.get("font-size"))
-    if fs is None:
-        style = elem.get("style", "")
-        m = _FONT_SIZE_RE.search(style) or _FONT_RE.search(style)
-        fs = _parse_length(m.group(1)) if m else None
-    return fs if fs is not None else inherited
+    """``elem``'s font size: of its ``font-size`` attribute and then its
+    ``style`` declarations of ``font-size`` or ``font``, the last that gives
+    a size; ``inherited`` when none does.  "em" and "%" scale ``inherited``."""
+    texts = [elem.get("font-size")]
+    for name, value in _declarations(elem):
+        if name == "font-size":
+            texts.append(value)
+        elif name == "font" and (m := _FONT_RE.search(value)):
+            texts.append(m.group(1))
+    for text in reversed(texts):
+        size = _parse_length(text)
+        if size is not None:
+            if relative := _RELATIVE_SIZE_RE.fullmatch(text):
+                size *= inherited
+                if relative.group(1) == "%":
+                    size /= 100
+            return size
+    return inherited
 
 
 # elements whose children are walked as if they were the element's
@@ -669,10 +690,13 @@ class _Parser:
                 m_cx(ma * cx + mc * cy + me)
                 m_cy(mb * cx + md * cy + mf)
                 m_r(radius)
-            elif tag in _CONTAINERS:
-                self.walk(child, t, _font_size(child, font_size))
-            elif tag == "text":
-                self._read_text(child, t, _font_size(child, font_size))
+            elif tag in _CONTAINERS or tag == "text":
+                if _hidden(child):
+                    warn(f"display:none <{tag}> skipped")
+                elif tag == "text":
+                    self._read_text(child, t, _font_size(child, font_size))
+                else:
+                    self.walk(child, t, _font_size(child, font_size))
             elif tag == "path" or tag == "polyline" or tag == "polygon":
                 text = get("d" if tag == "path" else "points", "")
                 if not text.strip():
@@ -692,17 +716,16 @@ class _Parser:
                 if w <= 0 or h <= 0:
                     warn(f"degenerate {tag} skipped")
                     continue
-                eid = self._gen_id(child, tag)
                 if tag == "rect":
                     # floats, not text: an overflowing x + w stays an infinite side
                     _flatten_tokens(["M", x, y, "L", x + w, y, x + w, y + h, x, y + h, "Z"],
-                                    t, eid, doc.warnings, segments)
+                                    t, self._gen_id(child, tag), doc.warnings, segments)
                     continue
                 corners = [t.apply_xy(x, y), t.apply_xy(x + w, y),
                            t.apply_xy(x + w, y + h), t.apply_xy(x, y + h)]
                 xs = [p.x for p in corners]
                 ys = [p.y for p in corners]
-                doc.rasters.append(RasterGlyph(eid, Rect(min(xs), min(ys), max(xs), max(ys))))
+                doc.rasters.append(Rect(min(xs), min(ys), max(xs), max(ys)))
             elif tag == "use":
                 warn("<use> indirection not supported, skipped")
             elif tag == "style":
@@ -718,7 +741,9 @@ class _Parser:
         child but the last is, and the last may still be open, so it waits.
         A last child that is a container is gone down into, one call per
         level as walk recurses, so nesting too deep to walk fails here as it
-        would there; any other (<text>, <defs>) waits whole.
+        would there; any other (<text>, <defs>) waits whole.  A display:none
+        container is not gone down into: its finished descendants are dropped
+        unread, and only its open ones wait.
         """
         n = len(elem) if closed else len(elem) - 1
         if n > 0:
@@ -726,6 +751,11 @@ class _Parser:
             del elem[:n]
         if len(elem) and self.names[elem[-1].tag] in _CONTAINERS:
             last = elem[-1]
+            if _hidden(last):
+                while len(last):
+                    del last[:-1]
+                    last = last[-1]
+                return
             t_attr = last.get("transform")
             self.walk_finished(last, _compose(transform, t_attr) if t_attr else transform,
                                _font_size(last, font_size), closed)
@@ -738,19 +768,19 @@ class _Parser:
         joins the pieces at the anchor where the child's text ended.  The
         pieces of a stretch join before their text is stripped, once, as
         SVG's default xml:space strips a text as a whole: "2 " and "5"
-        read "2 5".  A run takes the id of its first piece that is not
-        blank and the largest glyph height of those pieces.
+        read "2 5".  A run takes the largest glyph height of its pieces
+        that are not blank.
         """
         stretches: list[list] = []
         self._collect_text(elem, t, fs, None, stretches)
-        for anchor, text, eid, height in stretches:
+        for anchor, text, height in stretches:
             content = text.strip()
             if content:
-                self.doc.texts.append(TextRun(eid, anchor, content, height))
+                self.doc.texts.append(TextRun(anchor, content, height))
 
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
                       inherited_anchor: Point | None, stretches: list[list]) -> Point | None:
-        """Add ``elem``'s pieces to ``stretches``, each [anchor, text, id, height].
+        """Add ``elem``'s pieces to ``stretches``, each [anchor, text, height].
 
         Returns the anchor that the text after ``elem`` joins.
         """
@@ -761,7 +791,7 @@ class _Parser:
         else:
             anchor = inherited_anchor
         height = fs * math.sqrt(abs(t.determinant))
-        self._add_piece(elem, elem.text, anchor, height, stretches)
+        self._add_piece(elem.text, anchor, height, stretches)
         current = anchor
         for child in elem:
             tag = self.names[child.tag]
@@ -772,12 +802,12 @@ class _Parser:
                                              stretches)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
-            self._add_piece(elem, child.tail, current, height, stretches)
+            self._add_piece(child.tail, current, height, stretches)
         return current
 
-    def _add_piece(self, elem: ET.Element, text: str | None, anchor: Point | None,
-                   height: float, stretches: list[list]) -> None:
-        """Add a piece of ``elem``'s own text to the stretch at ``anchor``."""
+    def _add_piece(self, text: str | None, anchor: Point | None, height: float,
+                   stretches: list[list]) -> None:
+        """Add a piece of text to the stretch at ``anchor``."""
         if not text:
             return
         if anchor is None:
@@ -785,15 +815,11 @@ class _Parser:
                 self.doc.warnings.append("text without anchor skipped")
             return
         if not (stretches and stretches[-1][0] is anchor):
-            stretches.append([anchor, "", None, 0.0])
+            stretches.append([anchor, "", None])
         last = stretches[-1]
         last[1] += text
         if not text.isspace():
-            eid = self._gen_id(elem, "text")
-            if last[2] is None:
-                last[2], last[3] = eid, height
-            else:
-                last[3] = max(last[3], height)
+            last[2] = height if last[2] is None else max(last[2], height)
 
 
 def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
@@ -827,8 +853,8 @@ def _canvas_rect(root: ET.Element, doc: FigureDocument) -> Rect:
         xs += [x1, x2]
         ys += [y1, y2]
     for r in doc.rasters:
-        xs += [r.bounds.x0, r.bounds.x1]
-        ys += [r.bounds.y0, r.bounds.y1]
+        xs += [r.x0, r.x1]
+        ys += [r.y0, r.y1]
     for t in doc.texts:
         xs.append(t.anchor.x)
         ys.append(t.anchor.y)
@@ -871,8 +897,7 @@ def _drop_out_of_canvas(doc: FigureDocument) -> None:
         doc.segments = segments.take([i for i, fit in enumerate(fits) if fit])
         doc.warnings.append(f"{fits.count(0)} far-out-of-canvas segments discarded")
     rasters = doc.rasters
-    kept = [g for g in rasters if x_lo <= g.bounds.x0 and g.bounds.x1 <= x_hi
-            and y_lo <= g.bounds.y0 and g.bounds.y1 <= y_hi]
+    kept = [r for r in rasters if x_lo <= r.x0 and r.x1 <= x_hi and y_lo <= r.y0 and r.y1 <= y_hi]
     if len(kept) != len(rasters):
         doc.rasters = kept
         doc.warnings.append(f"{len(rasters) - len(kept)} far-out-of-canvas rasters discarded")

@@ -35,7 +35,7 @@ def serialize_model(doc: FigureDocument) -> bytes:
         parts.append(f'<line id="{sid}" x1="{x1!r}" y1="{y1!r}" '
                      f'x2="{x2!r}" y2="{y2!r}"/>')
     for t in doc.texts:
-        parts.append(f'<text id="{t.id}" x="{t.anchor.x!r}" y="{t.anchor.y!r}" '
+        parts.append(f'<text x="{t.anchor.x!r}" y="{t.anchor.y!r}" '
                      f'font-size="{t.glyph_height!r}">{t.content}</text>')
     return svg_bytes("".join(parts), doc.canvas.width, doc.canvas.height)
 

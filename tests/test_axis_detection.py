@@ -955,7 +955,7 @@ class TestSegmentPasses:
 
 
 def run(content, x=0.0, y=0.0, h=8.0) -> TextRun:
-    return TextRun("r", Point(x, y), content, h)
+    return TextRun(Point(x, y), content, h)
 
 
 class TestParseNumericLabel:

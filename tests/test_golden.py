@@ -299,7 +299,7 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "path-curves": {
         "figure.csv": "1f0d2c61ca6bc99f12bd66c9c3f019a858821e68ac02b5274eb67e73bb813a0c",
-        "report.json": "572915d44d7988bd1b3fd98e7efb70e4480bfef8780387eb9e5e34930c333557",
+        "report.json": "ea77364f3cca4b759f1d113a4a9400c709a36830eba8ffbd4744e9c4ce12f101",
         "figure_annotated.svg": "a5265c2a5fd64867273dfc5706f70ad7274d23e8fa5daf6ce468fe685f65fe26",
     },
     "rect-frame-image": {

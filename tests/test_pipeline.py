@@ -49,7 +49,7 @@ class TestMakeProject:
         (tmp_path / "paperA.pdf").write_bytes(b"%PDF")
         project = make_project(tmp_path, r".*/(.*)\.pdf", r"(\1)/fulltext.pdf")
         assert (tmp_path / "paperA" / "fulltext.pdf").is_file()
-        assert [t.id for t in project.trees] == ["paperA"]
+        assert [t.name for t in project.trees] == ["paperA"]
 
     def test_empty_root(self, tmp_path):
         project = make_project(tmp_path, r".*/(.*)\.pdf", r"(\1)/fulltext.pdf")
@@ -89,7 +89,7 @@ class TestEnumerateFigures:
         make_figure(tmp_path, "t1", 2)
         project = scan_project(tmp_path)
         out = enumerate_figures(project, DEFAULT_FIGURE_FILTER)
-        assert [(t.id, i) for t, i, _ in out] == [("t1", 1), ("t1", 2)]
+        assert [(t, i) for t, i, _ in out] == [("t1", 1), ("t1", 2)]
 
     def test_no_matches(self, tmp_path):
         (tmp_path / "t1").mkdir()
@@ -175,7 +175,7 @@ class TestEnumerateFigures:
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_bytes(b'<svg xmlns="http://www.w3.org/2000/svg"/>')
         out = enumerate_figures(scan_project(tmp_path), figure_filter)
-        assert [(t.id, i, p.relative_to(tmp_path).as_posix())
+        assert [(t, i, p.relative_to(tmp_path).as_posix())
                 for t, i, p in out] == expected
 
 
@@ -490,17 +490,20 @@ class TestExtractFigure:
         # every label cut at random character boundaries into unpositioned
         # tspans, with ids in random order or with none, some pieces left
         # bare as the parent's text or a tspan's tail: the pieces share
-        # their parent's anchor, so only document order joins them right
+        # their parent's anchor, so only document order joins them right.
+        # A curved path after the labels is skipped with a warning that
+        # names its id, which the split must not move
         svg, _ = generate_scatter_svg(SyntheticSpec(seed=seed, n_points=20, axis_style=style))
         folder = tmp_path_factory.mktemp("split")
 
-        def extract(text: str) -> tuple[bytes, Status]:
+        def extract(text: str) -> tuple[bytes, Status, str]:
             (folder / "figure.svg").write_text(text, encoding="utf-8")
             points, _, report = extract_figure(folder / "figure.svg")
             write_csv(points, folder / "figure.csv")
-            return (folder / "figure.csv").read_bytes(), report.status
+            return (folder / "figure.csv").read_bytes(), report.status, report.to_json()
 
-        text = svg.decode("utf-8")
+        text = svg.decode("utf-8").replace(
+            "</svg>", '<path d="M 100 60 C 150 20 200 100 250 60"/></svg>')
         labels = list(re.finditer(r"(<text [^>]*>)([^<]+)</text>", text))
         pieces = []
         for m in labels:
@@ -526,6 +529,7 @@ class TestExtractFigure:
 
         want = extract(text)
         assert want[1] is Status.OK
+        assert ": curve exceeds deviation bound, skipped" in want[2]
         assert extract(split(with_ids=False)) == want
         assert extract(split(with_ids=True)) == want
 
@@ -589,6 +593,20 @@ class TestExtractFigure:
         path.write_bytes(svg.replace(old, new))
         points, _, report = extract_figure(path)
         assert report.status is Status.OK and len(points) == 5
+
+    @pytest.mark.parametrize("hidden", [
+        '<g style="display:none">' + '<circle cx="200" cy="200" r="3"/>' * 2 + "</g>",
+        '<g display="none">' + '<circle cx="200" cy="200" r="3"/>' * 2 + "</g>",
+        '<g style="fill:red; display: none"><g><circle cx="200" cy="200" r="3"/></g></g>',
+    ], ids=["style", "attribute", "nested"])
+    def test_hidden_group_is_not_data(self, tmp_path, hidden):
+        # an Inkscape hidden layer: circles of the markers' size that draw nothing
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=30, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg.replace(b"</svg>", hidden.encode() + b"</svg>"))
+        points, _, report = extract_figure(path)
+        assert (report.status, len(points)) == (Status.OK, 30)
+        assert report.warnings == ["display:none <g> skipped"]
 
     def test_annotated_svg_conservatism(self, tmp_path):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))

@@ -14,7 +14,7 @@ from vecfig.config import DEFAULT_CONFIG
 from vecfig.errors import NoDataGlyphs, NonlinearScale
 from vecfig.point_extraction import (DataPoint, RadiusCluster, detect_raster_body,
                                      map_to_data, select_data_glyphs)
-from vecfig.svg_model import FigureDocument, Point, RasterGlyph, Rect
+from vecfig.svg_model import FigureDocument, Point, Rect
 
 # selection and mapping read only the interior; no axis segments are built
 BOX = PlotBox(left_index=0, bottom_index=1, interior=Rect(50, 50, 500, 400), score=1.0)
@@ -163,7 +163,7 @@ class TestMapToData:
 
 class TestDetectRasterBody:
     def test_full_cover(self):
-        doc = FigureDocument(rasters=[RasterGlyph("img", Rect(50, 50, 500, 400))])
+        doc = FigureDocument(rasters=[Rect(50, 50, 500, 400)])
         assert detect_raster_body(doc, BOX)
 
     def test_no_rasters(self):
@@ -174,12 +174,12 @@ class TestDetectRasterBody:
         logo = Rect(60, 60, 150, 95)
         overlap = logo.intersection_area(BOX.interior) / BOX.interior.area
         assert overlap == pytest.approx(0.02, abs=0.001)
-        doc = FigureDocument(rasters=[RasterGlyph("logo", logo)])
+        doc = FigureDocument(rasters=[logo])
         assert not detect_raster_body(doc, BOX)
 
     def test_half_cover_boundary(self):
         half = Rect(50, 50, 275, 400)  # exactly 50%
-        doc = FigureDocument(rasters=[RasterGlyph("img", half)])
+        doc = FigureDocument(rasters=[half])
         assert detect_raster_body(doc, BOX)
 
 

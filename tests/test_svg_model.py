@@ -19,8 +19,8 @@ from vecfig import svg_model, synth
 from vecfig.axis_detection import parse_numeric_label
 from vecfig.errors import Status, VecfigError
 from vecfig.svg_model import (CANVAS_OVERFLOW_FACTOR, IDENTITY, AffineTransform,
-                              FigureDocument, Markers, Point, RasterGlyph,
-                              Rect, Segments, TextRun, _parse_length,
+                              FigureDocument, Markers, Point, Rect, Segments,
+                              TextRun, _parse_length,
                               compose_text_runs, flatten_path, parse_svg,
                               parse_transform)
 from vecfig.synth import SyntheticSpec, generate_scatter_svg
@@ -124,7 +124,7 @@ class TestParseOtherElements:
     def test_image_becomes_raster(self):
         doc = parse_svg(svg_bytes('<image x="10" y="20" width="100" height="50"/>'))
         assert len(doc.rasters) == 1
-        b = doc.rasters[0].bounds
+        b = doc.rasters[0]
         assert (b.x0, b.y0, b.x1, b.y1) == (10, 20, 110, 70)
 
     def test_use_warns_and_skips(self):
@@ -648,7 +648,7 @@ class TestComposeTextRuns:
                   st.floats(0.1, 30)))))
     @settings(max_examples=300, deadline=None)
     def test_equals_all_groups_oracle(self, glyphs):
-        runs = [TextRun(f"t{i}", Point(x, y), str(i), h)
+        runs = [TextRun(Point(x, y), str(i), h)
                 for i, (y, x, h) in enumerate(glyphs)]
         assert compose_text_runs(runs) == compose_text_runs_oracle(runs)
 
@@ -670,10 +670,10 @@ class TestComposeTextRuns:
         # all, one glyph tall enough to reach every baseline
         for n, tall in itertools.product((1000, 4000), (None, 8e6, math.inf)):
             calls = 0
-            runs = [TextRun(f"t{i}", Point(5.0, CountingFloat(10.0 * i)), "1", 8.0)
+            runs = [TextRun(Point(5.0, CountingFloat(10.0 * i)), "1", 8.0)
                     for i in range(n)]
             if tall:
-                runs.append(TextRun("tall", Point(5.0, CountingFloat(10.0 * n)), "2", tall))
+                runs.append(TextRun(Point(5.0, CountingFloat(10.0 * n)), "2", tall))
             merged = compose_text_runs(runs)
             # the tall glyph joins the first baseline
             assert len(merged) == n
@@ -684,54 +684,54 @@ class TestComposeTextRuns:
     @pytest.mark.parametrize("y", [math.inf, -math.inf])
     def test_infinite_baselines_stay_apart(self, y):
         # inf - inf is nan, which is no distance within the tolerance
-        runs = [TextRun("a", Point(10, y), "1", 8.0), TextRun("b", Point(14, y), "2", 8.0)]
+        runs = [TextRun(Point(10, y), "1", 8.0), TextRun(Point(14, y), "2", 8.0)]
         assert [r.content for r in compose_text_runs(runs)] == ["1", "2"]
 
     def test_infinite_height_reaches_past_an_equal_baseline(self):
         # the second -inf glyph is no distance from the first, which still
         # reaches the finite baseline by its infinite height
-        runs = [TextRun("a", Point(0, -math.inf), "1", math.inf),
-                TextRun("b", Point(0, -math.inf), "2", 8.0), TextRun("c", Point(0, 0), "3", 8.0)]
+        runs = [TextRun(Point(0, -math.inf), "1", math.inf),
+                TextRun(Point(0, -math.inf), "2", 8.0), TextRun(Point(0, 0), "3", 8.0)]
         merged = compose_text_runs(runs)
         assert merged == compose_text_runs_oracle(runs)
         assert [r.content for r in merged] == ["13", "2"]
 
     def test_adjacent_glyphs_merge(self):
         # gap 4 <= 0.6 * 8 = 4.8
-        runs = [TextRun("a", Point(10, 100), "1", 8.0),
-                TextRun("b", Point(14, 100), "0", 8.0)]
+        runs = [TextRun(Point(10, 100), "1", 8.0),
+                TextRun(Point(14, 100), "0", 8.0)]
         out = compose_text_runs(runs)
         assert len(out) == 1
         assert out[0].content == "10"
         assert out[0].anchor == Point(10, 100)
 
     def test_single_run_unchanged(self):
-        runs = [TextRun("a", Point(5, 5), "3", 8.0)]
+        runs = [TextRun(Point(5, 5), "3", 8.0)]
         assert compose_text_runs(runs) == runs
 
     def test_different_baselines_stay_separate(self):
         # baseline gap 40 > 0.2 * 8
-        runs = [TextRun("a", Point(10, 100), "1", 8.0),
-                TextRun("b", Point(10, 140), "2", 8.0)]
+        runs = [TextRun(Point(10, 100), "1", 8.0),
+                TextRun(Point(10, 140), "2", 8.0)]
         out = compose_text_runs(runs)
         assert len(out) == 2
 
     def test_wide_gap_stays_separate(self):
-        runs = [TextRun("a", Point(10, 100), "1", 8.0),
-                TextRun("b", Point(20, 100), "0", 8.0)]  # gap 10 > 4.8
+        runs = [TextRun(Point(10, 100), "1", 8.0),
+                TextRun(Point(20, 100), "0", 8.0)]  # gap 10 > 4.8
         assert len(compose_text_runs(runs)) == 2
 
     def test_chain_of_three(self):
-        runs = [TextRun("a", Point(10, 100), "1", 8.0),
-                TextRun("b", Point(14, 100), "2", 8.0),
-                TextRun("c", Point(18, 100), "3", 8.0)]
+        runs = [TextRun(Point(10, 100), "1", 8.0),
+                TextRun(Point(14, 100), "2", 8.0),
+                TextRun(Point(18, 100), "3", 8.0)]
         out = compose_text_runs(runs)
         assert len(out) == 1
         assert out[0].content == "123"
 
     def test_output_sorted_by_y_then_x(self):
-        runs = [TextRun("a", Point(50, 200), "b", 8.0),
-                TextRun("b", Point(10, 100), "a", 8.0)]
+        runs = [TextRun(Point(50, 200), "b", 8.0),
+                TextRun(Point(10, 100), "a", 8.0)]
         out = compose_text_runs(runs)
         assert [r.content for r in out] == ["a", "b"]
 
@@ -937,7 +937,7 @@ def canvas_filter_oracle(doc):
         "segments": [s for s in glyphs_of(doc.segments) if within(Rect(
             min(s.p1.x, s.p2.x), min(s.p1.y, s.p2.y),
             max(s.p1.x, s.p2.x), max(s.p1.y, s.p2.y)))],
-        "rasters": [r for r in doc.rasters if within(r.bounds)],
+        "rasters": [r for r in doc.rasters if within(r)],
         "texts": [t for t in doc.texts if within(Rect(
             t.anchor.x, t.anchor.y, t.anchor.x, t.anchor.y))],
     }
@@ -1144,9 +1144,9 @@ class TestMarkerPathOracles:
                 segments.append(Segment(f"s{i}", Point(x, y),
                                              Point(x + size, y - size)))
             elif kind == "rasters":
-                doc.rasters.append(RasterGlyph(f"r{i}", Rect(x, y, x + size, y + size)))
+                doc.rasters.append(Rect(x, y, x + size, y + size))
             else:
-                doc.texts.append(TextRun(f"t{i}", Point(x, y), "1", size))
+                doc.texts.append(TextRun(Point(x, y), "1", size))
         doc.circles = markers_of(circles)
         doc.segments = segments_of(segments)
         want = canvas_filter_oracle(doc)
@@ -1174,9 +1174,9 @@ class TestMarkerPathOracles:
         elif kind == "segments":
             doc.segments = segments_of([Segment("s", Point(x, 50), Point(50, x))])
         elif kind == "rasters":
-            doc.rasters.append(RasterGlyph("r", Rect(min(x, 50), 50, max(x, 50), 60)))
+            doc.rasters.append(Rect(min(x, 50), 50, max(x, 50), 60))
         else:
-            doc.texts.append(TextRun("t", Point(50, x), "1", 8.0))
+            doc.texts.append(TextRun(Point(50, x), "1", 8.0))
         want = canvas_filter_oracle(doc)
         svg_model._drop_out_of_canvas(doc)
         assert len(getattr(doc, kind)) == len(want[kind]) == (beyond == 0.0)
@@ -1281,9 +1281,47 @@ class TestFontSize:
                                   f'<text x="300" y="300" style="{style}">1</text>'))
         assert [r.glyph_height for r in doc.texts] == [height, height]
 
+    @pytest.mark.parametrize("attrs,height", [
+        # a style declaration beats the presentation attribute
+        ('font-size="10" style="font-size:20px"', 20.0),
+        # the last declaration wins, a shorthand too
+        ('style="font-size: 12px; font: 30px serif"', 30.0),
+        ('style="font: 30px serif; font-size: 12px"', 12.0),
+        # a declaration without a size does not set one
+        ('font-size="14" style="font-size: large"', 14.0),
+        ('style="font-size: 12px; font: bold serif"', 12.0),
+    ])
+    def test_declarations_cascade(self, attrs, height):
+        doc = parse_svg(svg_bytes(f'<text x="5" y="5" {attrs}>1</text>'))
+        assert doc.texts[0].glyph_height == height
+
+    @pytest.mark.parametrize("attrs", [
+        'font-size="1.5em"', 'style="font-size:150%"', 'style="font: 700 1.5em/2 serif"',
+    ])
+    def test_relative_size_scales_inherited(self, attrs):
+        doc = parse_svg(svg_bytes(f'<text x="5" y="5" {attrs}>1</text>'
+                                  f'<g font-size="8"><text x="300" y="300" {attrs}>2</text></g>'))
+        assert [r.glyph_height for r in doc.texts] == [15.0, 12.0]
+
     def test_malformed_style_on_marker_ignored(self):
         doc = parse_svg(svg_bytes('<circle cx="5" cy="5" r="2" style="font-size: 1.2.3"/>'))
         assert len(doc.circles) == 1
+
+
+class TestDisplayNone:
+    def test_hidden_containers_and_text_not_walked(self):
+        doc = parse_svg(svg_bytes(
+            '<text x="5" y="5" display="none">1</text>'
+            '<a style="display:none"><circle cx="5" cy="5" r="2"/></a>'
+            '<switch style="fill: red;display : NONE "><text x="5" y="9">2</text></switch>'
+            # a declaration beats the attribute, and the last declaration wins
+            '<g display="none" style="display: inline"><circle cx="9" cy="9" r="2"/></g>'
+            '<g style="display: none; display: block"><circle cx="9" cy="9" r="2"/></g>'
+            '<g display="inline" style="display: block; display: none">'
+            '<circle cx="9" cy="9" r="2"/></g>'))
+        assert len(doc.circles) == 2 and doc.texts == []
+        assert doc.warnings == ["display:none <text> skipped", "display:none <a> skipped",
+                                "display:none <switch> skipped", "display:none <g> skipped"]
 
 
 def parse_svg_oracle(data: bytes) -> FigureDocument:
@@ -1324,8 +1362,11 @@ _STREAM_TRANSFORMS = st.sampled_from(
     ["", "", "", "", "", "translate(3, 4)", "scale(2)", "rotate(30 5 5)", "skewX(20)",
      "matrix(1 0 0 -1 0 400)", "translate(1e3) scale(0.5)", "scale(2, 2.1)",
      "rotate(-90)", "scale(0)", "scale(1e200) scale(1e200) rotate(45)"])
-_STREAM_FONT_SIZES = st.sampled_from(
-    ["", ' font-size="14"', ' style="font-size: 7px"', ' font-size="large"'])
+# font sizes, and a display that hides a container or a text
+_STREAM_PRESENTATION = st.sampled_from(
+    ["", "", "", ' font-size="14"', ' style="font-size: 7px"', ' font-size="large"',
+     ' display="none"', ' style="display: none; font-size: 7px"',
+     ' display="none" style="display: inline"'])
 _STREAM_LEAVES = st.one_of(
     st.builds('<circle cx="{}" cy="{}" r="{}"/>'.format,
               st.integers(-50, 700), st.integers(-50, 500), st.sampled_from([0, 2, 3])),
@@ -1340,11 +1381,11 @@ _STREAM_LEAVES = st.one_of(
         '<style>circle { fill: red }</style>', "<!-- é </svg> -->", '<?pi <g/> ?>',
         '<title>中 &amp; é</title>']),
     st.builds('<text x="{}" y="{}"{}>{}{}</text>'.format,
-              st.integers(0, 600), st.integers(0, 450), _STREAM_FONT_SIZES, _STREAM_TEXT,
+              st.integers(0, 600), st.integers(0, 450), _STREAM_PRESENTATION, _STREAM_TEXT,
               st.lists(st.builds('<tspan{}{}>{}<![CDATA[{}]]></tspan>{}'.format,
                                  st.sampled_from(["", "", ' transform="scale(2)"', ' x="9"',
                                                   ' transform="scale(0)"']),
-                                 _STREAM_FONT_SIZES, _STREAM_TEXT,
+                                 _STREAM_PRESENTATION, _STREAM_TEXT,
                                  st.sampled_from(["", "<2>", "é"]), _STREAM_TEXT),
                        max_size=3).map("".join)))
 
@@ -1359,7 +1400,7 @@ def _nested_bodies(bodies):
         st.builds(lambda tag, t, fs, body: (f'<{tag}{f" transform={t!r}" if t else ""}'
                                              f'{fs}>{body}</{tag}>'),
                   st.sampled_from(["g", "g", "svg", "a", "switch"]), _STREAM_TRANSFORMS,
-                  _STREAM_FONT_SIZES, bodies),
+                  _STREAM_PRESENTATION, bodies),
         bodies), max_size=6).map("".join)
 
 
@@ -1378,7 +1419,7 @@ def streamed_documents(draw) -> bytes:
                                    ' transform="translate(-5 5) rotate(3)"',
                                    ' transform="scale(0)"']))
     canvas = draw(st.sampled_from(['width="600" height="450"', 'viewBox="0 0 600 450"', ""]))
-    root_fs = draw(_STREAM_FONT_SIZES)
+    root_fs = draw(_STREAM_PRESENTATION)
     data = (f'{head}<{root} xmlns="http://www.w3.org/2000/svg"{root_t}{root_fs} {canvas}>'
             f'{draw(_STREAM_BODIES)}</{root}>\n').encode(
                 draw(st.sampled_from(["utf-8"] * 7 + ["utf-16"])))
@@ -1476,6 +1517,16 @@ class TestStreamedParse:
         assert len(doc.circles) == 20_000
         # the open groups are gone down into after each piece, so their
         # finished children are dropped as those of the root are
+        assert peak <= 2.0 * len(svg)
+
+    def test_peak_memory_of_a_hidden_layer(self):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        circles = b"".join(re.findall(rb"<circle [^>]*/>", svg))
+        svg = svg.replace(b"</svg>", b'<g style="display:none"><g>' + circles + b"</g></g></svg>")
+        doc, peak = self._traced_parse(svg)
+        assert len(doc.circles) == 20_000
+        # the hidden layer is not walked, and its finished circles are
+        # dropped as they come, not held until it closes
         assert peak <= 2.0 * len(svg)
 
     def test_peak_memory_of_a_gridded_figure(self):
