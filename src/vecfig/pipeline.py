@@ -92,7 +92,9 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
 
     Each file whose path matches ``file_filter`` moves to the path built by
     substituting its capture groups into ``template`` (``(\\1)`` or ``\\1``
-    syntax), relative to root.  Collisions abort before any file moves.
+    syntax), relative to root.  Collisions abort before any file moves: two
+    files with one destination, or a destination that exists (another file
+    of this call too) and is not the file itself.
     """
     root = Path(root)
     pattern = _compile_filter(file_filter)
@@ -107,6 +109,8 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
         if dest in destinations:
             raise VecfigError(
                 f"{path} and {destinations[dest]} both map to {dest}")
+        if dest != path and dest.exists():
+            raise VecfigError(f"{path} would overwrite {dest}")
         destinations[dest] = path
     for dest, src in destinations.items():
         dest.parent.mkdir(parents=True, exist_ok=True)

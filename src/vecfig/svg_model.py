@@ -492,35 +492,32 @@ _FONT_RE = re.compile(r"(?<!\S)([\d.]+(?:[a-z]+|%))(?![^\s/])", re.IGNORECASE)
 _RELATIVE_SIZE_RE = re.compile(rf"\s*(?:{_NUM_RE.pattern})(em|%)\s*", re.IGNORECASE)
 
 
-def _declarations(elem: ET.Element) -> list[tuple[str, str]]:
-    """``elem``'s ``style`` declarations as (property, value), in order."""
-    return [(name.strip().lower(), value) for name, _, value
-            in (d.partition(":") for d in elem.get("style", "").split(";"))]
+def _presentation(elem: ET.Element, inherited: float) -> float | None:
+    """``elem``'s font size, or None when its ``display`` is none.
 
-
-def _hidden(elem: ET.Element) -> bool:
-    """Whether ``elem``'s ``display`` is none: its last ``style`` declaration
-    of ``display`` beats its ``display`` attribute."""
+    The ``display`` and ``font-size`` attributes are read, then the ``style``
+    declarations in order: a declaration beats an attribute, and the last
+    declaration wins.  The size is the last of ``font-size`` or a ``font``
+    shorthand's that gives a number that is not negative; "em" and "%"
+    scale ``inherited``, and no size gives ``inherited``.
+    """
     display = elem.get("display")
-    for name, value in _declarations(elem):
+    sizes = [elem.get("font-size")]
+    for declaration in elem.get("style", "").split(";"):
+        name, _, value = declaration.partition(":")
+        name = name.strip().lower()
         if name == "display":
             display = value
-    return display is not None and display.strip().lower() == "none"
-
-
-def _font_size(elem: ET.Element, inherited: float) -> float:
-    """``elem``'s font size: of its ``font-size`` attribute and then its
-    ``style`` declarations of ``font-size`` or ``font``, the last that gives
-    a size; ``inherited`` when none does.  "em" and "%" scale ``inherited``."""
-    texts = [elem.get("font-size")]
-    for name, value in _declarations(elem):
-        if name == "font-size":
-            texts.append(value)
+        elif name == "font-size":
+            sizes.append(value)
         elif name == "font" and (m := _FONT_RE.search(value)):
-            texts.append(m.group(1))
-    for text in reversed(texts):
+            sizes.append(m.group(1))
+    if display is not None and display.strip().lower() == "none":
+        return None
+    for text in reversed(sizes):
         size = _parse_length(text)
-        if size is not None:
+        # CSS allows no negative size, so such a declaration sets nothing
+        if size is not None and size >= 0:
             if relative := _RELATIVE_SIZE_RE.fullmatch(text):
                 size *= inherited
                 if relative.group(1) == "%":
@@ -593,11 +590,20 @@ class _Parser:
         self._counter += 1
         return f"{kind}-{self._counter}"
 
-    def walk(self, elem: ET.Element | list[ET.Element], transform: AffineTransform,
-             font_size: float) -> None:
-        """Read each child with its composed transform and inherited font size.
+    def walk(self, elem: ET.Element, transform: AffineTransform, font_size: float | None,
+             closed: bool = True) -> None:
+        """Read and drop the children of ``elem`` that the parser finished.
 
-        Every element is dispatched by one chain of tag tests.  Lines,
+        ``transform`` is ``elem``'s composed transform and ``font_size`` its
+        font size, None when it is hidden (see _presentation).  Once the
+        parser is ``closed`` every child is finished; before, the last may
+        still be open, so it waits.  A last child that is a container is gone
+        down into, one call per level, so nesting too deep to walk fails
+        while open as it would once closed; any other (<text>, <defs>) waits whole.
+        A hidden element is not read: once closed it is skipped with a
+        warning, and while open its finished descendants are dropped unread.
+
+        Every child is dispatched by one chain of tag tests.  Lines,
         circles and ellipses, the bulk of a dense or gridded figure, come
         first and go straight into the segment and marker columns.  Their
         coordinates are read by float() where it reads them as
@@ -610,18 +616,29 @@ class _Parser:
         names = self.names
         doc = self.doc
         warn = doc.warnings.append
-        markers = doc.circles
-        m_id, m_cx, m_cy, m_r = (markers.ids.append, markers.cx.append,
-                                 markers.cy.append, markers.r.append)
-        segments = doc.segments
-        s_id, s_x1, s_y1, s_x2, s_y2 = (segments.ids.append, segments.x1.append,
-                                        segments.y1.append, segments.x2.append,
-                                        segments.y2.append)
-        run_t, run_rx, run_ry, skip, ma, mb, mc, md, me, mf, radius = self._run
-        # the transform the last line was drawn under; its entries are la to lf
-        line_t = None
-        nan = math.nan
-        for child in elem:
+        if font_size is None:
+            if closed:
+                warn(f"display:none <{names[elem.tag]}> skipped")
+                return
+            while len(elem):
+                del elem[:-1]
+                elem = elem[-1]
+            return
+        n = len(elem) if closed else len(elem) - 1
+        if n > 0:
+            # bound only for a child to read: an open container often has none
+            markers = doc.circles
+            m_id, m_cx, m_cy, m_r = (markers.ids.append, markers.cx.append,
+                                     markers.cy.append, markers.r.append)
+            segments = doc.segments
+            s_id, s_x1, s_y1, s_x2, s_y2 = (segments.ids.append, segments.x1.append,
+                                            segments.y1.append, segments.x2.append,
+                                            segments.y2.append)
+            run_t, run_rx, run_ry, skip, ma, mb, mc, md, me, mf, radius = self._run
+            # the transform the last line was drawn under; its entries are la to lf
+            line_t = None
+            nan = math.nan
+        for child in elem[:n]:
             tag = names[child.tag]
             get = child.get
             t_attr = get("transform")
@@ -690,13 +707,10 @@ class _Parser:
                 m_cx(ma * cx + mc * cy + me)
                 m_cy(mb * cx + md * cy + mf)
                 m_r(radius)
-            elif tag in _CONTAINERS or tag == "text":
-                if _hidden(child):
-                    warn(f"display:none <{tag}> skipped")
-                elif tag == "text":
-                    self._read_text(child, t, _font_size(child, font_size))
-                else:
-                    self.walk(child, t, _font_size(child, font_size))
+            elif tag in _CONTAINERS:
+                self.walk(child, t, _presentation(child, font_size))
+            elif tag == "text":
+                self._read_text(child, t, _presentation(child, font_size))
             elif tag == "path" or tag == "polyline" or tag == "polygon":
                 text = get("d" if tag == "path" else "points", "")
                 if not text.strip():
@@ -732,35 +746,14 @@ class _Parser:
                 warn("CSS stylesheet ignored")
             elif tag not in _NON_RENDERING:
                 warn(f"unsupported element <{tag}> skipped")
-
-    def walk_finished(self, elem: ET.Element, transform: AffineTransform,
-                      font_size: float, closed: bool) -> None:
-        """Walk and drop the children of ``elem`` that the parser finished.
-
-        Once the parser is ``closed`` every child is finished.  Before, every
-        child but the last is, and the last may still be open, so it waits.
-        A last child that is a container is gone down into, one call per
-        level as walk recurses, so nesting too deep to walk fails here as it
-        would there; any other (<text>, <defs>) waits whole.  A display:none
-        container is not gone down into: its finished descendants are dropped
-        unread, and only its open ones wait.
-        """
-        n = len(elem) if closed else len(elem) - 1
-        if n > 0:
-            self.walk(elem[:n], transform, font_size)
-            del elem[:n]
-        if len(elem) and self.names[elem[-1].tag] in _CONTAINERS:
+        del elem[:n]
+        if len(elem) and names[elem[-1].tag] in _CONTAINERS:
             last = elem[-1]
-            if _hidden(last):
-                while len(last):
-                    del last[:-1]
-                    last = last[-1]
-                return
             t_attr = last.get("transform")
-            self.walk_finished(last, _compose(transform, t_attr) if t_attr else transform,
-                               _font_size(last, font_size), closed)
+            t = _compose(transform, t_attr) if t_attr else transform
+            self.walk(last, t, _presentation(last, font_size), False)
 
-    def _read_text(self, elem: ET.Element, t: AffineTransform, fs: float) -> None:
+    def _read_text(self, elem: ET.Element, t: AffineTransform, fs: float | None) -> None:
         """Read a <text> as one run per stretch of pieces at one anchor.
 
         A <tspan> without its own x or y has its parent's anchor.  Text
@@ -769,7 +762,8 @@ class _Parser:
         pieces of a stretch join before their text is stripped, once, as
         SVG's default xml:space strips a text as a whole: "2 " and "5"
         read "2 5".  A run takes the largest glyph height of its pieces
-        that are not blank.
+        that are not blank.  A hidden piece is skipped with a warning, and
+        the text after it joins the anchor where the text before it ended.
         """
         stretches: list[list] = []
         self._collect_text(elem, t, fs, None, stretches)
@@ -778,12 +772,17 @@ class _Parser:
             if content:
                 self.doc.texts.append(TextRun(anchor, content, height))
 
-    def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float,
-                      inherited_anchor: Point | None, stretches: list[list]) -> Point | None:
+    def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float | None,
+                      inherited_anchor: Point | None, stretches: list[list],
+                      current: Point | None = None) -> Point | None:
         """Add ``elem``'s pieces to ``stretches``, each [anchor, text, height].
 
-        Returns the anchor that the text after ``elem`` joins.
+        Returns the anchor that the text after ``elem`` joins: ``current``,
+        where the text before it ended, when ``elem`` is hidden (``fs`` is None).
         """
+        if fs is None:
+            self.doc.warnings.append(f"display:none <{self.names[elem.tag]}> skipped")
+            return current
         x = _parse_length(elem.get("x"))
         y = _parse_length(elem.get("y"))
         if x is not None or y is not None:
@@ -798,8 +797,8 @@ class _Parser:
             if tag == "tspan" or tag == "a":
                 ct_attr = child.get("transform")
                 ct = _compose(t, ct_attr) if ct_attr else t
-                current = self._collect_text(child, ct, _font_size(child, fs), anchor,
-                                             stretches)
+                current = self._collect_text(child, ct, _presentation(child, fs), anchor,
+                                             stretches, current)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
             self._add_piece(child.tail, current, height, stretches)
@@ -951,8 +950,8 @@ def parse_svg(data: bytes) -> FigureDocument:
                         raise VecfigError(f"root element is <{name}>, not <svg>")
                     t_attr = root.get("transform")
                     root_t = parse_transform(t_attr) if t_attr else IDENTITY
-                    root_fs = _font_size(root, DEFAULT_FONT_SIZE)
-                parser.walk_finished(root, root_t, root_fs, closed)
+                    root_fs = _presentation(root, DEFAULT_FONT_SIZE)
+                parser.walk(root, root_t, root_fs, closed)
             except RecursionError:
                 failure = VecfigError("elements nested too deeply to walk")
             except VecfigError as exc:

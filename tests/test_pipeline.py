@@ -69,6 +69,32 @@ class TestMakeProject:
         assert (tmp_path / "x" / "a.pdf").is_file()  # nothing moved
         assert (tmp_path / "y" / "a.pdf").is_file()
 
+    @pytest.mark.parametrize("files,file_filter,template,source,dest", [
+        # a file already at the destination
+        ({"t1/fulltext.pdf": "OLD", "t1.raw": "NEW"}, r"^.*/(\w+)\.raw$",
+         r"(\1)/fulltext.pdf", "t1.raw", "t1/fulltext.pdf"),
+        # another file of the same call: a.raw -> ax.raw, ax.raw -> axx.raw
+        ({"a.raw": "A", "ax.raw": "AX"}, r"^.*/(\w+)\.raw$", r"\1x.raw", "a.raw", "ax.raw"),
+    ], ids=["existing", "other-source"])
+    def test_existing_destination_aborts_before_moving(self, tmp_path, files, file_filter,
+                                                        template, source, dest):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        with pytest.raises(VecfigError, match=f"^{re.escape(str(tmp_path / source))} would "
+                                              f"overwrite {re.escape(str(tmp_path / dest))}$"):
+            make_project(tmp_path, file_filter, template)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()) == sorted(files)  # nothing moved
+        assert {name: (tmp_path / name).read_text() for name in files} == files
+
+    def test_file_at_its_own_destination_stays(self, tmp_path):
+        (tmp_path / "t1").mkdir()
+        (tmp_path / "t1" / "fulltext.pdf").write_bytes(b"%PDF")
+        project = make_project(tmp_path, r"^.*/(\w+)/fulltext\.pdf$", r"(\1)/fulltext.pdf")
+        assert (tmp_path / "t1" / "fulltext.pdf").read_bytes() == b"%PDF"
+        assert [t.name for t in project.trees] == ["t1"]
+
     def test_template_group_out_of_range(self, tmp_path):
         (tmp_path / "a.pdf").write_bytes(b"1")
         with pytest.raises(VecfigError, match="^template references group 2, filter defines 1$"):
@@ -594,6 +620,19 @@ class TestExtractFigure:
         points, _, report = extract_figure(path)
         assert report.status is Status.OK and len(points) == 5
 
+    @pytest.mark.parametrize("size", [b'font-size="-10"', b'font-size="-1em"'])
+    def test_negative_font_size_sets_nothing(self, tmp_path, size):
+        # CSS allows no negative font size: the labels keep the inherited 10
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=30, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg)
+        want, _, _ = extract_figure(path)
+        assert svg.count(b'font-size="10"') == 10
+        path.write_bytes(svg.replace(b'font-size="10"', size))
+        points, _, report = extract_figure(path)
+        assert (report.status, points) == (Status.OK, want)
+        assert len(points) == 30
+
     @pytest.mark.parametrize("hidden", [
         '<g style="display:none">' + '<circle cx="200" cy="200" r="3"/>' * 2 + "</g>",
         '<g display="none">' + '<circle cx="200" cy="200" r="3"/>' * 2 + "</g>",
@@ -607,6 +646,15 @@ class TestExtractFigure:
         points, _, report = extract_figure(path)
         assert (report.status, len(points)) == (Status.OK, 30)
         assert report.warnings == ["display:none <g> skipped"]
+
+    @pytest.mark.parametrize("attr", [b' display="none"', b' style="display:none"'])
+    def test_hidden_root_is_not_data(self, tmp_path, attr):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=30, seed=3))
+        path = tmp_path / "figure.svg"
+        path.write_bytes(svg.replace(b"<svg ", b"<svg" + attr + b" ", 1))
+        points, _, report = extract_figure(path)
+        assert (report.status, points) == (Status.NO_AXES, [])
+        assert report.warnings[0] == "display:none <svg> skipped"
 
     def test_annotated_svg_conservatism(self, tmp_path):
         svg, _ = generate_scatter_svg(SyntheticSpec(n_points=5, seed=3))

@@ -1250,13 +1250,13 @@ class TestFontSize:
 
     def test_read_only_for_containers_and_text(self, monkeypatch):
         calls = []
-        font_size = svg_model._font_size
+        presentation = svg_model._presentation
 
         def counting(elem, inherited):
             calls.append(svg_model._local_name(elem.tag))
-            return font_size(elem, inherited)
+            return presentation(elem, inherited)
 
-        monkeypatch.setattr(svg_model, "_font_size", counting)
+        monkeypatch.setattr(svg_model, "_presentation", counting)
         parse_svg(svg_bytes('<g><circle cx="5" cy="5" r="2"/><line x1="0" y1="0" x2="9" y2="0"/>'
                             '<text x="1" y="1">a<tspan>b</tspan></text></g>'
                             '<circle cx="7" cy="5" r="2"/>'))
@@ -1303,6 +1303,17 @@ class TestFontSize:
                                   f'<g font-size="8"><text x="300" y="300" {attrs}>2</text></g>'))
         assert [r.glyph_height for r in doc.texts] == [15.0, 12.0]
 
+    @pytest.mark.parametrize("attrs,height", [
+        ('font-size="-10"', 8.0), ('style="font-size: -1em"', 8.0),
+        ('style="font: 700 -30px serif"', 8.0),
+        # the dropped declaration leaves the attribute's size
+        ('font-size="20" style="font-size: -5px"', 20.0),
+        ('font-size="0"', 0.0),
+    ])
+    def test_negative_size_sets_nothing(self, attrs, height):
+        doc = parse_svg(svg_bytes(f'<g font-size="8"><text x="5" y="5" {attrs}>1</text></g>'))
+        assert doc.texts[0].glyph_height == height
+
     def test_malformed_style_on_marker_ignored(self):
         doc = parse_svg(svg_bytes('<circle cx="5" cy="5" r="2" style="font-size: 1.2.3"/>'))
         assert len(doc.circles) == 1
@@ -1323,6 +1334,45 @@ class TestDisplayNone:
         assert doc.warnings == ["display:none <text> skipped", "display:none <a> skipped",
                                 "display:none <switch> skipped", "display:none <g> skipped"]
 
+    @pytest.mark.parametrize("body,runs,tag", [
+        ('1<tspan display="none">0</tspan>', [("1", 5.0)], "tspan"),
+        ('1<a style="display:none">0</a>5', [("15", 5.0)], "a"),
+        # a hidden position does not move the anchor
+        ('1<tspan x="50" display="none">0</tspan>5', [("15", 5.0)], "tspan"),
+        # the tail joins the anchor where the text before it ended
+        ('1<tspan x="50" y="5">2</tspan><tspan style="display: none">0</tspan>5',
+         [("1", 5.0), ("25", 50.0)], "tspan"),
+    ], ids=["tspan", "a-with-tail", "positioned", "after-positioned"])
+    def test_hidden_piece_of_text_skipped(self, body, runs, tag):
+        doc = parse_svg(svg_bytes(f'<text x="5" y="5">{body}</text>'))
+        assert [(r.content, r.anchor.x) for r in doc.texts] == runs
+        assert doc.warnings == [f"display:none <{tag}> skipped"]
+
+    @pytest.mark.parametrize("attr", [' display="none"', ' style="fill: red; display:none"'])
+    def test_hidden_root_not_walked(self, attr):
+        data = svg_bytes('<circle cx="5" cy="5" r="2"/><g><circle cx="9" cy="9" r="2"/></g>'
+                         '<text x="5" y="5">1</text>')
+        doc = parse_svg(data.replace(b"<svg ", f"<svg{attr} ".encode(), 1))
+        assert (len(doc.circles), doc.texts) == (0, [])
+        assert doc.warnings == ["display:none <svg> skipped"]
+
+    @pytest.mark.parametrize("data", [
+        svg_bytes('<g display="none" transform="scale(0)"><circle cx="5" cy="5" r="2"/></g>'),
+        svg_bytes('<text x="5" y="5" display="none" transform="scale(0)">1</text>'),
+        svg_bytes('<text x="5" y="5">1<tspan display="none" transform="scale(0)">0</tspan>'
+                  '</text>'),
+        svg_bytes('<circle cx="5" cy="5" r="2"/>').replace(
+            b"<svg ", b'<svg display="none" transform="scale(0)" ', 1),
+        # an open hidden layer, its transform read before it closes
+        svg_bytes('<g display="none" transform="scale(0)">'
+                  + '<circle cx="5" cy="5" r="2"/>' * 40 + "</g>"),
+    ], ids=["g", "text", "tspan", "root", "open-layer"])
+    def test_bad_transform_of_hidden_element_is_an_error(self, monkeypatch, data):
+        for feed in (7, 1 << 30):
+            monkeypatch.setattr(svg_model, "_FEED_BYTES", feed)
+            with pytest.raises(VecfigError, match="zero-determinant"):
+                parse_svg(data)
+
 
 def parse_svg_oracle(data: bytes) -> FigureDocument:
     """Oracle: the whole element tree built first, then walked from the root."""
@@ -1336,8 +1386,12 @@ def parse_svg_oracle(data: bytes) -> FigureDocument:
         raise VecfigError(f"root element is <{root_name}>, not <svg>")
     root_t_attr = root.get("transform")
     root_t = parse_transform(root_t_attr) if root_t_attr else IDENTITY
+    root_fs = svg_model._presentation(root, svg_model.DEFAULT_FONT_SIZE)
     try:
-        parser.walk(root, root_t, svg_model._font_size(root, svg_model.DEFAULT_FONT_SIZE))
+        if root_fs is None:
+            parser.doc.warnings.append("display:none <svg> skipped")
+        else:
+            parser.walk(root, root_t, root_fs)
     except RecursionError:
         raise VecfigError("elements nested too deeply to walk") from None
     doc = parser.doc
@@ -1365,6 +1419,7 @@ _STREAM_TRANSFORMS = st.sampled_from(
 # font sizes, and a display that hides a container or a text
 _STREAM_PRESENTATION = st.sampled_from(
     ["", "", "", ' font-size="14"', ' style="font-size: 7px"', ' font-size="large"',
+     ' font-size="-4"', ' style="font-size: -1em"',
      ' display="none"', ' style="display: none; font-size: 7px"',
      ' display="none" style="display: inline"'])
 _STREAM_LEAVES = st.one_of(
@@ -1382,7 +1437,8 @@ _STREAM_LEAVES = st.one_of(
         '<title>中 &amp; é</title>']),
     st.builds('<text x="{}" y="{}"{}>{}{}</text>'.format,
               st.integers(0, 600), st.integers(0, 450), _STREAM_PRESENTATION, _STREAM_TEXT,
-              st.lists(st.builds('<tspan{}{}>{}<![CDATA[{}]]></tspan>{}'.format,
+              st.lists(st.builds('<{0}{1}{2}>{3}<![CDATA[{4}]]></{0}>{5}'.format,
+                                 st.sampled_from(["tspan", "tspan", "a"]),
                                  st.sampled_from(["", "", ' transform="scale(2)"', ' x="9"',
                                                   ' transform="scale(0)"']),
                                  _STREAM_PRESENTATION, _STREAM_TEXT,
@@ -1527,6 +1583,16 @@ class TestStreamedParse:
         assert len(doc.circles) == 20_000
         # the hidden layer is not walked, and its finished circles are
         # dropped as they come, not held until it closes
+        assert peak <= 2.0 * len(svg)
+
+    def test_peak_memory_of_a_hidden_root(self):
+        svg, _ = generate_scatter_svg(SyntheticSpec(n_points=20_000, seed=5))
+        svg = svg.replace(b"<svg ", b'<svg style="display:none" ', 1)
+        doc, peak = self._traced_parse(svg)
+        assert len(doc.circles) == 0
+        assert doc.warnings == ["display:none <svg> skipped"]
+        # the root is walked as a hidden layer is: its finished children are
+        # dropped unread as they come
         assert peak <= 2.0 * len(svg)
 
     def test_peak_memory_of_a_gridded_figure(self):
