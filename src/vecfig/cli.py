@@ -97,6 +97,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     base: dict = {}
     if args.spec:
         # malformed JSON raises a ValueError, as a bad field value does

@@ -94,7 +94,8 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
     substituting its capture groups into ``template`` (``(\\1)`` or ``\\1``
     syntax), relative to root.  Collisions abort before any file moves: two
     files with one destination, or a destination that exists (another file
-    of this call too) and is not the file itself.
+    of this call too) and is not the file itself.  So does a destination
+    that is absolute or has a ".." part, which could leave the project.
     """
     root = Path(root)
     pattern = _compile_filter(file_filter)
@@ -105,7 +106,10 @@ def make_project(root: str | Path, file_filter: str, template: str) -> CorpusPro
         m = pattern.match(path.as_posix())
         if not m:
             continue
-        dest = root / _substitute_template(template, m)
+        relative = Path(_substitute_template(template, m))
+        if relative.is_absolute() or ".." in relative.parts:
+            raise VecfigError(f"{path} would move out of {root} to {relative}")
+        dest = root / relative
         if dest in destinations:
             raise VecfigError(
                 f"{path} and {destinations[dest]} both map to {dest}")

@@ -756,53 +756,57 @@ class _Parser:
     def _read_text(self, elem: ET.Element, t: AffineTransform, fs: float | None) -> None:
         """Read a <text> as one run per stretch of pieces at one anchor.
 
-        A <tspan> without its own x or y has its parent's anchor.  Text
-        after a child (its tail) has no position of its own either: it
-        joins the pieces at the anchor where the child's text ended.  The
-        pieces of a stretch join before their text is stripped, once, as
-        SVG's default xml:space strips a text as a whole: "2 " and "5"
-        read "2 5".  A run takes the largest glyph height of its pieces
-        that are not blank.  A hidden piece is skipped with a warning, and
-        the text after it joins the anchor where the text before it ended.
+        The text keeps one current text position, as SVG does.  A <text>,
+        <tspan> or <a> that gives x or y moves it; a coordinate it does not
+        give is kept.  The element's text, its children and the text after
+        each child (its tail) continue at the position as it stands:
+        ``1<tspan x="50">2</tspan><tspan>3</tspan>`` in a <text x="5"
+        y="100"> reads "1" at (5, 100) and "23" at (50, 100).  Without
+        glyph advances the position is where the stretch began, not where
+        its last glyph ended.  The pieces of a stretch join before their
+        text is stripped, once, as SVG's default xml:space strips a text as
+        a whole: "2 " and "5" read "2 5".  A run takes the largest glyph
+        height of its pieces that are not blank.  A hidden piece is skipped
+        with a warning and moves nothing.
         """
         stretches: list[list] = []
-        self._collect_text(elem, t, fs, None, stretches)
+        self._collect_text(elem, t, fs, stretches, (0.0, 0.0, None))
         for anchor, text, height in stretches:
             content = text.strip()
             if content:
                 self.doc.texts.append(TextRun(anchor, content, height))
 
     def _collect_text(self, elem: ET.Element, t: AffineTransform, fs: float | None,
-                      inherited_anchor: Point | None, stretches: list[list],
-                      current: Point | None = None) -> Point | None:
+                      stretches: list[list], position: tuple) -> tuple:
         """Add ``elem``'s pieces to ``stretches``, each [anchor, text, height].
 
-        Returns the anchor that the text after ``elem`` joins: ``current``,
-        where the text before it ended, when ``elem`` is hidden (``fs`` is None).
+        ``position`` is the current text position, (x, y, anchor): x and y in
+        user units, anchor their device point, made once per move and None
+        before the first.  Returns the position the text after ``elem``
+        continues at; a hidden ``elem`` (``fs`` is None) leaves it as it was.
         """
         if fs is None:
             self.doc.warnings.append(f"display:none <{self.names[elem.tag]}> skipped")
-            return current
+            return position
         x = _parse_length(elem.get("x"))
         y = _parse_length(elem.get("y"))
         if x is not None or y is not None:
-            anchor = t.apply_xy(x or 0.0, y or 0.0)
-        else:
-            anchor = inherited_anchor
+            x = position[0] if x is None else x
+            y = position[1] if y is None else y
+            position = (x, y, t.apply_xy(x, y))
         height = fs * math.sqrt(abs(t.determinant))
-        self._add_piece(elem.text, anchor, height, stretches)
-        current = anchor
+        self._add_piece(elem.text, position[2], height, stretches)
         for child in elem:
             tag = self.names[child.tag]
             if tag == "tspan" or tag == "a":
                 ct_attr = child.get("transform")
                 ct = _compose(t, ct_attr) if ct_attr else t
-                current = self._collect_text(child, ct, _presentation(child, fs), anchor,
-                                             stretches, current)
+                position = self._collect_text(child, ct, _presentation(child, fs), stretches,
+                                              position)
             else:
                 self.doc.warnings.append(f"unsupported element <{tag}> in text skipped")
-            self._add_piece(child.tail, current, height, stretches)
-        return current
+            self._add_piece(child.tail, position[2], height, stretches)
+        return position
 
     def _add_piece(self, text: str | None, anchor: Point | None, height: float,
                    stretches: list[list]) -> None:

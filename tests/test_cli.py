@@ -212,6 +212,15 @@ def test_generate_with_bad_spec(tmp_path, capsys, spec, message):
     assert not (tmp_path / "proj").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_with_count_below_one(tmp_path, capsys, count):
+    # nothing to write is a mistake in the call, not an empty project
+    assert run(["generate", "--outputDir", str(tmp_path / "proj"), "--count", count]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --count must be >= 1, got {count}\n"
+    assert not (tmp_path / "proj").exists()
+
+
 @pytest.mark.parametrize("target", [
     "figure1", "figure1/figure.csv", "figure1/figure_annotated.svg", "figure1/report.json"],
     ids=["folder-is-a-file", "csv", "svg", "report"])

@@ -88,6 +88,21 @@ class TestMakeProject:
                       if p.is_file()) == sorted(files)  # nothing moved
         assert {name: (tmp_path / name).read_text() for name in files} == files
 
+    @pytest.mark.parametrize("template", [
+        r"../escaped/(\1)/fulltext.pdf", r"(\1)/../../escaped.pdf", "{abs}/(\\1)/fulltext.pdf",
+    ], ids=["parent", "inner-parent", "absolute"])
+    def test_destination_out_of_the_project_aborts_before_moving(self, tmp_path, template):
+        root = tmp_path / "proj"
+        for name in ("in/a.pdf", "in/b.pdf"):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(name)
+        template = template.format(abs=(tmp_path / "abs").as_posix())
+        with pytest.raises(VecfigError, match=f"^{re.escape(str(root / 'in' / 'a.pdf'))} "
+                                              f"would move out of "):
+            make_project(root, r"^.*/(\w+)\.pdf$", template)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()) == ["proj/in/a.pdf", "proj/in/b.pdf"]  # nothing moved
+
     def test_file_at_its_own_destination_stays(self, tmp_path):
         (tmp_path / "t1").mkdir()
         (tmp_path / "t1" / "fulltext.pdf").write_bytes(b"%PDF")
@@ -517,8 +532,12 @@ class TestExtractFigure:
         # tspans, with ids in random order or with none, some pieces left
         # bare as the parent's text or a tspan's tail: the pieces share
         # their parent's anchor, so only document order joins them right.
-        # A curved path after the labels is skipped with a warning that
-        # names its id, which the split must not move
+        # A label's first piece may instead be a tspan that repeats only the
+        # label's own x: it keeps the label's y, and the pieces after it
+        # continue at its anchor (a later piece at that x would overstrike
+        # the glyphs before it, so only the first may repeat it).  A curved
+        # path after the labels is skipped with a warning that names its id,
+        # which the split must not move
         svg, _ = generate_scatter_svg(SyntheticSpec(seed=seed, n_points=20, axis_style=style))
         folder = tmp_path_factory.mktemp("split")
 
@@ -539,16 +558,20 @@ class TestExtractFigure:
             bounds = [0, *sorted(cuts), len(content)]
             flags = data.draw(st.lists(st.booleans(), min_size=len(bounds) - 1,
                                       max_size=len(bounds) - 1))
-            pieces.append([(content[a:b], is_bare) for a, b, is_bare
-                           in zip(bounds, bounds[1:], flags)])
+            parts = [(content[a:b], is_bare, "") for a, b, is_bare
+                     in zip(bounds, bounds[1:], flags)]
+            if data.draw(st.booleans()):
+                x = re.search(r' x="[^"]*"', m.group(1)).group(0)
+                parts[0] = (parts[0][0], False, x)
+            pieces.append(parts)
         order = iter(data.draw(st.permutations(range(sum(map(len, pieces))))))
 
         def split(with_ids: bool) -> str:
             out, end = [], 0
             for m, parts in zip(labels, pieces):
                 spans = "".join(p if is_bare else
-                                f'<tspan id="t{next(order)}">{p}</tspan>' if with_ids
-                                else f"<tspan>{p}</tspan>" for p, is_bare in parts)
+                                f'<tspan id="t{next(order)}"{x}>{p}</tspan>' if with_ids
+                                else f"<tspan{x}>{p}</tspan>" for p, is_bare, x in parts)
                 out += [text[end:m.start()], m.group(1), spans, "</text>"]
                 end = m.end()
             return "".join(out + [text[end:]])

@@ -764,6 +764,13 @@ class TestComposeTextRuns:
         ('1<tspan x="20" y="5">0</tspan>5', [("1", Point(1, 5)), ("05", Point(20, 5))], 0),
         ('1<tspan x="20" y="5"></tspan>5', [("1", Point(1, 5)), ("5", Point(20, 5))], 0),
         ('1<a x="20" y="5">0</a>5', [("1", Point(1, 5)), ("05", Point(20, 5))], 0),
+        # one current text position: a coordinate a tspan does not give is
+        # kept, and a later unpositioned tspan continues where it moved to
+        ('1<tspan x="50">2</tspan>', [("1", Point(1, 5)), ("2", Point(50, 5))], 0),
+        ('1<tspan x="50" y="5">2</tspan><tspan>3</tspan>',
+         [("1", Point(1, 5)), ("23", Point(50, 5))], 0),
+        ('1<tspan y="120">2</tspan>', [("1", Point(1, 5)), ("2", Point(1, 120))], 0),
+        ('1<tspan x="50">2</tspan>3', [("1", Point(1, 5)), ("23", Point(50, 5))], 0),
         # an unsupported child is skipped, with a warning, and its tail read
         ('1<textPath>0</textPath>5', [("15", Point(1, 5))], 1),
     ])
